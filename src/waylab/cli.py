@@ -88,8 +88,14 @@ def _build_parser():
     p_opt = sub.add_parser("optimize", help="write an error-optimized scheme as JSON")
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--d", type=int, default=2)
-    p_opt.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_opt.add_argument("--max-iters", type=int, default=40)
+    p_opt.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="accepted and ignored: the scheme is built in closed form",
+    )
+    p_opt.add_argument(
+        "--max-iters", type=int, default=40,
+        help="accepted and ignored: the scheme is built in closed form",
+    )
     p_opt.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="optimize a range of sizes, write CSV")
@@ -98,7 +104,10 @@ def _build_parser():
     p_sweep.add_argument(
         "--geometric", action="store_true", help="double n from n-min up to n-max"
     )
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sweep.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="accepted and ignored: each scheme is built in closed form",
+    )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_sample = sub.add_parser("sample", help="sample pointer readouts, print counts CSV")
@@ -132,7 +141,7 @@ def _cmd_validate(args):
     with open(args.scheme) as handle:
         scheme = ApproxScheme.from_json(handle.read())
     report = validate_scheme(scheme)
-    lines = [f"{cid}: {res:.3e}" for cid, res in report.entries if res > args.tol]
+    lines = [f"{cid}: {res:.3e}" for cid, res in report.entries if not res <= args.tol]
     summary = (
         f"max_residual = {report.max_residual!r} "
         f"({'PASS' if report.passed(args.tol) else 'FAIL'} at tol {args.tol:g})"
@@ -166,9 +175,12 @@ def _cmd_sweep(args):
     opts = OptimizerOptions(seed=args.seed)
     table = sweep(n_values, opts=opts)
     _atomic_write(args.out, table.to_csv())
-    slope, _, r2 = fit_scaling(table)
+    if len(table.rows) >= 3:
+        slope, _, r2 = fit_scaling(table)
+        summary = f"slope = {slope:.6g} (r2 = {r2:.6g})"
+    else:
+        summary = f"no slope: a scaling fit needs >= 3 sizes, got {len(table.rows)}"
     failed = [r.n for r in table.rows if r.note]
-    summary = f"slope = {slope:.6g} (r2 = {r2:.6g})"
     if failed:
         summary += f"; rows kept canonical after optimizer failure: {failed}"
     return CommandResult(1 if failed else 0, [args.out], summary)

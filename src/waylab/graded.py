@@ -26,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +198,20 @@ class ConstraintReport:
     """Named residuals of a constraint system.
 
     ``entries`` is a tuple of ``(constraint_id, residual)`` with residuals
-    nonnegative; ``max_residual`` is their maximum (0.0 when empty).
+    nonnegative; ``max_residual`` is their maximum (0.0 when empty), or
+    NaN when any residual is NaN, so a report with a NaN never passes.
     """
 
     entries: tuple
 
     @property
     def max_residual(self):
-        return max((r for _, r in self.entries), default=0.0)
+        residuals = [r for _, r in self.entries]
+        # max() skips a NaN unless it comes first; the sum of nonnegative
+        # residuals is NaN exactly when one of them is
+        if math.isnan(sum(residuals)):
+            return math.nan
+        return max(residuals, default=0.0)
 
     @property
     def sum_squares(self):

@@ -33,14 +33,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
+from scipy.optimize import lsq_linear
 
 from .graded import ConstraintReport, ObjectState
 from .optimize import OptimizationError
-
-#: Fixed seed list for the multi-start polish (determinism).
-_DEFAULT_SEED = 8191
-_DEFAULT_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -222,60 +218,23 @@ def _build_system(n, m, delta):
     return np.vstack(rows), np.asarray(rhs), (lb, ub)
 
 
-def _solve_min_violation(n, m, delta, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
+def _solve_min_violation(n, m, delta):
     """Global least-squares violation of the (rotated) exact system.
 
     The residuals are linear and the bounds are a box, so the problem is
-    convex: a bounded linear least-squares solve gives the global
-    optimum, and a seeded multi-start quasi-Newton descent cross-checks
-    it from random initial points.  Candidates are merged
-    deterministically by (violation, start index).
+    convex and one bounded linear least-squares solve gives the global
+    optimum.
     """
     a_mat, rhs, bounds = _build_system(n, m, delta)
-    lb, ub = bounds
-    box = list(zip(lb, ub))
-    hess2 = 2.0 * a_mat.T @ a_mat
-    lin2 = 2.0 * a_mat.T @ rhs
-
-    def violation(w):
-        r = a_mat @ w - rhs
-        return float(r @ r)
-
-    def gradient(w):
-        return hess2 @ w - lin2
-
-    candidates = []
-    failures = []
     direct = lsq_linear(a_mat, rhs, bounds=bounds, tol=1e-14)
-    if direct.status > 0:
-        candidates.append((violation(direct.x), 0, direct.x))
-    else:
-        failures.append(f"direct solve: {direct.message}")
-
-    rng = np.random.default_rng(seed)
-    for k in range(1, starts + 1):
-        w0 = np.concatenate(
-            [rng.uniform(0.0, 1.5, 3 * n), rng.uniform(-0.5, 0.5, 2 * n)]
-        )
-        res = minimize(
-            violation,
-            w0,
-            jac=gradient,
-            method="L-BFGS-B",
-            bounds=box,
-            options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        if np.isfinite(res.fun):
-            candidates.append((violation(res.x), k, res.x))
-        else:
-            failures.append(f"start {k}: {res.message}")
-
-    if not candidates:
+    if direct.status <= 0:
         raise OptimizationError(
-            f"no feasibility solve converged for n={n}: {failures}", best=None
+            f"feasibility solve did not converge for n={n}: {direct.message}",
+            best=None,
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    value, _, w = candidates[0]
+    w = direct.x
+    r = a_mat @ w - rhs
+    value = float(r @ r)
     data = ExactSchemeData(
         n=n,
         x=w[0:n].copy(),
@@ -363,7 +322,7 @@ def derive_witness(n, m=0.25, delta=0.0):
     return tuple(steps)
 
 
-def infeasibility_certificate(n, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
+def infeasibility_certificate(n):
     """Minimal violation certificate of the exact system at size ``n``.
 
     The returned violation is strictly positive, non-increasing in ``n`` (an
@@ -372,7 +331,7 @@ def infeasibility_certificate(n, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
     """
     if n < 1:
         raise ValueError(f"support size must be >= 1, got {n}")
-    value, data = _solve_min_violation(n, 0.25, 0.0, starts=starts, seed=seed)
+    value, data = _solve_min_violation(n, 0.25, 0.0)
     return InfeasibilityCertificate(
         n=n,
         min_violation=value,
@@ -382,7 +341,7 @@ def infeasibility_certificate(n, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
     )
 
 
-def rotated_basis_residual(n, obj, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
+def rotated_basis_residual(n, obj):
     """Minimal violation for an arbitrary rotated object basis.
 
     ``obj`` holds ``(alpha, beta)``; the analyzed pair is
@@ -399,7 +358,7 @@ def rotated_basis_residual(n, obj, starts=_DEFAULT_STARTS, seed=_DEFAULT_SEED):
     obj.require_normalized()
     m = (abs(obj.amp0) * abs(obj.amp1)) ** 2
     delta = abs(obj.amp0) ** 2 - abs(obj.amp1) ** 2
-    value, data = _solve_min_violation(n, m, delta, starts=starts, seed=seed)
+    value, data = _solve_min_violation(n, m, delta)
     return InfeasibilityCertificate(
         n=n,
         min_violation=value,

@@ -1,33 +1,62 @@
-"""Error-optimal approximate schemes of fixed apparatus size.
+"""Error-optimal approximate schemes of fixed apparatus size, in closed form.
 
-The canonical construction reaches undetermined-outcome probability
-``1/(2n - 1)``, but the constraint system leaves room: spreading the
-transfer amplitudes smoothly across the sector window drives the error
-down like ``1/n^2``.  This module minimizes the error over admissible
-schemes (same sector windows, full constraint system enforced), sweeps
-apparatus sizes, and fits the scaling law.
+Wigner's canonical scheme (Z. Phys. 133, 101, 1952) reaches
+undetermined-outcome probability ``1/(2n - 1)``; Araki and Yanase
+(Phys. Rev. 120, 622, 1960) showed that the error can be made small but
+never zero at finite size.  The constraint system leaves room below the
+canonical value: spreading the transfer amplitudes smoothly across the
+sector window drives the error down like ``1/n^2``.  This module builds
+that scheme directly, sweeps apparatus sizes and fits the scaling law.
 
-The search is deterministic for a fixed seed and combines:
+Construction.  ``sigma`` lies along per-sector direction ``e0`` with equal
+weight ``S/n`` on sectors ``1..n``; ``rho`` lies along ``e1`` with
+amplitude ``g u[nu]`` on sectors ``0..n-1``; ``tau`` is its two-sector
+shift, ``tau[nu] = rho[nu - 2]``; and ``xi`` follows from the
+weight-split relations.  Because ``e0`` and ``e1`` are orthogonal and
+``tau`` is a real shift of ``rho``, the orthogonality rows and both
+error-vector overlaps vanish identically.  The error vector is
+``2 eta = tau - rho`` with sectors ``g (u[nu - 2] - u[nu])``, so it couples
+only sectors of equal parity: ``u`` lives on a *chain* of sectors
+``p, p + 2, ...`` inside ``0..n-1``.
 
-* closed-form starts -- the canonical scheme plus smooth single-parity
-  transfer profiles whose constraints hold exactly by construction;
-* a quadratic-penalty phase with increasing penalty weight over the free
-  amplitudes of ``sigma``, ``tau``, ``rho`` and the apparatus weights;
-* a feasibility polish projecting back onto the constraint set by local
-  least squares.
+Error of a profile.  Write ``R = g^2 sum u^2`` for the transfer weight and
+``q = (1/4) sum (u[nu - 2] - u[nu])^2 / sum u^2``, so ``E = q R``.  The
+pointer overlap fixes ``S = R - E`` and normalization fixes ``S + R = 1``,
+hence ``E = q / (2 - q)``, increasing in ``q``.  Now ``q`` is a Rayleigh
+quotient of the Dirichlet second-difference operator on a chain of length
+``k``; its minimum ``(1 - cos t)/2``, ``t = pi/(k + 1)``, is attained by the
+lowest mode ``u_j = sin(j t)``.  The longest chain in the window is the
+even one, ``k = ceil(n/2)``, which gives::
 
-Candidates that fail the independent validation are discarded, and the
-canonical scheme always competes, so the optimized error never exceeds
-``1/(2n - 1)``.
+    E(n) = (1 - cos t) / (3 + cos t),   t = pi / (ceil(n/2) + 1).
+
+The analysis above is exact within this family.  Over all admissible
+schemes the value is established numerically: a penalty-plus-polish search
+over every amplitude, from the canonical scheme, both parity profiles and
+seeded perturbations of them, never beat ``E(n)`` by more than one ulp for
+``n <= 64``, and ``tests/oracles.py`` keeps a multistart local-optimality
+check over general two-parity starts at small ``n``.
+
+Never worse than canonical.  ``E(n) <= 1/(2n - 1)`` for every ``n >= 2``.
+With ``k = ceil(n/2)`` we have ``n <= 2k``, so it suffices that
+``E <= 1/(4k - 1)``, i.e. ``(1 - c)(4k - 1) <= 3 + c`` with ``c = cos t``,
+which reduces to ``c >= 1 - 1/k``.  At ``k = 1, 2`` both sides are equal
+(``0 >= 0`` and ``1/2 >= 1/2``), giving equality at ``n = 2`` and ``n = 4``.
+For ``k >= 3``, ``cos t >= 1 - t^2/2`` reduces the claim to
+``2k^2 + (4 - pi^2) k + 2 >= 0``, whose larger root is below 2.6.
+
+Scaling.  As ``n`` grows, ``1 - cos t ~ t^2/2`` and ``3 + cos t -> 4``, so
+``E ~ pi^2 / (8 (k + 1)^2)`` and ``E n^2 -> pi^2/2``: the log-log slope
+tends to exactly -2.  A fit over ``n = 4..64`` reads about -1.75 because
+those sizes are still pre-asymptotic.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .graded import GradedVector
 from .scheme import (
@@ -39,10 +68,10 @@ from .scheme import (
 
 
 class OptimizationError(RuntimeError):
-    """Raised when a numerical search fails to converge.
+    """Raised when a constructed or solved result fails its checks.
 
-    Carries the best iterate found so far in ``best`` so callers can
-    diagnose the failure instead of silently accepting a bad result.
+    Carries the offending result in ``best`` so callers can diagnose the
+    failure instead of silently accepting a bad result.
     """
 
     def __init__(self, message, best=None):
@@ -52,7 +81,13 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for :func:`optimize_scheme`; all fields must be positive."""
+    """Settings for :func:`optimize_scheme`; all fields must be positive.
+
+    ``tol_constraint`` bounds the validated constraint residual and
+    ``tol_objective`` the gap between the built scheme's error and the
+    closed form ``E(n)``.  ``max_iters``, ``starts`` and ``seed`` are
+    accepted and ignored: the scheme is built without a search.
+    """
 
     max_iters: int = 40
     tol_constraint: float = 1e-8
@@ -113,283 +148,22 @@ class SweepTable:
         return cls(rows=tuple(rows))
 
 
-# -- parametrization ----------------------------------------------------------
-#
-# Real parameter vector z packs, in order, the real and imaginary parts of
-# sigma (sectors 1..n), rho (sectors 0..n-1), tau (sectors 2..n+1), each an
-# (n, d) complex array, followed by the apparatus weights x (sectors 1..n,
-# bounded below by zero).  Padded arrays over the common sector axis
-# 0..n+2 make the shifted couplings vectorizable.
+def _closed_form_error(n):
+    """``E(n) = (1 - cos t)/(3 + cos t)`` with ``t = pi/(ceil(n/2) + 1)``."""
+    theta = math.pi / ((n + 1) // 2 + 1)
+    return (1.0 - math.cos(theta)) / (3.0 + math.cos(theta))
 
 
-def _unpack_batch(z, n, d):
-    k = n * d
-    sig = (z[:, 0:k] + 1j * z[:, k : 2 * k]).reshape(-1, n, d)
-    rho = (z[:, 2 * k : 3 * k] + 1j * z[:, 3 * k : 4 * k]).reshape(-1, n, d)
-    tau = (z[:, 4 * k : 5 * k] + 1j * z[:, 5 * k : 6 * k]).reshape(-1, n, d)
-    x = z[:, 6 * k : 6 * k + n]
-    return sig, rho, tau, x
+def _smooth_profile_scheme(n, d):
+    """Scheme whose transfer profile is the lowest sine mode on the even chain.
 
-
-def _unpack(z, n, d):
-    sig, rho, tau, x = _unpack_batch(z[None, :], n, d)
-    return sig[0], rho[0], tau[0], x[0]
-
-
-def _pack(sig, rho, tau, x):
-    return np.concatenate(
-        [
-            sig.real.ravel(), sig.imag.ravel(),
-            rho.real.ravel(), rho.imag.ravel(),
-            tau.real.ravel(), tau.imag.ravel(),
-            np.asarray(x, dtype=float),
-        ]
-    )
-
-
-def _padded_batch(sig, rho, tau, n, d):
-    b = sig.shape[0]
-    ps = np.zeros((b, n + 3, d), dtype=np.complex128)
-    pr = np.zeros((b, n + 3, d), dtype=np.complex128)
-    pt = np.zeros((b, n + 3, d), dtype=np.complex128)
-    ps[:, 1 : n + 1] = sig
-    pr[:, 0:n] = rho
-    pt[:, 2 : n + 2] = tau
-    return ps, pr, pt
-
-
-def _constraint_residuals_batch(z, n, d):
-    """Stacked real residuals of the full admissibility system.
-
-    Accepts a batch of parameter vectors, shape ``(b, p)``, and returns
-    ``(b, m)``.  Blocks: per-sector orthogonality of the two interaction
-    outputs (real and imaginary parts), the two per-sector weight-split
-    relations, apparatus normalization, pointer overlap, and the
-    error-vector overlaps with ``sigma`` and with the pointer difference.
+    The weight-split relations make ``tau`` the two-sector shift of
+    ``rho``, and two scalar normalization relations fix the scales, so
+    every constraint holds to machine precision.
     """
-    sig, rho, tau, x = _unpack_batch(z, n, d)
-    ps, pr, pt = _padded_batch(sig, rho, tau, n, d)
-
-    ortho = np.einsum("bjk,bjk->bj", ps.conj(), pt)
-    ortho[:, 1:] += np.einsum("bjk,bjk->bj", pr[:, :-1].conj(), ps[:, :-1])
-
-    sn = np.einsum("bjk,bjk->bj", sig.conj(), sig).real
-    rn = np.einsum("bjk,bjk->bj", rho.conj(), rho).real
-    tn = np.einsum("bjk,bjk->bj", tau.conj(), tau).real
-    w_rho = x - sn - rn
-    w_tau = x - sn - tn
-
-    rt = pr + pt
-    diff = pt - pr
-    pointer = 4.0 * sn.sum(axis=1) - np.einsum("bjk,bjk->b", rt.conj(), rt).real
-    es = np.einsum("bjk,bjk->b", ps.conj(), diff)
-    ep = np.einsum("bjk,bjk->b", rt.conj(), diff)
-
-    return np.concatenate(
-        [
-            ortho.real, ortho.imag,
-            w_rho, w_tau,
-            np.column_stack(
-                [x.sum(axis=1) - 1.0, pointer, es.real, es.imag, ep.real, ep.imag]
-            ),
-        ],
-        axis=1,
-    )
-
-
-def _constraint_residuals(z, n, d):
-    return _constraint_residuals_batch(z[None, :], n, d)[0]
-
-
-def _objective_residuals_batch(z, n, d):
-    """Residual form of the error: squares sum to ``(eta, eta)``."""
-    sig, rho, tau, _ = _unpack_batch(z, n, d)
-    _, pr, pt = _padded_batch(sig, rho, tau, n, d)
-    half = 0.5 * (pt - pr)
-    b = z.shape[0]
-    return np.concatenate(
-        [half.real.reshape(b, -1), half.imag.reshape(b, -1)], axis=1
-    )
-
-
-def _objective_residuals(z, n, d):
-    return _objective_residuals_batch(z[None, :], n, d)[0]
-
-
-def _error_value(z, n, d):
-    r = _objective_residuals(z, n, d)
-    return float(r @ r)
-
-
-def _jacobian(fun_batch, z, n, d):
-    """Exact Jacobian of a (at most) quadratic residual map.
-
-    Central differences with unit step are exact for quadratics, and the
-    batched residual evaluation turns the whole Jacobian into two array
-    sweeps.  Used as the reference implementation and for the constant
-    objective Jacobian; the constraint Jacobian has a faster analytic
-    form below.
-    """
-    eye = np.eye(z.size)
-    plus = fun_batch(z[None, :] + eye, n, d)
-    minus = fun_batch(z[None, :] - eye, n, d)
-    return 0.5 * (plus - minus).T
-
-
-def _constraint_jacobian(z, n, d):
-    """Analytic Jacobian of :func:`_constraint_residuals` at ``z``."""
-    sig, rho, tau, x = _unpack(z, n, d)
-    ps, pr, pt = _padded_batch(sig[None], rho[None], tau[None], n, d)
-    sre, sim = ps[0].real, ps[0].imag
-    rre, rim = pr[0].real, pr[0].imag
-    tre, tim = pt[0].real, pt[0].imag
-
-    k = n * d
-    p = 6 * k + n
-    m = 2 * (n + 3) + 2 * n + 6
-    jac = np.zeros((m, p))
-    ar = np.arange(d)
-
-    def scol(j):
-        return (j - 1) * d + ar
-
-    def rcol(j):
-        return 2 * k + j * d + ar
-
-    def tcol(j):
-        return 4 * k + (j - 2) * d + ar
-
-    # ortho[j] = <S_j, T_j> + <R_{j-1}, S_{j-1}>, real rows then imag rows
-    for j in range(0, n + 3):
-        r_re, r_im = j, (n + 3) + j
-        if 1 <= j <= n:
-            jac[r_re, scol(j)] += tre[j]
-            jac[r_re, scol(j) + k] += tim[j]
-            jac[r_im, scol(j)] += tim[j]
-            jac[r_im, scol(j) + k] -= tre[j]
-        if 2 <= j <= n + 1:
-            jac[r_re, tcol(j)] += sre[j]
-            jac[r_re, tcol(j) + k] += sim[j]
-            jac[r_im, tcol(j)] -= sim[j]
-            jac[r_im, tcol(j) + k] += sre[j]
-        jj = j - 1
-        if 0 <= jj <= n - 1:
-            jac[r_re, rcol(jj)] += sre[jj]
-            jac[r_re, rcol(jj) + k] += sim[jj]
-            jac[r_im, rcol(jj)] += sim[jj]
-            jac[r_im, rcol(jj) + k] -= sre[jj]
-        if 1 <= jj <= n:
-            jac[r_re, scol(jj)] += rre[jj]
-            jac[r_re, scol(jj) + k] += rim[jj]
-            jac[r_im, scol(jj)] -= rim[jj]
-            jac[r_im, scol(jj) + k] += rre[jj]
-
-    # weight splits
-    base = 2 * (n + 3)
-    for nu in range(1, n + 1):
-        row = base + (nu - 1)
-        jac[row, 6 * k + nu - 1] = 1.0
-        jac[row, scol(nu)] = -2.0 * sre[nu]
-        jac[row, scol(nu) + k] = -2.0 * sim[nu]
-        jac[row, rcol(nu - 1)] = -2.0 * rre[nu - 1]
-        jac[row, rcol(nu - 1) + k] = -2.0 * rim[nu - 1]
-        row = base + n + (nu - 1)
-        jac[row, 6 * k + nu - 1] = 1.0
-        jac[row, scol(nu)] = -2.0 * sre[nu]
-        jac[row, scol(nu) + k] = -2.0 * sim[nu]
-        jac[row, tcol(nu + 1)] = -2.0 * tre[nu + 1]
-        jac[row, tcol(nu + 1) + k] = -2.0 * tim[nu + 1]
-
-    tail = base + 2 * n
-    jac[tail, 6 * k :] = 1.0  # sum of apparatus weights
-
-    row = tail + 1  # pointer overlap: 4 sum|S|^2 - sum|R+T|^2
-    jac[row, 0:k] = 8.0 * sig.real.ravel()
-    jac[row, k : 2 * k] = 8.0 * sig.imag.ravel()
-    jac[row, 2 * k : 3 * k] = -2.0 * (rre + tre)[0:n].ravel()
-    jac[row, 3 * k : 4 * k] = -2.0 * (rim + tim)[0:n].ravel()
-    jac[row, 4 * k : 5 * k] = -2.0 * (rre + tre)[2 : n + 2].ravel()
-    jac[row, 5 * k : 6 * k] = -2.0 * (rim + tim)[2 : n + 2].ravel()
-
-    dre, dim_ = tre - rre, tim - rim
-    row = tail + 2  # re <S, T - R>
-    jac[row, 0:k] = dre[1 : n + 1].ravel()
-    jac[row, k : 2 * k] = dim_[1 : n + 1].ravel()
-    jac[row, 2 * k : 3 * k] = -sre[0:n].ravel()
-    jac[row, 3 * k : 4 * k] = -sim[0:n].ravel()
-    jac[row, 4 * k : 5 * k] = sre[2 : n + 2].ravel()
-    jac[row, 5 * k : 6 * k] = sim[2 : n + 2].ravel()
-    row = tail + 3  # im <S, T - R>
-    jac[row, 0:k] = dim_[1 : n + 1].ravel()
-    jac[row, k : 2 * k] = -dre[1 : n + 1].ravel()
-    jac[row, 2 * k : 3 * k] = sim[0:n].ravel()
-    jac[row, 3 * k : 4 * k] = -sre[0:n].ravel()
-    jac[row, 4 * k : 5 * k] = -sim[2 : n + 2].ravel()
-    jac[row, 5 * k : 6 * k] = sre[2 : n + 2].ravel()
-
-    row = tail + 4  # re <R + T, T - R> = sum |T|^2 - |R|^2
-    jac[row, 2 * k : 3 * k] = -2.0 * rre[0:n].ravel()
-    jac[row, 3 * k : 4 * k] = -2.0 * rim[0:n].ravel()
-    jac[row, 4 * k : 5 * k] = 2.0 * tre[2 : n + 2].ravel()
-    jac[row, 5 * k : 6 * k] = 2.0 * tim[2 : n + 2].ravel()
-    row = tail + 5  # im <R + T, T - R> = 2 sum im <R, T>
-    jac[row, 2 * k : 3 * k] = 2.0 * tim[0:n].ravel()
-    jac[row, 3 * k : 4 * k] = -2.0 * tre[0:n].ravel()
-    jac[row, 4 * k : 5 * k] = -2.0 * rim[2 : n + 2].ravel()
-    jac[row, 5 * k : 6 * k] = 2.0 * rre[2 : n + 2].ravel()
-    return jac
-
-
-def _bounds(n, d):
-    lb = np.full(6 * n * d + n, -np.inf)
-    lb[6 * n * d :] = 0.0
-    return lb, np.full(6 * n * d + n, np.inf)
-
-
-def _scheme_to_vars(s):
-    n, d = s.n, s.d
-    sig = np.array([s.sigma.sector(nu) for nu in range(1, n + 1)])
-    rho = np.array([s.rho.sector(nu) for nu in range(0, n)])
-    tau = np.array([s.tau.sector(nu) for nu in range(2, n + 2)])
-    x = np.array(
-        [np.vdot(s.xi.sector(nu), s.xi.sector(nu)).real for nu in range(1, n + 1)]
-    )
-    return _pack(sig, rho, tau, x)
-
-
-def _vars_to_scheme(z, n, d):
-    sig, rho, tau, x = _unpack(z, n, d)
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    xi = GradedVector(
-        d, {nu: np.sqrt(max(x[nu - 1], 0.0)) * e0 for nu in range(1, n + 1)}
-    )
-    sv = GradedVector(d, {nu: sig[nu - 1] for nu in range(1, n + 1)})
-    rv = GradedVector(d, {nu: rho[nu] for nu in range(0, n)})
-    tv = GradedVector(d, {nu: tau[nu - 2] for nu in range(2, n + 2)})
-    err = _error_value(z, n, d)
-    return ApproxScheme(
-        n=n, d=d, xi=xi, sigma=sv, tau=tv, rho=rv,
-        c=float(sv.norm2() / n), cprime=err,
-    )
-
-
-def _smooth_profile_scheme(n, d, parity):
-    """Exactly feasible scheme from a smooth single-parity transfer profile.
-
-    The transfer weights follow the lowest Dirichlet mode of the parity
-    chain inside the window; the weight-split relations make ``tau`` the
-    two-sector shift of ``rho`` and two scalar normalization relations
-    fix the scales, so every constraint holds to machine precision.
-    """
-    sectors = [nu for nu in range(0, n) if nu % 2 == parity]
-    length = len(sectors)
-    if length == 0:
-        return None
-    profile = np.sin(np.pi * np.arange(1, length + 1) / (length + 1))
+    length = (n + 1) // 2  # sectors 0, 2, ... of the window 0..n-1
     u = np.zeros(n)
-    for idx, nu in enumerate(sectors):
-        u[nu] = profile[idx]
+    u[0::2] = np.sin(np.pi * np.arange(1, length + 1) / (length + 1))
     r0 = float(u @ u)
     u_pad = np.concatenate([u, [0.0, 0.0]])
     diffs = u_pad - np.concatenate([[0.0, 0.0], u])
@@ -398,8 +172,6 @@ def _smooth_profile_scheme(n, d, parity):
     # overlap fixes S = R - E and normalization fixes S + R = 1.
     g2 = 1.0 / (2.0 * r0 - obj0)
     big_s = g2 * (r0 - obj0)
-    if big_s < 0:
-        return None
     e0 = np.zeros(d)
     e0[0] = 1.0
     e1 = np.zeros(d)
@@ -419,177 +191,78 @@ def _smooth_profile_scheme(n, d, parity):
     scheme = ApproxScheme(
         n=n, d=d, xi=xi, sigma=sigma, tau=tau, rho=rho, c=s_each, cprime=0.0
     )
-    return ApproxScheme(
-        n=n, d=d, xi=xi, sigma=sigma, tau=tau, rho=rho,
-        c=s_each, cprime=float(scheme_error(scheme)),
-    )
+    return replace(scheme, cprime=float(scheme_error(scheme)))
 
 
-#: Increasing quadratic-penalty weights for the descent phases.
-_PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
-
-
-def _polish(z0, n, d, opts):
-    """Quadratic-penalty descent then projection onto the constraint set.
-
-    Each penalty phase minimizes the stacked least-squares form of
-    ``error + weight * sum(constraints^2)`` with exact Jacobians; the
-    final phase drops the error term and projects onto the constraints
-    alone.
-    """
-    lb, ub = _bounds(n, d)
-    z = np.clip(z0, lb, ub)
-    obj_jac = _jacobian(_objective_residuals_batch, z, n, d)  # constant
-    iters = 0
-    for weight in _PENALTY_WEIGHTS:
-        sw = np.sqrt(weight)
-
-        def fun(w, sw=sw):
-            return np.concatenate(
-                [_objective_residuals(w, n, d), sw * _constraint_residuals(w, n, d)]
-            )
-
-        def jac(w, sw=sw):
-            return np.vstack([obj_jac, sw * _constraint_jacobian(w, n, d)])
-
-        res = least_squares(
-            fun, z, jac=jac, bounds=(lb, ub), method="trf", tr_solver="lsmr",
-            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=opts.max_iters,
-        )
-        z = res.x
-        iters += int(res.nfev)
-
-    proj = least_squares(
-        lambda w: _constraint_residuals(w, n, d),
-        z,
-        jac=lambda w: _constraint_jacobian(w, n, d),
-        bounds=(lb, ub), method="trf", tr_solver="lsmr",
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=4 * opts.max_iters,
-    )
-    z = proj.x
-    iters += int(proj.nfev)
-    return z, iters
-
-
-def _derived_seed(seed, n):
-    """Stable per-row seed, independent of interpreter hash randomization."""
-    digest = hashlib.blake2b(f"{seed}:{n}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % (2**32)
-
-
-def optimize_scheme(n, d=2, opts=None):
-    """Minimize the undetermined-outcome probability at fixed size ``n``.
-
-    The canonical scheme is always candidate 0, so the result never
-    regresses past ``1/(2n - 1)``; smooth-profile starts supply the
-    ``1/n^2`` regime; seeded perturbations of both are driven through
-    the penalty phases.  Every candidate is re-validated independently
-    and the best feasible error wins, ties broken by candidate order.
-    """
-    scheme, _ = _optimize_with_stats(n, d, opts)
-    return scheme
-
-
-def _optimize_with_stats(n, d=2, opts=None):
-    """Body of :func:`optimize_scheme`; also reports total descent evals."""
+def _checked_scheme(n, d, opts):
+    """Build the optimal scheme and its validation report, or raise."""
     if n < 2:
         raise ValueError(f"optimization needs n >= 2, got {n}")
     if d < 2:
         raise ValueError(f"per-sector dimension must be >= 2, got {d}")
     opts = opts or OptimizerOptions()
-
-    candidates = []  # (error, order, scheme, iters)
-    canonical = build_canonical_scheme(n, d)
-    candidates.append((scheme_error(canonical), 0, canonical, 0))
-    smooth = []
-    for parity in (0, 1):
-        s = _smooth_profile_scheme(n, d, parity)
-        if s is not None and validate_scheme(s).max_residual <= opts.tol_constraint:
-            smooth.append(s)
-            candidates.append((scheme_error(s), len(candidates), s, 0))
-
-    bases = [_scheme_to_vars(s) for s in [canonical] + smooth]
-    rng = np.random.default_rng(_derived_seed(opts.seed, n))
-    order = len(candidates)
-    total_iters = 0
-    for k in range(opts.starts):
-        base = bases[k % len(bases)]
-        scale = 0.0 if k < len(bases) else 0.02
-        z0 = base + scale * rng.standard_normal(base.shape)
-        z, iters = _polish(z0, n, d, opts)
-        total_iters += iters
-        scheme = _vars_to_scheme(z, n, d)
-        report = validate_scheme(scheme)
-        if report.max_residual <= opts.tol_constraint:
-            candidates.append((scheme_error(scheme), order, scheme, iters))
-        order += 1
-
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    err, _, best, _ = candidates[0]
-
-    report = validate_scheme(best)
-    if report.max_residual > opts.tol_constraint:
+    scheme = _smooth_profile_scheme(n, d)
+    report = validate_scheme(scheme)
+    # written as "not <=" so a NaN residual fails too
+    if not report.max_residual <= opts.tol_constraint:
         raise OptimizationError(
             f"optimized scheme violates constraints "
             f"({report.max_residual:.3e} > {opts.tol_constraint:.3e})",
-            best=best,
+            best=scheme,
         )
-    recomputed = scheme_error(best)
-    if abs(recomputed - err) > opts.tol_objective:
+    expected = _closed_form_error(n)
+    if not abs(scheme.cprime - expected) <= opts.tol_objective:
         raise OptimizationError(
-            f"objective mismatch: reported {err!r}, recomputed {recomputed!r}",
-            best=best,
+            f"objective mismatch: built {scheme.cprime!r}, closed form {expected!r}",
+            best=scheme,
         )
-    return best, total_iters
+    return scheme, report
+
+
+def optimize_scheme(n, d=2, opts=None):
+    """Error-optimal scheme of apparatus size ``n``, error ``E(n)``.
+
+    Builds the closed-form scheme described in the module docstring and
+    re-validates it; raises :class:`OptimizationError` carrying the
+    scheme when the constraint residual exceeds ``opts.tol_constraint``
+    or its error strays from ``E(n)`` by more than ``opts.tol_objective``.
+    """
+    scheme, _ = _checked_scheme(n, d, opts)
+    return scheme
 
 
 def sweep(n_values, d=2, opts=None):
     """Optimize every size in ``n_values`` and tabulate both error laws.
 
-    Rows are independent (per-row seed derived by hashing the master
-    seed with ``n``); a row whose optimization fails is annotated and
-    falls back to the canonical scheme rather than aborting the sweep.
+    A row whose scheme fails its checks is annotated and falls back to
+    the canonical scheme rather than aborting the sweep.  ``iters`` is 0
+    in every row, since no search runs.
     """
     n_values = list(n_values)
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if any(n < 2 for n in n_values):
         raise ValueError("every swept size must be >= 2")
-    opts = opts or OptimizerOptions()
     rows = []
     for n in n_values:
-        row_opts = OptimizerOptions(
-            max_iters=opts.max_iters,
-            tol_constraint=opts.tol_constraint,
-            tol_objective=opts.tol_objective,
-            starts=opts.starts,
-            seed=_derived_seed(opts.seed, n),
-        )
         baseline = 1.0 / (2.0 * n - 1.0)
         try:
-            best, iters = _optimize_with_stats(n, d, row_opts)
-            report = validate_scheme(best)
-            rows.append(
-                SweepRow(
-                    n=n,
-                    error_wigner=baseline,
-                    error_optimized=scheme_error(best),
-                    constraint_residual=report.max_residual,
-                    iters=iters,
-                )
-            )
+            best, report = _checked_scheme(n, d, opts)
+            note = ""
         except OptimizationError as exc:
-            canonical = build_canonical_scheme(n, d)
-            rows.append(
-                SweepRow(
-                    n=n,
-                    error_wigner=baseline,
-                    error_optimized=scheme_error(canonical),
-                    constraint_residual=validate_scheme(canonical).max_residual,
-                    iters=0,
-                    note=f"optimizer failed, canonical kept: {exc}",
-                )
+            best = build_canonical_scheme(n, d)
+            report = validate_scheme(best)
+            note = f"optimizer failed, canonical kept: {exc}"
+        rows.append(
+            SweepRow(
+                n=n,
+                error_wigner=baseline,
+                error_optimized=scheme_error(best),
+                constraint_residual=report.max_residual,
+                iters=0,
+                note=note,
             )
+        )
     return SweepTable(rows=tuple(rows))
 
 

@@ -49,6 +49,16 @@ class TestValidate:
         assert result.exit_code == 1
         assert "FAIL" in result.summary
 
+    def test_nan_amplitude_fails(self, tmp_path):
+        payload = build_canonical_scheme(3).to_dict()
+        # NaN in the second sector: built-in max() skips it there
+        payload["sigma"]["sectors"][1]["amp"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        result = run(["validate", "--scheme", str(bad)])
+        assert result.exit_code == 1
+        assert "FAIL" in result.summary
+
     def test_missing_file_is_domain_error(self):
         result = run(["validate", "--scheme", "/nonexistent.json"])
         assert result.exit_code == 1
@@ -78,8 +88,10 @@ class TestOptimizeAndSweep:
 
     def test_sweep_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(a)])
-        run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(b)])
+        ra = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(a)])
+        rb = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(b)])
+        assert ra.exit_code == 0
+        assert rb.exit_code == 0
         assert read(a) == read(b)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from waylab.graded import (
     BlockMap,
+    ConstraintReport,
     GradedVector,
     ObjectState,
     charge_expectation,
@@ -223,6 +224,17 @@ class TestBlockMap:
         # the completion still maps the original domain the same way
         v = GradedVector(3, {0: m.blocks[0][0][:, 0]})
         assert full.apply(v).allclose(m.apply(v))
+
+
+class TestConstraintReport:
+    def test_nan_residual_never_passes(self):
+        # a NaN after the first entry: built-in max() would skip it
+        report = ConstraintReport((("a", 1e-16), ("b", float("nan")), ("c", 0.0)))
+        assert np.isnan(report.max_residual)
+        assert not report.passed()
+        assert not report.passed(np.inf)
+        assert ConstraintReport((("a", 0.0), ("b", np.inf))).max_residual == np.inf
+        assert ConstraintReport(()).passed()
 
 
 class TestOrthogonalityTransfer:

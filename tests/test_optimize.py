@@ -1,5 +1,6 @@
 """Tests for the scheme optimizer and scaling fit."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,9 +14,15 @@ from waylab.optimize import (
 )
 from waylab.scheme import scheme_error, validate_scheme
 
-from oracles import ols_loglog_slope
+from oracles import local_min_scheme_errors, ols_loglog_slope
 
 FAST = OptimizerOptions(max_iters=30, starts=2, seed=7)
+
+
+def exact_error(n):
+    """``E(n) = (1 - cos t)/(3 + cos t)``, ``t = pi/(ceil(n/2) + 1)``, at mpmath precision."""
+    t = mpmath.pi / ((n + 1) // 2 + 1)
+    return (1 - mpmath.cos(t)) / (3 + mpmath.cos(t))
 
 
 class TestOptimizeScheme:
@@ -46,6 +53,25 @@ class TestOptimizeScheme:
     def test_option_validation(self):
         with pytest.raises(ValueError, match="starts"):
             OptimizerOptions(starts=0)
+
+    def test_error_is_closed_form(self):
+        with mpmath.workdps(50):
+            for n in list(range(2, 65)) + [1024]:
+                exact = exact_error(n)
+                canonical = mpmath.mpf(1) / (2 * n - 1)
+                err = scheme_error(optimize_scheme(n))
+                assert abs(err - exact) <= 1e-14 * exact, n
+                # never worse than canonical; equal at n = 2 and n = 4
+                assert exact <= canonical * (1 + mpmath.mpf(10) ** -40), n
+                assert err <= float(canonical) * (1 + 1e-14), n
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_no_local_search_beats_closed_form(self, n):
+        with mpmath.workdps(50):
+            closed = float(exact_error(n))
+        feasible = [e for e, r in local_min_scheme_errors(n) if r <= 1e-8]
+        assert feasible
+        assert min(feasible) >= closed * (1 - 1e-9)
 
 
 class TestSweep:
