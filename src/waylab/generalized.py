@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import GradedVector, inner
+from .graded import GradedVector, _row_dots, inner
 
 #: Squared-amplitude threshold deciding "finite" (nonzero) components,
 #: applied after branch normalization.
@@ -92,7 +92,10 @@ class CaseVerdict:
 
 
 def _finite_sectors(vec, tol):
-    return [nu for nu in vec.support() if float(np.vdot(vec.sector(nu), vec.sector(nu)).real) > tol]
+    support = vec.support() or (0,)
+    amps = vec.window(support[0], support[-1])
+    weights = _row_dots(amps, amps).real
+    return [support[0] + int(i) for i in np.flatnonzero(weights > tol)]
 
 
 def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
@@ -105,13 +108,9 @@ def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
     """
     pairs = set()
     for branch in (plus_branch, minus_branch):
-        obj_supp = _finite_sectors(branch.object_part, tol)
         app_supp = _finite_sectors(branch.apparatus_part, tol)
-        for mu in obj_supp:
-            for lam in app_supp:
-                nu = mu + lam
-                if nu not in (0, 1):
-                    pairs.add((nu, mu))
+        for mu in _finite_sectors(branch.object_part, tol):
+            pairs.update((mu + lam, mu) for lam in app_supp if mu + lam not in (0, 1))
     return sorted(pairs)
 
 
@@ -122,10 +121,8 @@ def _pattern(branch, tol):
     apparatus is sharp, ``"Case2"`` for the mirror pattern, or ``None``
     when neither side carries the charge-1 component.
     """
-    obj_supp = set(_finite_sectors(branch.object_part, tol))
-    app_supp = set(_finite_sectors(branch.apparatus_part, tol))
-    obj_raised = any(nu != 0 for nu in obj_supp)
-    app_raised = any(nu != 0 for nu in app_supp)
+    obj_raised = any(nu != 0 for nu in _finite_sectors(branch.object_part, tol))
+    app_raised = any(nu != 0 for nu in _finite_sectors(branch.apparatus_part, tol))
     if obj_raised and not app_raised:
         return "Case1"
     if app_raised and not obj_raised:
@@ -134,15 +131,14 @@ def _pattern(branch, tol):
 
 
 def _component_labels(plus_branch, minus_branch, tol):
-    labels = []
-    for name, branch in (("plus", plus_branch), ("minus", minus_branch)):
+    return tuple(
+        f"{name}:{part_name}:{nu}"
+        for name, branch in (("plus", plus_branch), ("minus", minus_branch))
         for part_name, part in (
-            ("object", branch.object_part),
-            ("apparatus", branch.apparatus_part),
-        ):
-            for nu in _finite_sectors(part, tol):
-                labels.append(f"{name}:{part_name}:{nu}")
-    return tuple(labels)
+            ("object", branch.object_part), ("apparatus", branch.apparatus_part)
+        )
+        for nu in _finite_sectors(part, tol)
+    )
 
 
 def _outer(obj_vec, app_vec, mu, lam):
@@ -183,12 +179,11 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
         # No consistent charge-1 cancellation exists across the branches:
         # leftover charge-1 components sit in orthogonal object-charge
         # subspaces (or are missing entirely) and cannot cancel.
-        residual = 0.0
-        for branch in (plus_branch, minus_branch):
-            residual += sum(
-                float(np.vdot(m.ravel(), m.ravel()).real)
-                for m in _charge_one_products(branch, tol)
-            )
+        residual = sum(
+            float(np.vdot(m, m).real)
+            for branch in (plus_branch, minus_branch)
+            for m in _charge_one_products(branch, tol)
+        )
         residual = float(np.sqrt(residual)) if residual > 0 else 1.0
         return CaseVerdict(
             kind="Infeasible",
@@ -198,14 +193,11 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
             branch_overlap=overlap,
         )
 
-    if pat_plus == "Case1":
-        cross = _outer(plus_branch.object_part, plus_branch.apparatus_part, 1, 0) + _outer(
-            minus_branch.object_part, minus_branch.apparatus_part, 1, 0
-        )
-    else:
-        cross = _outer(plus_branch.object_part, plus_branch.apparatus_part, 0, 1) + _outer(
-            minus_branch.object_part, minus_branch.apparatus_part, 0, 1
-        )
+    mu, lam = (1, 0) if pat_plus == "Case1" else (0, 1)
+    cross = sum(
+        _outer(b.object_part, b.apparatus_part, mu, lam)
+        for b in (plus_branch, minus_branch)
+    )
     residual = float(np.linalg.norm(cross))
     kind = pat_plus if residual <= np.sqrt(tol) else "Infeasible"
     return CaseVerdict(
@@ -218,12 +210,12 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
 
 
 def _charge_one_products(branch, tol):
-    out = []
-    for mu in _finite_sectors(branch.object_part, tol):
-        for lam in _finite_sectors(branch.apparatus_part, tol):
-            if mu + lam == 1:
-                out.append(_outer(branch.object_part, branch.apparatus_part, mu, lam))
-    return out
+    app_supp = set(_finite_sectors(branch.apparatus_part, tol))
+    return [
+        _outer(branch.object_part, branch.apparatus_part, mu, 1 - mu)
+        for mu in _finite_sectors(branch.object_part, tol)
+        if 1 - mu in app_supp
+    ]
 
 
 def exchange_form(verdict, plus_branch, minus_branch, tol=1e-10):

@@ -14,6 +14,13 @@ Conventions
   absorbed by relabeling.
 * Every sector vector of a :class:`GradedVector` has the same dimension
   ``d``; absent sectors are zero.
+* A :class:`GradedVector` stores one *window*: a read-only ``(k, d)``
+  complex array whose rows are sectors ``lo..lo+k-1``, trimmed so its
+  first and last rows are nonzero; zero interior rows are absent from
+  ``support()``.  Operations are array expressions over windows.
+* A window costs memory in proportion to its label span, so one of more
+  than ``2**24`` entries (``(hi - lo + 1) * d``, 256 MiB) is rejected
+  with ``ValueError`` before it is allocated.
 * ``inner`` is conjugate-linear in its *first* argument.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
@@ -34,6 +41,32 @@ import numpy as np
 #: Default absolute tolerance for structural residual checks.
 DEFAULT_TOL = 1e-10
 
+#: Largest window a graded vector may allocate, in complex entries (256 MiB).
+_MAX_WINDOW_ENTRIES = 2**24
+
+
+def _zeros(lo, hi, d):
+    """Zero window for sectors ``lo..hi``, refused beyond the entry limit."""
+    if (hi - lo + 1) * d > _MAX_WINDOW_ENTRIES:
+        raise ValueError(
+            f"sector labels {lo}..{hi} at dimension {d} span more than "
+            f"{_MAX_WINDOW_ENTRIES} entries"
+        )
+    return np.zeros((max(hi - lo + 1, 0), d), dtype=np.complex128)
+
+
+def _bounds(*vectors):
+    """Smallest label range covering every vector; ``(0, -1)`` if all are zero."""
+    nonzero = [v for v in vectors if not v.is_zero()]
+    if not nonzero:
+        return 0, -1
+    return min(v._lo for v in nonzero), max(v._hi for v in nonzero)
+
+
+def _row_dots(a, b):
+    """Per-row hermitian products ``<a_i, b_i>`` of two windows."""
+    return np.einsum("ij,ij->i", a.conj(), b)
+
 
 class GradedVector:
     """Complex vector decomposed into integer charge sectors.
@@ -48,52 +81,82 @@ class GradedVector:
         so explicit zeros and absent sectors compare equal.
     """
 
-    __slots__ = ("d", "_sectors")
+    __slots__ = ("d", "_lo", "_amps")
 
     def __init__(self, d, sectors=None):
         if d < 1:
             raise ValueError(f"sector dimension must be >= 1, got {d}")
-        self.d = int(d)
-        store = {}
+        d = self.d = int(d)
+        rows = {}
         for nu, amp in (sectors or {}).items():
             arr = np.asarray(amp, dtype=np.complex128)
-            if arr.shape != (self.d,):
-                raise ValueError(
-                    f"sector {nu}: expected shape ({self.d},), got {arr.shape}"
-                )
+            if arr.shape != (d,):
+                raise ValueError(f"sector {nu}: expected shape ({d},), got {arr.shape}")
             if np.any(arr != 0):
-                arr = arr.copy()
-                arr.setflags(write=False)
-                store[int(nu)] = arr
-        self._sectors = store
+                rows[int(nu)] = arr
+        lo, hi = (min(rows), max(rows)) if rows else (0, -1)
+        amps = _zeros(lo, hi, d)
+        for nu, arr in rows.items():
+            amps[nu - lo] = arr
+        self._store(lo, amps)
+
+    def _store(self, lo, amps):
+        """Keep ``amps`` (sectors ``lo, lo + 1, ...``) trimmed to nonzero rows."""
+        nonzero = np.flatnonzero(np.any(amps != 0, axis=1))
+        first, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        self._lo = int(lo) + first if nonzero.size else 0
+        self._amps = amps[first:stop]
+        self._amps.setflags(write=False)
+
+    @classmethod
+    def from_window(cls, lo, amps):
+        """Vector whose sectors ``lo, lo + 1, ...`` are the rows of ``amps``, copied."""
+        amps = np.array(amps, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[1] < 1:
+            raise ValueError(f"window shape {amps.shape} is not (k, d) with d >= 1")
+        vec = cls(amps.shape[1])
+        vec._store(lo, amps)
+        return vec
 
     # -- basic queries ---------------------------------------------------
 
+    @property
+    def _hi(self):
+        return self._lo + len(self._amps) - 1
+
     def support(self):
         """Sorted tuple of sector labels with nonzero amplitudes."""
-        return tuple(sorted(self._sectors))
+        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        return tuple((rows + self._lo).tolist())
 
     def sector(self, nu):
         """Amplitude vector of sector ``nu`` (zeros if absent)."""
-        arr = self._sectors.get(int(nu))
-        if arr is None:
-            return np.zeros(self.d, dtype=np.complex128)
-        return arr
+        i = int(nu) - self._lo
+        if 0 <= i < len(self._amps):
+            return self._amps[i]
+        return np.zeros(self.d, dtype=np.complex128)
 
     def items(self):
-        return self._sectors.items()
+        """``(nu, amplitudes)`` pairs over the support, in label order."""
+        return [(nu, self._amps[nu - self._lo]) for nu in self.support()]
+
+    def window(self, lo, hi):
+        """Sectors ``lo..hi`` as a zero-padded ``(hi - lo + 1, d)`` copy."""
+        out = _zeros(lo, hi, self.d)
+        a, b = max(lo, self._lo), min(hi, self._hi)
+        if a <= b:
+            out[a - lo : b - lo + 1] = self._amps[a - self._lo : b - self._lo + 1]
+        return out
 
     def norm2(self):
         """Squared norm, the sum of squared sector norms."""
-        return float(
-            sum(np.vdot(a, a).real for a in self._sectors.values())
-        )
+        return float(np.vdot(self._amps, self._amps).real)
 
     def norm(self):
         return float(np.sqrt(self.norm2()))
 
     def is_zero(self):
-        return not self._sectors
+        return not len(self._amps)
 
     # -- linear structure --------------------------------------------------
 
@@ -102,18 +165,14 @@ class GradedVector:
             return NotImplemented
         if self.d != other.d:
             raise ValueError(f"sector dimension mismatch: {self.d} vs {other.d}")
-        sectors = {}
-        for nu in set(self._sectors) | set(other._sectors):
-            sectors[nu] = self.sector(nu) + other.sector(nu)
-        return GradedVector(self.d, sectors)
+        lo, hi = _bounds(self, other)
+        return GradedVector.from_window(lo, self.window(lo, hi) + other.window(lo, hi))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return GradedVector(
-            self.d, {nu: scalar * a for nu, a in self._sectors.items()}
-        )
+        return GradedVector.from_window(self._lo, scalar * self._amps)
 
     __rmul__ = __mul__
 
@@ -125,11 +184,8 @@ class GradedVector:
             return NotImplemented
         return (
             self.d == other.d
-            and self.support() == other.support()
-            and all(
-                np.array_equal(self._sectors[nu], other._sectors[nu])
-                for nu in self._sectors
-            )
+            and self._lo == other._lo
+            and np.array_equal(self._amps, other._amps)
         )
 
     __hash__ = None
@@ -138,10 +194,8 @@ class GradedVector:
         """Equality up to ``atol``, treating absent sectors as zeros."""
         if self.d != other.d:
             return False
-        return all(
-            np.allclose(self.sector(nu), other.sector(nu), atol=atol, rtol=0.0)
-            for nu in set(self._sectors) | set(other._sectors)
-        )
+        lo, hi = _bounds(self, other)
+        return np.allclose(self.window(lo, hi), other.window(lo, hi), atol=atol, rtol=0.0)
 
     def __repr__(self):
         return f"GradedVector(d={self.d}, support={list(self.support())})"
@@ -153,24 +207,18 @@ class GradedVector:
         return {
             "d": self.d,
             "sectors": [
-                {
-                    "nu": nu,
-                    "amp": [[float(z.real), float(z.imag)] for z in self._sectors[nu]],
-                }
-                for nu in self.support()
+                {"nu": nu, "amp": [[float(z.real), float(z.imag)] for z in amp]}
+                for nu, amp in self.items()
             ],
         }
 
     @classmethod
     def from_dict(cls, data):
-        d = int(data["d"])
         sectors = {
-            int(entry["nu"]): np.array(
-                [complex(re, im) for re, im in entry["amp"]], dtype=np.complex128
-            )
+            int(entry["nu"]): [complex(re, im) for re, im in entry["amp"]]
             for entry in data["sectors"]
         }
-        return cls(d, sectors)
+        return cls(int(data["d"]), sectors)
 
 
 @dataclass(frozen=True)
@@ -253,11 +301,8 @@ def inner(u, v):
     """
     if u.d != v.d:
         raise ValueError(f"sector dimension mismatch: {u.d} vs {v.d}")
-    acc = 0.0 + 0.0j
-    common = set(u._sectors) & set(v._sectors)
-    for nu in common:
-        acc += np.vdot(u._sectors[nu], v._sectors[nu])
-    return complex(acc)
+    lo, hi = max(u._lo, v._lo), min(u._hi, v._hi)
+    return complex(np.vdot(u.window(lo, hi), v.window(lo, hi)))
 
 
 def tensor(obj, app):
@@ -267,19 +312,13 @@ def tensor(obj, app):
     ``amp0 * app_N`` (object charge 0) above ``amp1 * app_{N-1}``
     (object charge 1).  The norm of the result is ``|obj| * |app|``.
     """
-    d = app.d
-    sectors = {}
-
-    def _slot(total, offset, amp):
-        block = sectors.setdefault(total, np.zeros(2 * d, dtype=np.complex128))
-        block[offset : offset + d] += amp
-
-    for nu, amp in app.items():
-        if obj.amp0 != 0:
-            _slot(nu, 0, obj.amp0 * amp)
-        if obj.amp1 != 0:
-            _slot(nu + 1, d, obj.amp1 * amp)
-    return GradedVector(2 * d, sectors)
+    d, amps = app.d, app._amps
+    joint = np.zeros((len(amps) + 1, 2 * d), dtype=np.complex128)
+    if obj.amp0 != 0:
+        joint[:-1, :d] += obj.amp0 * amps
+    if obj.amp1 != 0:
+        joint[1:, d:] += obj.amp1 * amps
+    return GradedVector.from_window(app._lo, joint)
 
 
 def split_object_components(joint, d):
@@ -290,14 +329,11 @@ def split_object_components(joint, d):
     """
     if joint.d != 2 * d:
         raise ValueError(f"joint sector dimension {joint.d} != 2*{d}")
-    a0, a1 = {}, {}
-    for total, block in joint.items():
-        head, tail = block[:d], block[d:]
-        if np.any(head != 0):
-            a0[total] = head
-        if np.any(tail != 0):
-            a1[total - 1] = tail
-    return GradedVector(d, a0), GradedVector(d, a1)
+    amps = joint._amps
+    return (
+        GradedVector.from_window(joint._lo, amps[:, :d]),
+        GradedVector.from_window(joint._lo - 1, amps[:, d:]),
+    )
 
 
 def charge_expectation(v):
@@ -305,8 +341,8 @@ def charge_expectation(v):
     total = v.norm2()
     if total == 0.0:
         raise ValueError("charge expectation undefined for the zero vector")
-    acc = sum(nu * np.vdot(a, a).real for nu, a in v.items())
-    return float(acc / total)
+    weights = _row_dots(v._amps, v._amps).real
+    return float(np.arange(v._lo, v._hi + 1) @ weights / total)
 
 
 class BlockMap:
@@ -362,65 +398,31 @@ class BlockMap:
     def completed(self, tol=1e-8):
         """Deterministic extension of each block to a full unitary.
 
-        Domain and image column spans are orthonormalized and extended by
-        canonical basis vectors in a fixed order, so the completion is
-        reproducible.  Requires the map to be an isometry on its declared
-        domain.
+        One SVD per block gives an orthonormal basis of the domain span
+        (rank tolerance ``1e-12``) and, through its coefficients, the
+        matching image basis; a Householder QR extends both to the whole
+        sector, a deterministic completion.  Requires the map to be an
+        isometry on its declared domain.
         """
         report = check_conserving(self)
-        if report.max_residual > tol:
+        # written as "not <=" so a NaN defect is refused too
+        if not report.max_residual <= tol:
             raise ValueError(
                 f"cannot complete a non-isometric map (defect {report.max_residual:.3e})"
             )
         blocks = {}
         for n, (dom, img) in self.blocks.items():
-            q_dom, coeff = _orthonormal_columns(dom)
-            q_img = img @ coeff
-            full_dom = _extend_basis(q_dom)
-            # Map the added domain directions onto the matching extension
-            # of the image span.
-            full_img = np.hstack([q_img, _extend_basis(q_img)[:, q_img.shape[1]:]])
-            blocks[n] = (full_dom, full_img)
+            u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+            rank = int(np.count_nonzero(sv > 1e-12))
+            q_img = img @ (vh[:rank].conj().T / sv[:rank])
+            blocks[n] = (_extend_basis(u[:, :rank]), _extend_basis(q_img))
         return BlockMap(self.d, blocks)
 
 
-def _orthonormal_columns(a, tol=1e-12):
-    """Modified Gram-Schmidt returning ``(q, c)`` with ``q = a @ c``."""
-    d, m = a.shape
-    q_cols, c_cols = [], []
-    coeff = np.zeros((m, 0), dtype=np.complex128)
-    for j in range(m):
-        v = a[:, j].copy()
-        cj = np.zeros(m, dtype=np.complex128)
-        cj[j] = 1.0
-        for q, cq in zip(q_cols, c_cols):
-            ov = np.vdot(q, v)
-            v -= ov * q
-            cj -= ov * cq
-        nv = np.linalg.norm(v)
-        if nv > tol:
-            q_cols.append(v / nv)
-            c_cols.append(cj / nv)
-    q = np.column_stack(q_cols) if q_cols else np.zeros((d, 0), dtype=np.complex128)
-    c = np.column_stack(c_cols) if c_cols else np.zeros((m, 0), dtype=np.complex128)
-    return q, c
-
-
-def _extend_basis(q, tol=1e-12):
-    """Extend orthonormal columns ``q`` to a full basis of the sector."""
-    d = q.shape[0]
-    cols = [q[:, j] for j in range(q.shape[1])]
-    for k in range(d):
-        v = np.zeros(d, dtype=np.complex128)
-        v[k] = 1.0
-        for c in cols:
-            v -= np.vdot(c, v) * c
-        nv = np.linalg.norm(v)
-        if nv > tol:
-            cols.append(v / nv)
-        if len(cols) == d:
-            break
-    return np.column_stack(cols)
+def _extend_basis(q):
+    """Orthonormal columns ``q``, then their complement from the QR of ``[q | I]``."""
+    full, _ = np.linalg.qr(np.hstack([q, np.eye(q.shape[0])]))
+    return np.hstack([q, full[:, q.shape[1] :]])
 
 
 def check_conserving(m):

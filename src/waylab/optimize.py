@@ -172,22 +172,15 @@ def _smooth_profile_scheme(n, d):
     # overlap fixes S = R - E and normalization fixes S + R = 1.
     g2 = 1.0 / (2.0 * r0 - obj0)
     big_s = g2 * (r0 - obj0)
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    e1 = np.zeros(d)
-    e1[1] = 1.0
-    g = np.sqrt(g2)
-    rho = GradedVector(d, {nu: g * u[nu] * e1 for nu in range(0, n)})
-    tau = GradedVector(d, {nu: g * u[nu - 2] * e1 for nu in range(2, n + 2)})
     s_each = big_s / n
-    sigma = GradedVector(d, {nu: np.sqrt(s_each) * e0 for nu in range(1, n + 1)})
-    xi = GradedVector(
-        d,
-        {
-            nu: np.sqrt(s_each + g2 * u[nu - 1] ** 2) * e0
-            for nu in range(1, n + 1)
-        },
-    )
+    transfer, keep, start = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+    transfer[:, 1] = np.sqrt(g2) * u
+    keep[:, 0] = np.sqrt(s_each)
+    start[:, 0] = np.sqrt(s_each + g2 * u**2)
+    rho = GradedVector.from_window(0, transfer)
+    tau = GradedVector.from_window(2, transfer)
+    sigma = GradedVector.from_window(1, keep)
+    xi = GradedVector.from_window(1, start)
     scheme = ApproxScheme(
         n=n, d=d, xi=xi, sigma=sigma, tau=tau, rho=rho, c=s_each, cprime=0.0
     )

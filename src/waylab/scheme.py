@@ -25,6 +25,7 @@ tau`` and the error vector ``2 eta = tau - rho`` (its partner is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ from .graded import (
     ConstraintReport,
     GradedVector,
     ObjectState,
-    check_conserving,
+    _bounds,
+    _row_dots,
 )
 
 
@@ -146,10 +148,7 @@ def build_canonical_scheme(n, d=2):
         )
     c_frac, cp_frac = canonical_weights(n)
     c, cp = float(c_frac), float(cp_frac)
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    e1 = np.zeros(d)
-    e1[1] = 1.0
+    e0, e1 = np.eye(d)[:2]
 
     if n == 1:
         # Degenerate limit: sigma vanishes (c = 0) and the error vector
@@ -163,10 +162,10 @@ def build_canonical_scheme(n, d=2):
                             c=c, cprime=cp)
 
     sc, scp, sx = np.sqrt(c), np.sqrt(cp), np.sqrt(c + cp)
-    xi = GradedVector(d, {nu: sx * e0 for nu in range(1, n + 1)})
-    sigma = GradedVector(d, {nu: sc * e0 for nu in range(1, n + 1)})
-    rho = GradedVector(d, {nu: scp * e1 for nu in range(0, n)})
-    tau = GradedVector(d, {nu: scp * e1 for nu in range(2, n + 2)})
+    xi = GradedVector.from_window(1, np.tile(sx * e0, (n, 1)))
+    sigma = GradedVector.from_window(1, np.tile(sc * e0, (n, 1)))
+    rho = GradedVector.from_window(0, np.tile(scp * e1, (n, 1)))
+    tau = GradedVector.from_window(2, np.tile(scp * e1, (n, 1)))
     return ApproxScheme(n=n, d=d, xi=xi, sigma=sigma, tau=tau, rho=rho,
                         c=c, cprime=cp)
 
@@ -203,35 +202,40 @@ def interaction_blocks(s):
     nonzero) and their images are ``psi0 sigma_N + psi1 rho_{N-1}`` and
     ``psi0 tau_N + psi1 sigma_{N-1}``.
     """
-    d = s.d
-    xi_supp = set(s.xi.support())
-    blocks = {}
-    lo = min(xi_supp, default=1)
-    hi = max(xi_supp, default=0)
-    for total in range(lo, hi + 2):
-        dom_cols, img_cols = [], []
+    xi, sg, tu, rh = s.xi, s.sigma, s.tau, s.rho
+    xi_supp, zero, blocks = set(xi.support()), np.zeros(s.d), {}
+    for total in range(min(xi_supp, default=1), max(xi_supp, default=0) + 2):
+        cols = []
         if total in xi_supp:
-            dom = np.zeros(2 * d, dtype=np.complex128)
-            dom[:d] = s.xi.sector(total)
-            img = np.concatenate([s.sigma.sector(total), s.rho.sector(total - 1)])
-            dom_cols.append(dom)
-            img_cols.append(img)
+            cols.append((np.concatenate([xi.sector(total), zero]),
+                         np.concatenate([sg.sector(total), rh.sector(total - 1)])))
         if total - 1 in xi_supp:
-            dom = np.zeros(2 * d, dtype=np.complex128)
-            dom[d:] = s.xi.sector(total - 1)
-            img = np.concatenate([s.tau.sector(total), s.sigma.sector(total - 1)])
-            dom_cols.append(dom)
-            img_cols.append(img)
-        if dom_cols:
-            blocks[total] = (np.column_stack(dom_cols), np.column_stack(img_cols))
-    return BlockMap(2 * d, blocks)
+            cols.append((np.concatenate([zero, xi.sector(total - 1)]),
+                         np.concatenate([tu.sector(total), sg.sector(total - 1)])))
+        if cols:
+            blocks[total] = tuple(np.column_stack(c) for c in zip(*cols))
+    return BlockMap(2 * s.d, blocks)
 
 
-def _sector_range(s):
-    supports = [v.support() for v in (s.xi, s.sigma, s.tau, s.rho)]
-    lows = [sup[0] for sup in supports if sup] + [1]
-    highs = [sup[-1] for sup in supports if sup] + [s.n]
-    return min(lows) - 1, max(highs) + 1
+def _windows(s):
+    """Windows of ``xi, sigma, tau, rho`` over the checked sectors ``lo..hi``.
+
+    ``lo..hi`` spans the four supports and ``1..n`` plus one sector each
+    way; the windows add one row each side, so row ``i + 1`` is sector ``lo + i``.
+    """
+    vecs = (s.xi, s.sigma, s.tau, s.rho)
+    lo, hi = _bounds(*vecs)
+    lo, hi = (min(lo, 1), max(hi, s.n)) if lo <= hi else (1, s.n)
+    return lo - 1, [v.window(lo - 2, hi + 2) for v in vecs]
+
+
+def _fsum(terms):
+    """Correctly rounded sum, or the plain sum where ``math.fsum`` raises (inf - inf)."""
+    terms = np.asarray(terms, dtype=np.complex128)
+    try:
+        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    except (OverflowError, ValueError):
+        return complex(terms.sum())
 
 
 def validate_scheme(s):
@@ -241,52 +245,35 @@ def validate_scheme(s):
     outputs and the two weight-split relations fixing ``|xi_nu|^2``; and
     globally: normalization of ``xi``, vanishing overlap of the two
     pointer states, vanishing overlap of the error vector with ``sigma``
-    and with the pointer difference, plus the grading/isometry residuals
-    of the induced block map.  This operation reports and never raises
-    for finite inputs.
+    and with the pointer difference.  Global sums are correctly rounded
+    (``math.fsum``), so they do not drift with ``n``.
+
+    These entries cover the induced block map: the isometry defect of
+    block ``N`` of :func:`interaction_blocks` is the maximum of
+    ``orthogonality[N]``, ``weights-rho[N]`` and ``weights-tau[N-1]``,
+    restricted to the domain vectors ``psi0 xi_N``, ``psi1 xi_{N-1}``
+    present.  Reports and never raises for finite inputs whose label
+    span fits one window.
     """
-    xi, sg, tu, rh = s.xi, s.sigma, s.tau, s.rho
-    lo, hi = _sector_range(s)
-    entries = []
+    lo, (xi, sg, tu, rh) = _windows(s)
+    mid = slice(1, -1)
+    x, sn = _row_dots(xi, xi).real, _row_dots(sg, sg).real
+    r, t = _row_dots(rh, rh).real, _row_dots(tu, tu).real
+    ortho = np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]))
+    w_rho = np.abs(x[mid] - sn[mid] - r[:-2])
+    w_tau = np.abs(x[mid] - sn[mid] - t[2:])
 
-    for nu in range(lo, hi + 1):
-        ortho = np.vdot(sg.sector(nu), tu.sector(nu)) + np.vdot(
-            rh.sector(nu - 1), sg.sector(nu - 1)
-        )
-        entries.append((f"orthogonality[{nu}]", abs(ortho)))
+    labels = range(lo, lo + len(ortho))
+    entries = [(f"orthogonality[{nu}]", v) for nu, v in zip(labels, ortho.tolist())]
+    for nu, wr, wt in zip(labels, w_rho.tolist(), w_tau.tolist()):
+        entries.append((f"weights-rho[{nu}]", wr))
+        entries.append((f"weights-tau[{nu}]", wt))
 
-    def _n2(vec, nu):
-        a = vec.sector(nu)
-        return np.vdot(a, a).real
-
-    for nu in range(lo, hi + 1):
-        x_nu = _n2(xi, nu)
-        s_nu = _n2(sg, nu)
-        entries.append((f"weights-rho[{nu}]", abs(x_nu - s_nu - _n2(rh, nu - 1))))
-        entries.append((f"weights-tau[{nu}]", abs(x_nu - s_nu - _n2(tu, nu + 1))))
-
-    entries.append(("norm-xi", abs(xi.norm2() - 1.0)))
-
-    sum_s = sg.norm2()
-    sum_rt = sum(
-        np.vdot(rh.sector(nu) + tu.sector(nu), rh.sector(nu) + tu.sector(nu)).real
-        for nu in range(lo, hi + 1)
-    )
-    entries.append(("overlap-pointers", abs(4.0 * sum_s - sum_rt)))
-
-    overlap_es = sum(
-        np.vdot(sg.sector(nu), tu.sector(nu) - rh.sector(nu))
-        for nu in range(lo, hi + 1)
-    )
-    entries.append(("overlap-eta-sigma", abs(overlap_es)))
-
-    overlap_ep = sum(
-        np.vdot(tu.sector(nu) + rh.sector(nu), tu.sector(nu) - rh.sector(nu))
-        for nu in range(lo, hi + 1)
-    )
-    entries.append(("overlap-eta-pointer", abs(overlap_ep)))
-
-    entries.extend(check_conserving(interaction_blocks(s)).entries)
+    entries.append(("norm-xi", abs(_fsum(x) - 1.0)))
+    pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
+    entries.append(("overlap-pointers", abs(_fsum(pointers))))
+    entries.append(("overlap-eta-sigma", abs(_fsum(_row_dots(sg, tu - rh)))))
+    entries.append(("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, tu - rh)))))
     return ConstraintReport(tuple(entries))
 
 
@@ -300,12 +287,8 @@ def apply_interaction(s, obj, tol=DEFAULT_TOL):
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized(tol)
-    d = s.d
-    lo, hi = _sector_range(s)
-    sectors = {}
-    for total in range(lo, hi + 2):
-        head = obj.amp0 * s.sigma.sector(total) + obj.amp1 * s.tau.sector(total)
-        tail = obj.amp0 * s.rho.sector(total - 1) + obj.amp1 * s.sigma.sector(total - 1)
-        if np.any(head != 0) or np.any(tail != 0):
-            sectors[total] = np.concatenate([head, tail])
-    return GradedVector(2 * d, sectors)
+    lo, (_, sg, tu, rh) = _windows(s)
+    # total charge lo + i: head from rows i + 1, tail from rows i
+    head = obj.amp0 * sg[1:] + obj.amp1 * tu[1:]
+    tail = obj.amp0 * rh[:-1] + obj.amp1 * sg[:-1]
+    return GradedVector.from_window(lo, np.hstack([head, tail]))

@@ -12,6 +12,9 @@ constraints out equation by equation (no shared code with
 quadratic-penalty search from seeded starts.  The production optimizer
 builds its scheme in closed form; the oracle checks that no local search
 finds a lower feasible error.
+
+``DictGraded`` is the dict-of-arrays layout that ``GradedVector`` used
+before it stored one window; property tests compare the two.
 """
 
 import itertools
@@ -211,3 +214,57 @@ def ols_loglog_slope(ns, errors):
     y = np.log(np.asarray(errors, dtype=float))
     xc = x - x.mean()
     return float((xc @ (y - y.mean())) / (xc @ xc))
+
+
+class DictGraded:
+    """Reference graded vector: a dict of per-sector ``(d,)`` arrays."""
+
+    def __init__(self, d, sectors):
+        self.d = d
+        self.sectors = {}
+        for nu, amp in sectors.items():
+            amp = np.asarray(amp, dtype=np.complex128)
+            if np.any(amp != 0):
+                self.sectors[nu] = amp
+
+    def get(self, nu):
+        return self.sectors.get(nu, np.zeros(self.d, dtype=np.complex128))
+
+    def __add__(self, other):
+        labels = set(self.sectors) | set(other.sectors)
+        return DictGraded(self.d, {nu: self.get(nu) + other.get(nu) for nu in labels})
+
+    def scale(self, a):
+        return DictGraded(self.d, {nu: a * amp for nu, amp in self.sectors.items()})
+
+    def inner(self, other):
+        common = set(self.sectors) & set(other.sectors)
+        return complex(sum(np.vdot(self.sectors[nu], other.sectors[nu]) for nu in common))
+
+    def norm2(self):
+        return float(sum(np.vdot(a, a).real for a in self.sectors.values()))
+
+    def tensor(self, amp0, amp1):
+        d, joint = self.d, {}
+        for nu, amp in self.sectors.items():
+            for total, half, c in ((nu, 0, amp0), (nu + 1, 1, amp1)):
+                if c != 0:
+                    block = joint.setdefault(total, np.zeros(2 * d, dtype=np.complex128))
+                    block[half * d : (half + 1) * d] += c * amp
+        return DictGraded(2 * d, joint)
+
+    def split(self):
+        d = self.d // 2
+        return (
+            DictGraded(d, {nu: b[:d] for nu, b in self.sectors.items()}),
+            DictGraded(d, {nu - 1: b[d:] for nu, b in self.sectors.items()}),
+        )
+
+    def to_dict(self):
+        return {
+            "d": self.d,
+            "sectors": [
+                {"nu": nu, "amp": [[float(z.real), float(z.imag)] for z in self.sectors[nu]]}
+                for nu in sorted(self.sectors)
+            ],
+        }

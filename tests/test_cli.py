@@ -59,6 +59,15 @@ class TestValidate:
         assert result.exit_code == 1
         assert "FAIL" in result.summary
 
+    def test_wide_label_span_is_domain_error(self, tmp_path):
+        payload = build_canonical_scheme(3).to_dict()
+        payload["tau"]["sectors"].append({"nu": 2**40, "amp": [[1.0, 0.0], [0.0, 0.0]]})
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(payload))
+        result = run(["validate", "--scheme", str(wide)])
+        assert result.exit_code == 1
+        assert "span" in result.summary
+
     def test_missing_file_is_domain_error(self):
         result = run(["validate", "--scheme", "/nonexistent.json"])
         assert result.exit_code == 1

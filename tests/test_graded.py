@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DictGraded
+from waylab import graded
 from waylab.graded import (
     BlockMap,
     ConstraintReport,
@@ -62,6 +64,98 @@ class TestGradedVector:
         v = random_graded(rng, 2, [-1, 0, 4])
         again = GradedVector.from_dict(v.to_dict())
         assert again == v
+
+
+class TestWindow:
+    def test_window_is_zero_padded_copy(self):
+        v = GradedVector(2, {-1: [1, 2j], 2: [0, 3]})
+        win = v.window(-2, 3)
+        assert win.shape == (6, 2)
+        np.testing.assert_array_equal(win[1], [1, 2j])
+        np.testing.assert_array_equal(win[4], [0, 3])
+        assert not np.any(win[[0, 2, 3, 5]])
+        win[1, 0] = 7.0
+        assert v.sector(-1)[0] == 1.0
+        assert v.window(5, 4).shape == (0, 2)
+        assert GradedVector(2, {}).window(0, 1).shape == (2, 2)
+
+    def test_from_window_trims_and_copies(self):
+        amps = np.array([[0, 0], [1, 0], [0, 0], [0, 1j], [0, 0]], dtype=complex)
+        v = GradedVector.from_window(-3, amps)
+        amps[1, 0] = 5.0
+        assert v.support() == (-2, 0)
+        assert v == GradedVector(2, {-2: [1, 0], 0: [0, 1j]})
+        assert GradedVector.from_window(4, np.zeros((3, 2))) == GradedVector(2, {})
+        with pytest.raises(ValueError, match="shape"):
+            GradedVector.from_window(0, [1.0, 2.0])
+
+    def test_values_are_read_only(self):
+        v = GradedVector.from_window(0, [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        for nu in (0, 1, 2):
+            with pytest.raises(ValueError):
+                v.sector(nu)[0] = 3.0
+
+    def test_wide_label_span_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="span"):
+            GradedVector(2, {0: [1, 0], 2**40: [0, 1]})
+        with pytest.raises(ValueError, match="span"):
+            unit(2, 0).window(0, 2**40)
+        with pytest.raises(ValueError, match="span"):
+            unit(2, 0) + unit(2, 2**40)
+
+    def test_span_limit_counts_entries(self, monkeypatch):
+        monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 16)
+        assert GradedVector(2, {0: [1, 0], 7: [0, 1]}).support() == (0, 7)
+        with pytest.raises(ValueError, match="span"):
+            GradedVector(2, {0: [1, 0], 8: [0, 1]})
+        assert GradedVector(4, {-2: [1, 0, 0, 0], 1: [1, 0, 0, 0]}).support() == (-2, 1)
+        with pytest.raises(ValueError, match="span"):
+            GradedVector(4, {-2: [1, 0, 0, 0], 2: [1, 0, 0, 0]})
+
+
+def _amplitudes(d):
+    entry = st.one_of(
+        st.just(0j),
+        st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    )
+    return st.lists(entry, min_size=d, max_size=d)
+
+
+def _sector_maps(d):
+    """Supports over negative labels, with explicit zero sectors and empty maps."""
+    zero = st.just([0j] * d)
+    return st.dictionaries(st.integers(-6, 6), st.one_of(zero, _amplitudes(d)), max_size=6)
+
+
+_graded_pairs = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), _sector_maps(d), _sector_maps(d))
+)
+_scalars = st.one_of(
+    st.just(0j), st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+)
+
+
+class TestDictReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_graded_pairs, _scalars, _scalars)
+    def test_window_layout_matches_dict_of_arrays(self, pair, a, b):
+        d, su, sv = pair
+        u, v = GradedVector(d, su), GradedVector(d, sv)
+        ru, rv = DictGraded(d, su), DictGraded(d, sv)
+        assert u.to_dict() == ru.to_dict()
+        assert (u + v).to_dict() == (ru + rv).to_dict()
+        assert (u - v).to_dict() == (ru + rv.scale(-1.0)).to_dict()
+        assert (a * u).to_dict() == ru.scale(a).to_dict()
+        assert (u == v) == (ru.to_dict() == rv.to_dict())
+        assert u == GradedVector(d, dict(u.items()))
+        assert (u - u).is_zero()
+        assert inner(u, v) == pytest.approx(ru.inner(rv), rel=1e-12, abs=1e-12)
+        assert u.norm2() == pytest.approx(ru.norm2(), rel=1e-12, abs=1e-12)
+        joint = tensor(ObjectState(a, b), u)
+        ref_joint = ru.tensor(a, b)
+        assert joint.to_dict() == ref_joint.to_dict()
+        for part, ref_part in zip(split_object_components(joint, d), ref_joint.split()):
+            assert part.to_dict() == ref_part.to_dict()
 
 
 class TestInner:
@@ -224,6 +318,14 @@ class TestBlockMap:
         # the completion still maps the original domain the same way
         v = GradedVector(3, {0: m.blocks[0][0][:, 0]})
         assert full.apply(v).allclose(m.apply(v))
+
+    def test_nan_image_is_not_completed(self):
+        eye = np.eye(2, dtype=complex)
+        img = eye.copy()
+        img[0, 1] = np.nan
+        m = BlockMap(2, {0: (eye, eye), 1: (eye, img)})
+        with pytest.raises(ValueError, match="non-isometric"):
+            m.completed()
 
 
 class TestConstraintReport:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from waylab.graded import GradedVector, ObjectState, inner, tensor
+from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
 from waylab.scheme import (
     ApproxScheme,
     apply_interaction,
@@ -105,6 +105,34 @@ class TestValidate:
         tau_side = report.filter("weights-tau")
         assert rho_side.max_residual > 0.1 * s.cprime
         assert tau_side.max_residual < 1e-12
+
+    def test_global_residuals_do_not_drift_at_large_n(self):
+        report = validate_scheme(build_canonical_scheme(100_000))
+        for cid in ("norm-xi", "overlap-pointers", "overlap-eta-sigma", "overlap-eta-pointer"):
+            assert report.entry(cid) <= 1e-14, cid
+
+    @pytest.mark.parametrize("value", [np.inf, 1e300])
+    def test_overflowing_amplitude_reports_fail(self, value):
+        # inf - inf inside a global sum makes math.fsum raise; the report
+        # must still come back, and fail
+        s = build_canonical_scheme(4)
+        sectors = dict(s.sigma.items())
+        sectors[2] = np.array([value, 0.0])
+        bad = ApproxScheme(
+            n=s.n, d=s.d, xi=s.xi, sigma=GradedVector(s.d, sectors),
+            tau=s.tau, rho=s.rho, c=s.c, cprime=s.cprime,
+        )
+        with np.errstate(all="ignore"):
+            assert not validate_scheme(bad).passed()
+
+    def test_span_wider_than_one_window_rejected(self):
+        s = build_canonical_scheme(3)
+        far = GradedVector(s.d, {2**40: [1.0, 0.0]})
+        with pytest.raises(ValueError, match="span"):
+            validate_scheme(ApproxScheme(
+                n=s.n, d=s.d, xi=s.xi, sigma=s.sigma, tau=far, rho=s.rho,
+                c=s.c, cprime=s.cprime,
+            ))
 
     def test_n1_fails_structurally(self):
         # No charge-respecting isometry realizes the degenerate limit.
@@ -237,3 +265,40 @@ class TestInteractionBlocks:
         pre, post = orthogonality_transfer_check(m, inputs)
         np.testing.assert_allclose(pre, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(post, np.eye(2), atol=1e-10)
+
+
+def random_complex_scheme(rng, n, d, zero_fraction=0.2):
+    """Scheme-shaped data with random complex sectors, some exactly zero."""
+
+    def vector(lo):
+        amps = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        amps[rng.random(n) < zero_fraction] = 0.0
+        return GradedVector.from_window(lo, amps)
+
+    return ApproxScheme(
+        n=n, d=d, xi=vector(1), sigma=vector(1), tau=vector(2), rho=vector(0),
+        c=0.0, cprime=0.0,
+    )
+
+
+class TestIsometryCoverage:
+    def test_block_defects_are_maxima_of_report_entries(self):
+        # validate_scheme has no isometry pass of its own: block N's defect
+        # must be the largest report entry among those its columns touch.
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            s = random_complex_scheme(rng, int(rng.integers(1, 12)), int(rng.integers(2, 4)))
+            report = validate_scheme(s)
+            xi = set(s.xi.support())
+            blocks = check_conserving(interaction_blocks(s))
+            assert blocks.entry("grading") == 0.0
+            for cid, defect in blocks.filter("isometry").entries:
+                total = int(cid[len("isometry["):-1])
+                cover = []
+                if total in xi:
+                    cover.append(report.entry(f"weights-rho[{total}]"))
+                if total - 1 in xi:
+                    cover.append(report.entry(f"weights-tau[{total - 1}]"))
+                if total in xi and total - 1 in xi:
+                    cover.append(report.entry(f"orthogonality[{total}]"))
+                assert defect == pytest.approx(max(cover), rel=1e-12, abs=1e-15)
