@@ -22,6 +22,12 @@ Conventions
   than ``2**24`` entries (``(hi - lo + 1) * d``, 256 MiB) is rejected
   with ``ValueError`` before it is allocated.
 * ``inner`` is conjugate-linear in its *first* argument.
+* A :class:`BlockMap` stores its blocks stacked by column count ``m``:
+  each group is a sorted label array with ``(K, d, m)`` domain and image
+  stacks, ``blocks`` maps each label to views into them, and every
+  operation is a few batched array or LAPACK calls per group (taken in
+  slices of at most 256 blocks, which bounds their temporaries) rather
+  than a loop over sectors.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,6 +50,9 @@ DEFAULT_TOL = 1e-10
 
 #: Largest window a graded vector may allocate, in complex entries (256 MiB).
 _MAX_WINDOW_ENTRIES = 2**24
+
+#: Most blocks per batched call over a :class:`BlockMap`'s stacks.
+_SLICE = 256
 
 
 def _zeros(lo, hi, d):
@@ -204,21 +214,77 @@ class GradedVector:
 
     def to_dict(self):
         """JSON form: ``{"d": int, "sectors": [{"nu": int, "amp": [[re, im], ...]}]}``."""
+        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        amps = self._amps[rows].view(np.float64).reshape(len(rows), self.d, 2).tolist()
+        labels = (rows + self._lo).tolist()
         return {
             "d": self.d,
-            "sectors": [
-                {"nu": nu, "amp": [[float(z.real), float(z.imag)] for z in amp]}
-                for nu, amp in self.items()
-            ],
+            "sectors": [{"nu": nu, "amp": amp} for nu, amp in zip(labels, amps)],
         }
 
     @classmethod
     def from_dict(cls, data):
-        sectors = {
-            int(entry["nu"]): [complex(re, im) for re, im in entry["amp"]]
-            for entry in data["sectors"]
-        }
-        return cls(int(data["d"]), sectors)
+        """Inverse of :meth:`to_dict`; the last entry of a repeated ``nu`` wins.
+
+        Malformed data (a missing key, a label that is not an integer, an
+        ``amp`` that is not ``d`` pairs of numbers) raise ``ValueError``.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("sectors"), list):
+            raise ValueError("expected an object with 'd' and a 'sectors' list")
+        vec = cls(_int_field(data, "d"))
+        entries, d = data["sectors"], vec.d
+        if not entries:
+            return vec
+        if not all(isinstance(e, dict) and "amp" in e for e in entries):
+            raise ValueError("every sector needs 'nu' and 'amp'")
+        try:
+            labels = np.array([_int_field(e, "nu") for e in entries], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("sector label out of the 64-bit range") from None
+        try:
+            amps = _number_array([e["amp"] for e in entries])
+        except ValueError:
+            amps = None
+        if amps is None or amps.shape != (len(entries), d, 2):
+            _raise_amp_error(labels, entries, d)
+        # the last entry of each label, in label order, without exact-zero sectors
+        last = len(labels) - 1 - np.unique(labels[::-1], return_index=True)[1]
+        labels, amps = labels[last], amps[last].view(np.complex128)[..., 0]
+        keep = np.any(amps != 0, axis=1)
+        labels, amps = labels[keep], amps[keep]
+        if len(labels):
+            lo = int(labels[0])
+            window = _zeros(lo, int(labels[-1]), d)
+            window[labels - lo] = amps
+            vec._store(lo, window)
+        return vec
+
+
+def _int_field(data, key):
+    """``int(data[key])``, or ``ValueError`` naming ``key``."""
+    try:
+        return int(data[key])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key!r} must be an integer") from None
+
+
+def _number_array(value):
+    """``value`` as a float array, or ``ValueError`` unless it is a regular array of numbers."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"not an array of numbers (dtype {arr.dtype})")
+    return arr.astype(np.float64)
+
+
+def _raise_amp_error(labels, entries, d):
+    """Name the first sector whose ``amp`` is not ``d`` pairs of numbers."""
+    for nu, entry in zip(labels.tolist(), entries):
+        try:
+            shape = _number_array(entry["amp"]).shape
+        except ValueError:
+            raise ValueError(f"sector {nu}: amp is not an array of numbers") from None
+        if shape != (d, 2):
+            raise ValueError(f"sector {nu}: expected amp shape ({d}, 2), got {shape}")
 
 
 @dataclass(frozen=True)
@@ -354,23 +420,64 @@ class BlockMap:
     images, in the same sector.  Block-diagonality over total charge is
     built into the representation, so conservation can only fail through
     a per-block isometry defect, never through off-grading leakage.
+
+    The blocks are stored stacked: those with ``m`` columns form one
+    group of a sorted label array and ``(K, d, m)`` domain and image
+    stacks, and each operation is batched over a group.  ``blocks`` is a
+    read-only mapping, in the order the blocks were given, whose values
+    are views into the stacks.
     """
 
-    __slots__ = ("d", "blocks")
+    __slots__ = ("d", "blocks", "_groups")
 
     def __init__(self, d, blocks):
-        self.d = int(d)
-        self.blocks = {}
+        d = int(d)
+        parsed = {}
         for n, (dom, img) in blocks.items():
             dom = np.asarray(dom, dtype=np.complex128)
             img = np.asarray(img, dtype=np.complex128)
-            if dom.ndim != 2 or dom.shape[0] != self.d:
+            if dom.ndim != 2 or dom.shape[0] != d:
                 raise ValueError(f"block {n}: domain shape {dom.shape}")
             if img.shape != dom.shape:
                 raise ValueError(
                     f"block {n}: image shape {img.shape} != domain shape {dom.shape}"
                 )
-            self.blocks[int(n)] = (dom, img)
+            parsed[int(n)] = (dom, img)
+        by_cols = {}
+        for n in sorted(parsed):
+            by_cols.setdefault(parsed[n][0].shape[1], []).append(n)
+        groups = [
+            (
+                np.array(labels, dtype=np.int64),
+                np.stack([parsed[n][0] for n in labels]),
+                np.stack([parsed[n][1] for n in labels]),
+            )
+            for labels in by_cols.values()
+        ]
+        self._set(d, groups, parsed)
+
+    @classmethod
+    def _from_groups(cls, d, groups, order=None):
+        """Map over ``groups`` of ``(labels, domains, images)`` stacks, labels sorted."""
+        m = object.__new__(cls)
+        m._set(d, groups, order)
+        return m
+
+    def _set(self, d, groups, order):
+        """Keep the stacks; ``blocks`` lists their labels in ``order`` (default ascending)."""
+        self.d = d
+        self._groups = tuple(groups)
+        labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [g[0] for g in groups])
+        views = []
+        for _, dom, img in groups:
+            views.extend(zip(dom, img))
+        where = np.argsort(labels, kind="stable")
+        if order is None:
+            keys, index = labels[where].tolist(), where
+        else:
+            keys = list(order)
+            index = where[np.searchsorted(labels, keys, sorter=where)]
+        self.blocks = MappingProxyType(dict(zip(keys, map(views.__getitem__, index.tolist()))))
 
     def sectors(self):
         return tuple(sorted(self.blocks))
@@ -379,50 +486,142 @@ class BlockMap:
         """Image of a graded vector lying in the declared domain."""
         if v.d != self.d:
             raise ValueError(f"sector dimension mismatch: {v.d} vs {self.d}")
-        out = {}
-        for nu, amp in v.items():
-            pair = self.blocks.get(nu)
-            if pair is None:
-                raise ValueError(f"sector {nu} outside the declared domain")
-            dom, img = pair
-            coeff, *_ = np.linalg.lstsq(dom, amp, rcond=None)
-            residual = np.linalg.norm(dom @ coeff - amp)
-            if residual > tol * (1.0 + np.linalg.norm(amp)):
-                raise ValueError(
-                    f"sector {nu}: component outside the declared domain "
-                    f"(projection residual {residual:.3e})"
-                )
-            out[nu] = img @ coeff
-        return GradedVector(self.d, out)
+        _, labels, amps = _sector_rows([v], self.d)
+        out = np.zeros_like(v._amps)
+        out[labels - v._lo] = self._images(labels, amps, tol)
+        return GradedVector.from_window(v._lo, out)
+
+    def _images(self, labels, amps, tol):
+        """Images of the sector rows ``amps`` (sectors ``labels``).
+
+        Each row is solved by least squares against its block's domain,
+        through pseudo-inverses from one stacked SVD per group of the
+        blocks hit (cutoff as in ``lstsq(rcond=None)``).  The first row
+        outside the declared domain raises ``ValueError``.
+        """
+        images = np.zeros_like(amps)
+        residual = np.zeros(len(labels))
+        found = np.zeros(len(labels), dtype=bool)
+        for lab, dom, img in self._groups:
+            pos = np.searchsorted(lab, labels).clip(max=len(lab) - 1)
+            rows = np.flatnonzero(lab[pos] == labels)
+            if not rows.size:
+                continue
+            pos = pos[rows]
+            # invert only the blocks the rows hit, each once
+            used, at = np.unique(pos, return_inverse=True)
+            coeff = np.einsum("tmd,td->tm", _pinv(dom[used])[at], amps[rows])
+            fitted = np.einsum("tdm,tm->td", dom[pos], coeff)
+            residual[rows] = np.linalg.norm(fitted - amps[rows], axis=1)
+            images[rows] = np.einsum("tdm,tm->td", img[pos], coeff)
+            found[rows] = True
+        outside = ~found | (residual > tol * (1.0 + np.linalg.norm(amps, axis=1)))
+        if outside.any():
+            i = int(np.argmax(outside))
+            if not found[i]:
+                raise ValueError(f"sector {labels[i]} outside the declared domain")
+            raise ValueError(
+                f"sector {labels[i]}: component outside the declared domain "
+                f"(projection residual {residual[i]:.3e})"
+            )
+        return images
 
     def completed(self, tol=1e-8):
         """Deterministic extension of each block to a full unitary.
 
-        One SVD per block gives an orthonormal basis of the domain span
-        (rank tolerance ``1e-12``) and, through its coefficients, the
-        matching image basis; a Householder QR extends both to the whole
-        sector, a deterministic completion.  Requires the map to be an
-        isometry on its declared domain.
+        A stacked SVD gives orthonormal bases of the domain spans (rank
+        tolerance ``1e-12``) and, through their coefficients, the matching
+        image bases; per rank, one stacked Householder QR extends both to
+        the whole sector, a deterministic completion.
+        Requires the map to be an isometry on its declared domain.
         """
-        report = check_conserving(self)
+        worst = _isometry_defects(self)[1].max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
-        if not report.max_residual <= tol:
-            raise ValueError(
-                f"cannot complete a non-isometric map (defect {report.max_residual:.3e})"
-            )
-        blocks = {}
-        for n, (dom, img) in self.blocks.items():
+        if not worst <= tol:
+            raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
+        if not self._groups:
+            return BlockMap._from_groups(self.d, [])
+        labels = np.sort(np.concatenate([lab for lab, _, _ in self._groups]))
+        doms = np.empty((len(labels), self.d, self.d), dtype=np.complex128)
+        imgs = np.empty_like(doms)
+        for lab, dom, img in _slices(self._groups):
+            at = np.searchsorted(labels, lab)
             u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-            rank = int(np.count_nonzero(sv > 1e-12))
-            q_img = img @ (vh[:rank].conj().T / sv[:rank])
-            blocks[n] = (_extend_basis(u[:, :rank]), _extend_basis(q_img))
-        return BlockMap(self.d, blocks)
+            rank = np.count_nonzero(sv > 1e-12, axis=1)
+            for r in set(rank.tolist()):
+                sel = rank == r
+                q_img = img[sel] @ (vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r])
+                # domain and image bases share one stacked QR
+                full = _extend_basis(np.concatenate([u[sel, :, :r], q_img]))
+                doms[at[sel]] = full[: len(q_img)]
+                imgs[at[sel]] = full[len(q_img) :]
+        return BlockMap._from_groups(self.d, [(labels, doms, imgs)], self.blocks)
+
+
+def _slices(groups):
+    """The ``(labels, domains, images)`` groups cut into slices of at most ``_SLICE`` blocks.
+
+    Batched calls go through slices so their temporaries stay small.
+    """
+    for lab, dom, img in groups:
+        for i in range(0, len(lab), _SLICE):
+            yield lab[i : i + _SLICE], dom[i : i + _SLICE], img[i : i + _SLICE]
+
+
+def _sector_rows(vectors, d):
+    """Nonzero sector rows of ``vectors``, by vector then label: ``(owner, labels, amps)``."""
+    owner = [np.zeros(0, dtype=np.intp)]
+    labels = [np.zeros(0, dtype=np.int64)]
+    amps = [np.zeros((0, d), dtype=np.complex128)]
+    for j, v in enumerate(vectors):
+        rows = np.flatnonzero(np.any(v._amps != 0, axis=1))
+        owner.append(np.full(rows.size, j))
+        labels.append(rows + v._lo)
+        amps.append(v._amps[rows])
+    return np.concatenate(owner), np.concatenate(labels), np.concatenate(amps)
+
+
+def _pinv(dom):
+    """Pseudo-inverses of a ``(K, D, m)`` stack, singular values cut as ``lstsq(rcond=None)``."""
+    u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+    keep = sv > np.finfo(np.float64).eps * max(dom.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    return (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
 def _extend_basis(q):
-    """Orthonormal columns ``q``, then their complement from the QR of ``[q | I]``."""
-    full, _ = np.linalg.qr(np.hstack([q, np.eye(q.shape[0])]))
-    return np.hstack([q, full[:, q.shape[1] :]])
+    """Orthonormal columns ``q`` (stacked), then their complement from the QR of ``[q | I]``.
+
+    The ``Q`` factor of ``[q | I]`` is fixed by its first ``dim`` columns
+    alone, so only those are factored.
+    """
+    k, dim, r = q.shape
+    stacked = np.zeros((k, dim, dim), dtype=np.complex128)
+    stacked[:, :, :r] = q
+    stacked[:, :, r:] = np.eye(dim)[:, : dim - r]
+    full, _ = np.linalg.qr(stacked)
+    full[:, :, :r] = q
+    return full
+
+
+def _gram(a):
+    """Column Gram matrices of a ``(K, D, m)`` stack."""
+    return np.einsum("kdi,kdj->kij", a.conj(), a)
+
+
+def _isometry_defects(m):
+    """Sorted labels and isometry defects of the blocks of ``m``.
+
+    The defect of a block is the max-norm difference between the Gram
+    matrices of its image and its domain columns (0 without columns).
+    """
+    labels, defects = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for lab, dom, img in _slices(m._groups):
+        labels.append(lab)
+        defects.append(np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0))
+    labels, defects = np.concatenate(labels), np.concatenate(defects)
+    order = np.argsort(labels)
+    return labels[order], defects[order]
 
 
 def check_conserving(m):
@@ -433,14 +632,9 @@ def check_conserving(m):
     Gram matrix of the image columns and the Gram matrix of the domain
     columns.
     """
-    entries = [("grading", 0.0)]
-    for n in m.sectors():
-        dom, img = m.blocks[n]
-        g_dom = dom.conj().T @ dom
-        g_img = img.conj().T @ img
-        defect = float(np.max(np.abs(g_img - g_dom))) if dom.shape[1] else 0.0
-        entries.append((f"isometry[{n}]", defect))
-    return ConstraintReport(tuple(entries))
+    labels, defects = _isometry_defects(m)
+    ids = map("isometry[{}]".format, labels.tolist())
+    return ConstraintReport((("grading", 0.0), *zip(ids, defects.tolist())))
 
 
 def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):
@@ -448,14 +642,22 @@ def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):
 
     A unitary interaction transfers orthogonality of the pointer states
     back to the measured states, so for any conserving isometry the two
-    matrices agree within tolerance.
+    matrices agree within tolerance.  All inputs are mapped at once, and
+    each Gram matrix is one product of the inputs (or images) laid out
+    over the union of their sectors.
     """
     k = len(inputs)
-    images = [m.apply(v, tol=tol) for v in inputs]
-    g_pre = np.zeros((k, k), dtype=np.complex128)
-    g_post = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            g_pre[i, j] = inner(inputs[i], inputs[j])
-            g_post[i, j] = inner(images[i], images[j])
+    # inputs before one of the wrong dimension are mapped first, so their
+    # domain errors are reported before the dimension mismatch
+    bad = next((j for j, v in enumerate(inputs) if v.d != m.d), k)
+    owner, labels, amps = _sector_rows(inputs[:bad], m.d)
+    images = m._images(labels, amps, tol)
+    if bad < k:
+        raise ValueError(f"sector dimension mismatch: {inputs[bad].d} vs {m.d}")
+    union, slot = np.unique(labels, return_inverse=True)
+    stacked = np.zeros((2, k, len(union), m.d), dtype=np.complex128)
+    stacked[0, owner, slot] = amps
+    stacked[1, owner, slot] = images
+    flat = stacked.reshape(2, k, len(union) * m.d)
+    g_pre, g_post = flat.conj() @ flat.swapaxes(1, 2)
     return g_pre, g_post

@@ -74,16 +74,28 @@ class ApproxScheme:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            n=int(data["n"]),
-            d=int(data["d"]),
-            xi=GradedVector.from_dict(data["xi"]),
-            sigma=GradedVector.from_dict(data["sigma"]),
-            tau=GradedVector.from_dict(data["tau"]),
-            rho=GradedVector.from_dict(data["rho"]),
-            c=float(data["c"]),
-            cprime=float(data["cprime"]),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        Malformed data raise ``ValueError`` naming the field, and so does a
+        vector whose sector dimension is not the scheme's ``d``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a scheme must be a JSON object")
+        fields = {}
+        for name, parse in _FIELDS.items():
+            if name not in data:
+                raise ValueError(f"scheme field {name!r} is missing")
+            try:
+                fields[name] = parse(data[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"scheme field {name!r}: {exc}") from None
+        for name in ("xi", "sigma", "tau", "rho"):
+            if fields[name].d != fields["d"]:
+                raise ValueError(
+                    f"scheme field {name!r}: sector dimension {fields[name].d} "
+                    f"!= scheme d {fields['d']}"
+                )
+        return cls(**fields)
 
     def to_json(self, indent=None):
         return json.dumps(self.to_dict(), indent=indent)
@@ -91,6 +103,19 @@ class ApproxScheme:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+
+#: Parser of each field of the JSON form of a scheme.
+_FIELDS = {
+    "n": int,
+    "d": int,
+    "xi": GradedVector.from_dict,
+    "sigma": GradedVector.from_dict,
+    "tau": GradedVector.from_dict,
+    "rho": GradedVector.from_dict,
+    "c": float,
+    "cprime": float,
+}
 
 
 @dataclass(frozen=True)
@@ -202,19 +227,20 @@ def interaction_blocks(s):
     nonzero) and their images are ``psi0 sigma_N + psi1 rho_{N-1}`` and
     ``psi0 tau_N + psi1 sigma_{N-1}``.
     """
-    xi, sg, tu, rh = s.xi, s.sigma, s.tau, s.rho
-    xi_supp, zero, blocks = set(xi.support()), np.zeros(s.d), {}
-    for total in range(min(xi_supp, default=1), max(xi_supp, default=0) + 2):
-        cols = []
-        if total in xi_supp:
-            cols.append((np.concatenate([xi.sector(total), zero]),
-                         np.concatenate([sg.sector(total), rh.sector(total - 1)])))
-        if total - 1 in xi_supp:
-            cols.append((np.concatenate([zero, xi.sector(total - 1)]),
-                         np.concatenate([tu.sector(total), sg.sector(total - 1)])))
-        if cols:
-            blocks[total] = tuple(np.column_stack(c) for c in zip(*cols))
-    return BlockMap(2 * s.d, blocks)
+    lo, (xi, sg, tu, rh) = _windows(s)
+    # total charge lo + i: the head column from rows i + 1, the tail from rows i
+    zero = np.zeros_like(xi[1:])
+    head = np.hstack([xi[1:], zero]), np.hstack([sg[1:], rh[:-1]])
+    tail = np.hstack([zero, xi[:-1]]), np.hstack([tu[1:], sg[:-1]])
+    has_head, has_tail = np.any(xi[1:] != 0, axis=1), np.any(xi[:-1] != 0, axis=1)
+    totals = lo + np.arange(len(has_head))
+    one, both = has_head ^ has_tail, has_head & has_tail
+    pick = has_head[one, None]
+    groups = [
+        (totals[one], *(np.where(pick, h[one], t[one])[:, :, None] for h, t in zip(head, tail))),
+        (totals[both], *(np.stack([h[both], t[both]], axis=2) for h, t in zip(head, tail))),
+    ]
+    return BlockMap._from_groups(2 * s.d, [g for g in groups if len(g[0])])
 
 
 def _windows(s):
@@ -283,11 +309,17 @@ def apply_interaction(s, obj, tol=DEFAULT_TOL):
     Returns ``amp0 (psi0 sigma + psi1 rho) + amp1 (psi0 tau + psi1 sigma)``
     as a joint graded vector.  For a validated scheme the output is
     normalized and its total-charge grading matches the input exactly.
+    A scheme with a non-finite amplitude in any of its four vectors is
+    refused with ``ValueError``.
     """
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized(tol)
-    lo, (_, sg, tu, rh) = _windows(s)
+    lo, windows = _windows(s)
+    for name, win in zip(("xi", "sigma", "tau", "rho"), windows):
+        if not np.isfinite(win).all():
+            raise ValueError(f"scheme vector {name} has non-finite amplitudes")
+    _, sg, tu, rh = windows
     # total charge lo + i: head from rows i + 1, tail from rows i
     head = obj.amp0 * sg[1:] + obj.amp1 * tu[1:]
     tail = obj.amp0 * rh[:-1] + obj.amp1 * sg[:-1]

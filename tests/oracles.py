@@ -14,7 +14,9 @@ builds its scheme in closed form; the oracle checks that no local search
 finds a lower feasible error.
 
 ``DictGraded`` is the dict-of-arrays layout that ``GradedVector`` used
-before it stored one window; property tests compare the two.
+before it stored one window, and ``LoopBlockMap`` the dict of per-block
+arrays, looped over sector by sector, that ``BlockMap`` used before it
+stored stacked groups; property tests compare each pair.
 """
 
 import itertools
@@ -268,3 +270,94 @@ class DictGraded:
                 for nu in sorted(self.sectors)
             ],
         }
+
+
+class LoopBlockMap:
+    """Reference block map: a dict of per-sector ``(domain, image)`` arrays, one loop pass each."""
+
+    def __init__(self, d, blocks):
+        self.d = d
+        self.blocks = {
+            int(n): (np.asarray(dom, dtype=np.complex128), np.asarray(img, dtype=np.complex128))
+            for n, (dom, img) in blocks.items()
+        }
+
+    def isometry_defects(self):
+        """``{N: max |G_image - G_domain|}`` in label order."""
+        defects = {}
+        for n in sorted(self.blocks):
+            dom, img = self.blocks[n]
+            g_dom = dom.conj().T @ dom
+            g_img = img.conj().T @ img
+            defects[n] = float(np.max(np.abs(g_img - g_dom))) if dom.shape[1] else 0.0
+        return defects
+
+    def apply(self, v, tol=1e-10):
+        """Per-sector ``lstsq`` against the block's domain, then its image."""
+        from waylab.graded import GradedVector
+
+        if v.d != self.d:
+            raise ValueError(f"sector dimension mismatch: {v.d} vs {self.d}")
+        out = {}
+        for nu, amp in v.items():
+            pair = self.blocks.get(nu)
+            if pair is None:
+                raise ValueError(f"sector {nu} outside the declared domain")
+            dom, img = pair
+            coeff, *_ = np.linalg.lstsq(dom, amp, rcond=None)
+            residual = np.linalg.norm(dom @ coeff - amp)
+            if residual > tol * (1.0 + np.linalg.norm(amp)):
+                raise ValueError(
+                    f"sector {nu}: component outside the declared domain "
+                    f"(projection residual {residual:.3e})"
+                )
+            out[nu] = img @ coeff
+        return GradedVector(self.d, out)
+
+    def completed(self):
+        """Per block: SVD basis of the domain span, its image, QR completion of both."""
+
+        def extend(q):
+            full, _ = np.linalg.qr(np.hstack([q, np.eye(q.shape[0])]))
+            return np.hstack([q, full[:, q.shape[1] :]])
+
+        blocks = {}
+        for n, (dom, img) in self.blocks.items():
+            u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+            rank = int(np.count_nonzero(sv > 1e-12))
+            q_img = img @ (vh[:rank].conj().T / sv[:rank])
+            blocks[n] = (extend(u[:, :rank]), extend(q_img))
+        return LoopBlockMap(self.d, blocks)
+
+    def gram_matrices(self, inputs, tol=1e-10):
+        """Gram matrices of ``inputs`` and their images, one sector sum per pair."""
+
+        def dot(u, v):
+            return complex(sum(np.vdot(amp, v.sector(nu)) for nu, amp in u.items()))
+
+        images = [self.apply(v, tol) for v in inputs]
+        k = len(inputs)
+        g_pre = np.zeros((k, k), dtype=np.complex128)
+        g_post = np.zeros((k, k), dtype=np.complex128)
+        for i in range(k):
+            for j in range(k):
+                g_pre[i, j] = dot(inputs[i], inputs[j])
+                g_post[i, j] = dot(images[i], images[j])
+        return g_pre, g_post
+
+
+def loop_interaction_blocks(s):
+    """``{N: (domain, image)}`` of a scheme's interaction, built one total charge at a time."""
+    xi, sg, tu, rh = s.xi, s.sigma, s.tau, s.rho
+    xi_supp, zero, blocks = set(xi.support()), np.zeros(s.d), {}
+    for total in range(min(xi_supp, default=1), max(xi_supp, default=0) + 2):
+        cols = []
+        if total in xi_supp:
+            cols.append((np.concatenate([xi.sector(total), zero]),
+                         np.concatenate([sg.sector(total), rh.sector(total - 1)])))
+        if total - 1 in xi_supp:
+            cols.append((np.concatenate([zero, xi.sector(total - 1)]),
+                         np.concatenate([tu.sector(total), sg.sector(total - 1)])))
+        if cols:
+            blocks[total] = tuple(np.column_stack(c) for c in zip(*cols))
+    return blocks

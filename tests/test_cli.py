@@ -1,8 +1,12 @@
 """Tests for the batch command-line interface."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waylab.cli import run
 from waylab.optimize import SweepTable
@@ -135,6 +139,110 @@ class TestSample:
         args = ["sample", "--scheme", str(scheme_file), "--state", "plus",
                 "--shots", "500", "--seed", "21"]
         assert run(args).summary == run(args).summary
+
+
+def _sample_argv(path):
+    return ["sample", "--scheme", str(path), "--state", "plus", "--shots", "100", "--seed", "3"]
+
+
+def _argv(command, path):
+    return ["validate", "--scheme", str(path)] if command == "validate" else _sample_argv(path)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("sigma", lambda p: p["sigma"]["sectors"][0].update(amp=5)),
+            ("xi", lambda p: p.update(xi=[])),
+            ("rho", lambda p: p["rho"]["sectors"][1].update(nu="one")),
+            ("tau", lambda p: p["tau"].update(d=3)),
+            ("n", lambda p: p.update(n=[])),
+            ("cprime", lambda p: p.pop("cprime")),
+        ],
+    )
+    def test_malformed_field_is_domain_error(self, tmp_path, command, field, corrupt):
+        payload = build_canonical_scheme(3).to_dict()
+        corrupt(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        result = run(_argv(command, path))
+        assert result.exit_code == 1
+        assert result.summary.startswith("error:")
+        assert repr(field) in result.summary
+
+    @pytest.mark.parametrize("name, value", [("xi", math.nan), ("sigma", math.inf)])
+    def test_sample_refuses_non_finite_amplitude(self, tmp_path, name, value):
+        payload = build_canonical_scheme(3).to_dict()
+        payload[name]["sectors"][1]["amp"][0][0] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload))
+        result = run(_sample_argv(path))
+        assert result.exit_code == 1
+        assert f"scheme vector {name} has non-finite amplitudes" in result.summary
+
+
+def _paths(node, prefix=()):
+    """Every ``(container path, key)`` position inside a JSON payload."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CANONICAL = build_canonical_scheme(3).to_dict()
+_POSITIONS = list(_paths(_CANONICAL))
+_DELETE = object()  # an edit that removes the key instead of replacing its value
+_edits = st.tuples(
+    st.sampled_from(_POSITIONS),
+    st.one_of(_json_values, st.sampled_from([math.nan, math.inf, -math.inf, _DELETE])),
+)
+
+
+def _non_finite(scheme):
+    vectors = (scheme.xi, scheme.sigma, scheme.tau, scheme.rho)
+    return any(not np.all(np.isfinite(amp)) for v in vectors for _, amp in v.items())
+
+
+class TestCorruptedFiles:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(_edits, min_size=1, max_size=3))
+    def test_validate_and_sample_exit_cleanly(self, tmp_path, edits):
+        payload = json.loads(json.dumps(_CANONICAL))
+        for (prefix, key), value in edits:
+            node = payload
+            try:
+                for step in prefix:
+                    node = node[step]
+                if value is not _DELETE:
+                    node[key] = value
+                elif isinstance(node, dict):
+                    node.pop(key, None)
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or replaced this position
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(payload))
+        try:
+            scheme = ApproxScheme.from_json(path.read_text())
+        except ValueError:
+            scheme = None
+        for command in ("validate", "sample"):
+            with np.errstate(all="ignore"):  # overflowing amplitudes warn on the way to FAIL
+                result = run(_argv(command, path))
+            assert result.exit_code in (0, 1)
+            if scheme is None or _non_finite(scheme):
+                assert result.exit_code == 1
+                assert "PASS" not in result.summary
 
 
 class TestNogo:

@@ -1,11 +1,13 @@
 """Tests for the charge-graded vector algebra."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DictGraded
+from oracles import DictGraded, LoopBlockMap
 from waylab import graded
 from waylab.graded import (
     BlockMap,
@@ -156,6 +158,73 @@ class TestDictReference:
         assert joint.to_dict() == ref_joint.to_dict()
         for part, ref_part in zip(split_object_components(joint, d), ref_joint.split()):
             assert part.to_dict() == ref_part.to_dict()
+
+
+def _legacy_from_dict(data):
+    """The per-element parse that ``GradedVector.from_dict`` used before it read one array."""
+    sectors = {
+        int(e["nu"]): [complex(re, im) for re, im in e["amp"]] for e in data["sectors"]
+    }
+    return GradedVector(int(data["d"]), sectors)
+
+
+_sector_entries = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.one_of(st.just([0j] * d), _amplitudes(d))),
+            max_size=8,
+        ),
+    )
+)
+
+
+class TestJson:
+    @settings(max_examples=150, deadline=None)
+    @given(_sector_entries)
+    def test_round_trip_matches_per_element_parse(self, case):
+        # repeated labels (the last one wins) and exact-zero sectors (dropped)
+        d, entries = case
+        data = {
+            "d": d,
+            "sectors": [
+                {"nu": nu, "amp": [[z.real, z.imag] for z in amp]} for nu, amp in entries
+            ],
+        }
+        v = GradedVector.from_dict(json.loads(json.dumps(data)))
+        ref = _legacy_from_dict(data)
+        assert v == ref
+        assert json.dumps(v.to_dict()) == json.dumps(DictGraded(d, dict(ref.items())).to_dict())
+        for indent in (None, 2):
+            text = json.dumps(v.to_dict(), indent=indent)
+            again = GradedVector.from_dict(json.loads(text))
+            assert again == v
+            assert json.dumps(again.to_dict(), indent=indent) == text
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ([], "'sectors' list"),
+            ({"d": 2, "sectors": 5}, "'sectors' list"),
+            ({"sectors": []}, "'d'"),
+            ({"d": "two", "sectors": []}, "'d'"),
+            ({"d": 0, "sectors": []}, "dimension"),
+            ({"d": 2, "sectors": [5]}, "'nu' and 'amp'"),
+            ({"d": 2, "sectors": [{"amp": [[1, 0], [0, 0]]}]}, "'nu'"),
+            ({"d": 2, "sectors": [{"nu": None, "amp": [[1, 0], [0, 0]]}]}, "'nu'"),
+            ({"d": 2, "sectors": [{"nu": 2**70, "amp": [[1, 0], [0, 0]]}]}, "64-bit"),
+            ({"d": 2, "sectors": [{"nu": 3, "amp": 5}]}, r"sector 3: expected amp shape \(2, 2\)"),
+            ({"d": 2, "sectors": [{"nu": 1, "amp": [[1, 0], [0, 0]]},
+                                  {"nu": 4, "amp": [[1, 0]]}]}, "sector 4"),
+            ({"d": 1, "sectors": [{"nu": 0, "amp": [["x", 0]]}]}, "sector 0: amp is not"),
+            ({"d": 1, "sectors": [{"nu": 0, "amp": [[{}, 0]]}]}, "sector 0: amp is not"),
+            ({"d": 1, "sectors": [{"nu": 0, "amp": [[None, 0]]}]}, "sector 0: amp is not"),
+            ({"d": 1, "sectors": [{"nu": 0, "amp": [["1.0", 0]]}]}, "sector 0: amp is not"),
+        ],
+    )
+    def test_malformed_data_raise_value_error(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            GradedVector.from_dict(data)
 
 
 class TestInner:
@@ -319,6 +388,24 @@ class TestBlockMap:
         v = GradedVector(3, {0: m.blocks[0][0][:, 0]})
         assert full.apply(v).allclose(m.apply(v))
 
+    def test_blocks_are_views_into_one_stack(self):
+        rng = np.random.default_rng(8)
+        m = random_isometry_blocks(rng, 3, [4, -1, 2], 2)
+        assert list(m.blocks) == [4, -1, 2]
+        assert m.sectors() == (-1, 2, 4)
+        doms = [dom for dom, _ in m.blocks.values()]
+        stack = doms[0].base
+        assert stack is not None and stack.shape == (3, 3, 2)
+        assert all(dom.base is stack for dom in doms)
+        with pytest.raises(TypeError):
+            m.blocks[0] = m.blocks[4]
+
+    def test_block_shapes_checked(self):
+        with pytest.raises(ValueError, match="block 0: domain shape"):
+            BlockMap(2, {0: (np.eye(3), np.eye(3))})
+        with pytest.raises(ValueError, match="block 1: image shape"):
+            BlockMap(2, {1: (np.eye(2), np.eye(2)[:, :1])})
+
     def test_nan_image_is_not_completed(self):
         eye = np.eye(2, dtype=complex)
         img = eye.copy()
@@ -326,6 +413,110 @@ class TestBlockMap:
         m = BlockMap(2, {0: (eye, eye), 1: (eye, img)})
         with pytest.raises(ValueError, match="non-isometric"):
             m.completed()
+
+
+def _block(rng, d, m, kind):
+    """``(domain, image)`` of ``m`` columns; ``kind`` repeats a column or stretches the image."""
+    if m == 0:
+        return np.zeros((d, 0)), np.zeros((d, 0))
+
+    def orthonormal():
+        return np.linalg.qr(rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))[0]
+
+    r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    dom, img = orthonormal() @ r, orthonormal() @ r
+    if kind == "repeated" and m >= 2:
+        dom[:, 1], img[:, 1] = dom[:, 0], img[:, 0]
+    if kind == "stretched":
+        img *= 1.5
+    return dom, img
+
+
+def _input(rng, blocks, d, defect):
+    """Vector inside the domain on a random subset of the blocks, plus an optional defect.
+
+    ``defect`` is ``"perp"`` (a unit component orthogonal to a block's
+    domain, where one is rank deficient) or ``"missing"`` (a sector no
+    block covers).
+    """
+    sectors = {}
+    for n, (dom, _) in blocks.items():
+        if rng.random() < 0.7:
+            m = dom.shape[1]
+            sectors[n] = dom @ (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    deficient = [n for n, (dom, _) in blocks.items() if np.linalg.matrix_rank(dom) < d]
+    if defect == "perp" and deficient:
+        n = deficient[int(rng.integers(len(deficient)))]
+        dom = blocks[n][0]
+        perp = np.linalg.svd(dom)[0][:, -1] if dom.shape[1] else np.eye(d)[0]
+        sectors[n] = sectors.get(n, np.zeros(d)) + perp
+    elif defect is not None:
+        free = sorted(set(range(-45, 46)) - set(blocks))
+        sectors[free[int(rng.integers(len(free)))]] = np.ones(d)
+    return GradedVector(d, sectors)
+
+
+@st.composite
+def _block_cases(draw):
+    """Block maps with mixed column counts 0..d on scattered labels, and inputs to map."""
+    d = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(-40, 40), unique=True, max_size=5))
+    shapes = [
+        (draw(st.integers(0, d)), draw(st.sampled_from(["isometry", "repeated", "stretched"])))
+        for _ in labels
+    ]
+    defects = draw(st.lists(st.sampled_from([None, None, "perp", "missing"]), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = {n: _block(rng, d, m, kind) for n, (m, kind) in zip(labels, shapes)}
+    return d, blocks, [_input(rng, blocks, d, defect) for defect in defects]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_block_cases())
+    def test_stacked_blocks_match_per_block_loops(self, case):
+        d, blocks, inputs = case
+        m, ref = BlockMap(d, blocks), LoopBlockMap(d, blocks)
+        assert list(m.blocks) == list(ref.blocks)
+        defects = ref.isometry_defects()
+        report = check_conserving(m)
+        assert [cid for cid, _ in report.entries] == ["grading"] + [
+            f"isometry[{n}]" for n in defects
+        ]
+        np.testing.assert_allclose(
+            [r for _, r in report.entries[1:]], list(defects.values()), rtol=1e-12, atol=1e-12
+        )
+        if max(defects.values(), default=0.0) <= 1e-8:
+            full, ref_full = m.completed(), ref.completed()
+            assert list(full.blocks) == list(ref_full.blocks)
+            for n, (dom, img) in ref_full.blocks.items():
+                np.testing.assert_allclose(full.blocks[n][0], dom, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(full.blocks[n][1], img, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="non-isometric"):
+                m.completed()
+        for v in inputs:
+            (kind, got), (ref_kind, want) = _outcome(m.apply, v), _outcome(ref.apply, v)
+            assert kind == ref_kind
+            assert got.allclose(want, atol=1e-9) if kind == "ok" else got == want
+        (kind, got), (ref_kind, want) = (
+            _outcome(orthogonality_transfer_check, m, inputs),
+            _outcome(ref.gram_matrices, inputs),
+        )
+        assert kind == ref_kind
+        if kind == "ok":
+            for g, g_ref in zip(got, want):
+                assert g.shape == (len(inputs), len(inputs))
+                np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-9)
+        else:
+            assert got == want
 
 
 class TestConstraintReport:

@@ -2,9 +2,15 @@
 
 from fractions import Fraction
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import loop_interaction_blocks
 from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
 from waylab.scheme import (
     ApproxScheme,
@@ -196,6 +202,18 @@ class TestApplyInteraction:
         branch = tensor(ObjectState(amp, amp), chi_hat)
         assert abs(inner(branch, out)) ** 2 < 1e-12
 
+    @pytest.mark.parametrize("name", ["xi", "sigma", "tau", "rho"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_amplitude_refused(self, name, value):
+        s = build_canonical_scheme(3)
+        vec = getattr(s, name)
+        sectors = dict(vec.items())
+        nu = vec.support()[-1]
+        sectors[nu] = sectors[nu] + value
+        bad = ApproxScheme(**{**s.__dict__, name: GradedVector(s.d, sectors)})
+        with pytest.raises(ValueError, match=f"scheme vector {name} has non-finite"):
+            apply_interaction(bad, ObjectState(1, 0))
+
     def test_requires_normalized_object(self):
         s = build_canonical_scheme(2)
         with pytest.raises(ValueError, match="not normalized"):
@@ -266,6 +284,17 @@ class TestInteractionBlocks:
         np.testing.assert_allclose(pre, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(post, np.eye(2), atol=1e-10)
 
+    def test_stacked_blocks_equal_per_charge_loop(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            s = random_complex_scheme(rng, int(rng.integers(1, 12)), int(rng.integers(2, 4)))
+            blocks = interaction_blocks(s).blocks
+            ref = loop_interaction_blocks(s)
+            assert list(blocks) == list(ref)
+            for total, (dom, img) in ref.items():
+                np.testing.assert_array_equal(blocks[total][0], dom)
+                np.testing.assert_array_equal(blocks[total][1], img)
+
 
 def random_complex_scheme(rng, n, d, zero_fraction=0.2):
     """Scheme-shaped data with random complex sectors, some exactly zero."""
@@ -302,3 +331,37 @@ class TestIsometryCoverage:
                 if total in xi and total - 1 in xi:
                     cover.append(report.entry(f"orthogonality[{total}]"))
                 assert defect == pytest.approx(max(cover), rel=1e-12, abs=1e-15)
+
+
+class TestJson:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 3))
+    def test_random_schemes_round_trip_byte_identical(self, seed, n, d):
+        s = random_complex_scheme(np.random.default_rng(seed), n, d)
+        for indent in (None, 2):
+            text = s.to_json(indent=indent)
+            again = ApproxScheme.from_json(text)
+            assert again == s
+            assert again.to_json(indent=indent) == text
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.update(xi=[]), "'xi'"),
+            (lambda p: p["sigma"]["sectors"][0].update(amp=5), "'sigma': sector 1"),
+            (lambda p: p.pop("n"), "'n' is missing"),
+            (lambda p: p.update(c=None), "'c'"),
+            (lambda p: p.update(d=1e400), "'d'"),
+            (
+                lambda p: p.update(rho=GradedVector(3, {0: [0, 1, 0]}).to_dict()),
+                "'rho': sector dimension 3 != scheme d 2",
+            ),
+        ],
+    )
+    def test_malformed_field_named(self, edit, match):
+        payload = build_canonical_scheme(3).to_dict()
+        edit(payload)
+        with pytest.raises(ValueError, match=match):
+            ApproxScheme.from_dict(payload)
+        with pytest.raises(ValueError, match="JSON object"):
+            ApproxScheme.from_json(json.dumps([payload]))
