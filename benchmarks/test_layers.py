@@ -1,4 +1,4 @@
-"""Per-layer micro-timings of the block-map and scheme-JSON layers.
+"""Per-layer micro-timings of the block-map, scheme-JSON and classifier layers.
 
 Run from the repository root with
 
@@ -7,8 +7,9 @@ Run from the repository root with
 This directory is outside the test suite's ``testpaths``, so the tier-1
 run does not collect it, and no performance claim rests on it: the
 benchmark of record is ``perfbench/``.  Each case times one call on
-inputs built once per size, the canonical scheme at n = 10^3 and 10^4
-and a conserving isometry on three scattered sectors.
+inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
+a conserving isometry on three scattered sectors and one Case 1 pair of
+product branches.
 """
 
 import functools
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from waylab import ObjectState, build_canonical_scheme, tensor
+from waylab.generalized import BranchSpec, classify
 from waylab.graded import BlockMap, GradedVector, check_conserving, orthogonality_transfer_check
 from waylab.scheme import ApproxScheme, interaction_blocks
 
@@ -79,6 +81,13 @@ def test_to_json(benchmark, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_to_json_indent2(benchmark, n):
+    # the text `waylab build` and `waylab optimize` write
+    s = scheme_case(n)[0]
+    benchmark(s.to_json, indent=2)
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_from_json(benchmark, n):
     s, _, _, text = scheme_case(n)
     assert benchmark(ApproxScheme.from_json, text) == s
@@ -102,3 +111,13 @@ def test_three_sector_orthogonality_transfer_check(benchmark):
 def test_three_sector_apply(benchmark):
     m, inputs = three_sector_case()
     benchmark(m.apply, inputs[0])
+
+
+def test_classify_case1_pair(benchmark):
+    # object spread over charges 0 and 1 with the charge-1 parts cancelling,
+    # apparatus sharp at 0, branches orthogonal
+    app = GradedVector(2, {0: [1.0, 0.0]})
+    plus = BranchSpec(GradedVector(2, {0: [0.8, 0.0], 1: [0.0, 0.6]}), app)
+    minus = BranchSpec(GradedVector(2, {0: [0.45, 0.4375**0.5], 1: [0.0, -0.6]}), app)
+    verdict = benchmark(classify, plus, minus)
+    assert verdict.kind == "Case1" and verdict.branch_overlap < 1e-12

@@ -92,10 +92,25 @@ class CaseVerdict:
 
 
 def _finite_sectors(vec, tol):
-    support = vec.support() or (0,)
-    amps = vec.window(support[0], support[-1])
-    weights = _row_dots(amps, amps).real
-    return [support[0] + int(i) for i in np.flatnonzero(weights > tol)]
+    weights = _row_dots(vec._amps, vec._amps).real
+    return [vec._lo + int(i) for i in np.flatnonzero(weights > tol)]
+
+
+def _finite_parts(branches, tol):
+    """Finite sectors ``(object, apparatus)`` of each branch, computed once."""
+    return [
+        (_finite_sectors(b.object_part, tol), _finite_sectors(b.apparatus_part, tol))
+        for b in branches
+    ]
+
+
+def _violations(finite):
+    """Sorted distinct ``(nu, mu)`` product components at total charge outside {0, 1}."""
+    pairs = set()
+    for obj_supp, app_supp in finite:
+        for mu in obj_supp:
+            pairs.update((mu + lam, mu) for lam in app_supp if mu + lam not in (0, 1))
+    return sorted(pairs)
 
 
 def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
@@ -106,23 +121,18 @@ def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
     ``psi_mu (x) chi_{nu - mu}`` is nonzero in either branch; an empty
     list means the support constraint holds.
     """
-    pairs = set()
-    for branch in (plus_branch, minus_branch):
-        app_supp = _finite_sectors(branch.apparatus_part, tol)
-        for mu in _finite_sectors(branch.object_part, tol):
-            pairs.update((mu + lam, mu) for lam in app_supp if mu + lam not in (0, 1))
-    return sorted(pairs)
+    return _violations(_finite_parts((plus_branch, minus_branch), tol))
 
 
-def _pattern(branch, tol):
+def _pattern(obj_supp, app_supp):
     """Finite-component pattern of one clean branch.
 
     Returns ``"Case1"`` when the object carries both charges and the
     apparatus is sharp, ``"Case2"`` for the mirror pattern, or ``None``
     when neither side carries the charge-1 component.
     """
-    obj_raised = any(nu != 0 for nu in _finite_sectors(branch.object_part, tol))
-    app_raised = any(nu != 0 for nu in _finite_sectors(branch.apparatus_part, tol))
+    obj_raised = any(nu != 0 for nu in obj_supp)
+    app_raised = any(nu != 0 for nu in app_supp)
     if obj_raised and not app_raised:
         return "Case1"
     if app_raised and not obj_raised:
@@ -130,14 +140,12 @@ def _pattern(branch, tol):
     return None
 
 
-def _component_labels(plus_branch, minus_branch, tol):
+def _component_labels(finite):
     return tuple(
         f"{name}:{part_name}:{nu}"
-        for name, branch in (("plus", plus_branch), ("minus", minus_branch))
-        for part_name, part in (
-            ("object", branch.object_part), ("apparatus", branch.apparatus_part)
-        )
-        for nu in _finite_sectors(part, tol)
+        for name, parts in zip(("plus", "minus"), finite)
+        for part_name, supp in zip(("object", "apparatus"), parts)
+        for nu in supp
     )
 
 
@@ -160,8 +168,10 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
         if not branch.is_normalized(1e-8):
             raise ValueError(f"{name} branch is not normalized: |.| = {branch.norm()!r}")
 
-    violations = tuple(support_check(plus_branch, minus_branch, tol))
-    labels = _component_labels(plus_branch, minus_branch, tol)
+    branches = (plus_branch, minus_branch)
+    finite = _finite_parts(branches, tol)
+    violations = tuple(_violations(finite))
+    labels = _component_labels(finite)
     overlap = abs(plus_branch.overlap(minus_branch))
     if violations:
         return CaseVerdict(
@@ -172,8 +182,7 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
             branch_overlap=overlap,
         )
 
-    pat_plus = _pattern(plus_branch, tol)
-    pat_minus = _pattern(minus_branch, tol)
+    pat_plus, pat_minus = (_pattern(*parts) for parts in finite)
 
     if pat_plus is None or pat_minus is None or pat_plus != pat_minus:
         # No consistent charge-1 cancellation exists across the branches:
@@ -181,8 +190,8 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
         # subspaces (or are missing entirely) and cannot cancel.
         residual = sum(
             float(np.vdot(m, m).real)
-            for branch in (plus_branch, minus_branch)
-            for m in _charge_one_products(branch, tol)
+            for branch, parts in zip(branches, finite)
+            for m in _charge_one_products(branch, *parts)
         )
         residual = float(np.sqrt(residual)) if residual > 0 else 1.0
         return CaseVerdict(
@@ -196,7 +205,7 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     mu, lam = (1, 0) if pat_plus == "Case1" else (0, 1)
     cross = sum(
         _outer(b.object_part, b.apparatus_part, mu, lam)
-        for b in (plus_branch, minus_branch)
+        for b in branches
     )
     residual = float(np.linalg.norm(cross))
     kind = pat_plus if residual <= np.sqrt(tol) else "Infeasible"
@@ -209,11 +218,10 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     )
 
 
-def _charge_one_products(branch, tol):
-    app_supp = set(_finite_sectors(branch.apparatus_part, tol))
+def _charge_one_products(branch, obj_supp, app_supp):
     return [
         _outer(branch.object_part, branch.apparatus_part, mu, 1 - mu)
-        for mu in _finite_sectors(branch.object_part, tol)
+        for mu in obj_supp
         if 1 - mu in app_supp
     ]
 

@@ -222,6 +222,31 @@ class GradedVector:
             "sectors": [{"nu": nu, "amp": amp} for nu, amp in zip(labels, amps)],
         }
 
+    def _json(self, indent, depth):
+        """``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``.
+
+        ``indent`` is ``None`` (compact) or the indent string.  One %-template
+        per sector is repeated and filled from flat lists of labels and
+        floats, so no per-sector container is built.
+        """
+        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        amps = self._amps[rows].view(np.float64)
+        values = amps.ravel().tolist()
+        if not np.isfinite(amps).all():
+            values = [v if math.isfinite(v) else _JSON_CONSTANTS[str(v)] for v in values]
+        # '%' in the indent string must not read as a conversion
+        ind = None if indent is None else indent.replace("%", "%%")
+        pair = _json_array(["%s", "%s"], ind, depth + 4)
+        amp = _json_array([pair] * self.d, ind, depth + 3)
+        row = _json_object(['"nu": %d', '"amp": ' + amp], ind, depth + 2)
+        width = 2 * self.d + 1
+        args = [None] * (len(rows) * width)
+        args[::width] = (rows + self._lo).tolist()
+        for j in range(2 * self.d):
+            args[j + 1 :: width] = values[j :: 2 * self.d]
+        sectors = _json_array([row] * len(rows), ind, depth + 1) % tuple(args)
+        return _json_object([f'"d": {self.d}', '"sectors": ' + sectors], indent, depth)
+
     @classmethod
     def from_dict(cls, data):
         """Inverse of :meth:`to_dict`; the last entry of a repeated ``nu`` wins.
@@ -258,6 +283,25 @@ class GradedVector:
             window[labels - lo] = amps
             vec._store(lo, window)
         return vec
+
+
+#: ``json``'s spelling of the non-finite floats, keyed by ``str(value)``.
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(items, indent, depth):
+    """JSON array of the item texts, laid out as ``json.dumps`` does at ``depth``."""
+    if not items:
+        return "[]"
+    if indent is None:
+        return "[" + ", ".join(items) + "]"
+    brk = "\n" + indent * (depth + 1)
+    return "[" + brk + ("," + brk).join(items) + "\n" + indent * depth + "]"
+
+
+def _json_object(members, indent, depth):
+    """JSON object of the ``"key": value`` texts, laid out as ``json.dumps`` does at ``depth``."""
+    return "{" + _json_array(members, indent, depth)[1:-1] + "}"
 
 
 def _int_field(data, key):

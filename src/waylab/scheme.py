@@ -38,6 +38,7 @@ from .graded import (
     GradedVector,
     ObjectState,
     _bounds,
+    _json_object,
     _row_dots,
 )
 
@@ -98,7 +99,17 @@ class ApproxScheme:
         return cls(**fields)
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps(self.to_dict(), indent=indent)``, written directly.
+
+        ``indent`` follows ``json``: ``None`` is the compact form, an int
+        ``k`` indents by ``k`` spaces and a string is used as is.
+        """
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent
+        members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in ("n", "d", "c", "cprime")]
+        for k in ("xi", "sigma", "tau", "rho"):
+            members.append(f'"{k}": {getattr(self, k)._json(indent, 1)}')
+        return _json_object(members, indent, 0)
 
     @classmethod
     def from_json(cls, text):
@@ -283,23 +294,27 @@ def validate_scheme(s):
     """
     lo, (xi, sg, tu, rh) = _windows(s)
     mid = slice(1, -1)
-    x, sn = _row_dots(xi, xi).real, _row_dots(sg, sg).real
-    r, t = _row_dots(rh, rh).real, _row_dots(tu, tu).real
-    ortho = np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]))
-    w_rho = np.abs(x[mid] - sn[mid] - r[:-2])
-    w_tau = np.abs(x[mid] - sn[mid] - t[2:])
+    # overflowing amplitudes give inf/NaN residuals, which report FAIL without warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, sn = _row_dots(xi, xi).real, _row_dots(sg, sg).real
+        r, t = _row_dots(rh, rh).real, _row_dots(tu, tu).real
+        ortho = np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]))
+        w_rho = np.abs(x[mid] - sn[mid] - r[:-2])
+        w_tau = np.abs(x[mid] - sn[mid] - t[2:])
+        pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
+        totals = [
+            ("norm-xi", abs(_fsum(x) - 1.0)),
+            ("overlap-pointers", abs(_fsum(pointers))),
+            ("overlap-eta-sigma", abs(_fsum(_row_dots(sg, tu - rh)))),
+            ("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, tu - rh)))),
+        ]
 
     labels = range(lo, lo + len(ortho))
     entries = [(f"orthogonality[{nu}]", v) for nu, v in zip(labels, ortho.tolist())]
     for nu, wr, wt in zip(labels, w_rho.tolist(), w_tau.tolist()):
         entries.append((f"weights-rho[{nu}]", wr))
         entries.append((f"weights-tau[{nu}]", wt))
-
-    entries.append(("norm-xi", abs(_fsum(x) - 1.0)))
-    pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
-    entries.append(("overlap-pointers", abs(_fsum(pointers))))
-    entries.append(("overlap-eta-sigma", abs(_fsum(_row_dots(sg, tu - rh)))))
-    entries.append(("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, tu - rh)))))
+    entries += totals
     return ConstraintReport(tuple(entries))
 
 

@@ -17,6 +17,8 @@ finds a lower feasible error.
 before it stored one window, and ``LoopBlockMap`` the dict of per-block
 arrays, looped over sector by sector, that ``BlockMap`` used before it
 stored stacked groups; property tests compare each pair.
+``reference_classify`` is the product-branch classifier as it was before
+it computed each part's finite sectors once per call.
 """
 
 import itertools
@@ -361,3 +363,84 @@ def loop_interaction_blocks(s):
         if cols:
             blocks[total] = tuple(np.column_stack(c) for c in zip(*cols))
     return blocks
+
+
+def _reference_finite_sectors(vec, tol):
+    support = vec.support() or (0,)
+    amps = vec.window(support[0], support[-1])
+    weights = np.einsum("ij,ij->i", amps.conj(), amps).real
+    return [support[0] + int(i) for i in np.flatnonzero(weights > tol)]
+
+
+def _reference_support_check(plus_branch, minus_branch, tol):
+    pairs = set()
+    for branch in (plus_branch, minus_branch):
+        app_supp = _reference_finite_sectors(branch.apparatus_part, tol)
+        for mu in _reference_finite_sectors(branch.object_part, tol):
+            pairs.update((mu + lam, mu) for lam in app_supp if mu + lam not in (0, 1))
+    return sorted(pairs)
+
+
+def _reference_pattern(branch, tol):
+    obj_raised = any(nu != 0 for nu in _reference_finite_sectors(branch.object_part, tol))
+    app_raised = any(nu != 0 for nu in _reference_finite_sectors(branch.apparatus_part, tol))
+    if obj_raised and not app_raised:
+        return "Case1"
+    if app_raised and not obj_raised:
+        return "Case2"
+    return None
+
+
+def _reference_outer(obj_vec, app_vec, mu, lam):
+    return np.outer(obj_vec.sector(mu), app_vec.sector(lam))
+
+
+def _reference_charge_one_products(branch, tol):
+    app_supp = set(_reference_finite_sectors(branch.apparatus_part, tol))
+    return [
+        _reference_outer(branch.object_part, branch.apparatus_part, mu, 1 - mu)
+        for mu in _reference_finite_sectors(branch.object_part, tol)
+        if 1 - mu in app_supp
+    ]
+
+
+def reference_classify(plus_branch, minus_branch, tol=1e-9):
+    """``waylab.generalized.classify``, recomputing finite sectors per question."""
+    from waylab.generalized import CaseVerdict
+
+    for name, branch in (("plus", plus_branch), ("minus", minus_branch)):
+        if not branch.is_normalized(1e-8):
+            raise ValueError(f"{name} branch is not normalized: |.| = {branch.norm()!r}")
+
+    violations = tuple(_reference_support_check(plus_branch, minus_branch, tol))
+    labels = tuple(
+        f"{name}:{part_name}:{nu}"
+        for name, branch in (("plus", plus_branch), ("minus", minus_branch))
+        for part_name, part in (
+            ("object", branch.object_part), ("apparatus", branch.apparatus_part)
+        )
+        for nu in _reference_finite_sectors(part, tol)
+    )
+    overlap = abs(plus_branch.overlap(minus_branch))
+    if violations:
+        return CaseVerdict("Infeasible", labels, 0.0, violations, overlap)
+
+    pat_plus = _reference_pattern(plus_branch, tol)
+    pat_minus = _reference_pattern(minus_branch, tol)
+    if pat_plus is None or pat_minus is None or pat_plus != pat_minus:
+        residual = sum(
+            float(np.vdot(m, m).real)
+            for branch in (plus_branch, minus_branch)
+            for m in _reference_charge_one_products(branch, tol)
+        )
+        residual = float(np.sqrt(residual)) if residual > 0 else 1.0
+        return CaseVerdict("Infeasible", labels, residual, (), overlap)
+
+    mu, lam = (1, 0) if pat_plus == "Case1" else (0, 1)
+    cross = sum(
+        _reference_outer(b.object_part, b.apparatus_part, mu, lam)
+        for b in (plus_branch, minus_branch)
+    )
+    residual = float(np.linalg.norm(cross))
+    kind = pat_plus if residual <= np.sqrt(tol) else "Infeasible"
+    return CaseVerdict(kind, labels, residual, (), overlap)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_classify
 from waylab.generalized import BranchSpec, classify, exchange_form, support_check
 from waylab.graded import GradedVector, inner
 
@@ -189,6 +190,65 @@ class TestDichotomyProperty:
             verdict = classify(plus, minus)
             assert verdict.kind == f"Case{case}"
             assert verdict.branch_overlap < 1e-10
+
+
+def random_branch_pair(rng):
+    """Seeded branch pair of a random kind, and that kind's name.
+
+    Kinds: a clean Case 1 or Case 2 instance; one whose charge-1 parts do
+    not cancel; a Case 1 branch paired with a Case 2 branch; one part
+    spread over random labels in -3..4 with some exactly zero and some
+    near ``FINITE_TOL`` (support violations, zero interior rows).
+    """
+    kind = ["clean", "uncancelled", "mismatched", "scattered"][int(rng.integers(4))]
+    plus, minus, case = random_clean_instance(rng)
+    if kind == "uncancelled":
+        part = "object_part" if case == 1 else "apparatus_part"
+        flipped = getattr(minus, part)
+        flipped = GradedVector(flipped.d, {0: flipped.sector(0), 1: -flipped.sector(1)})
+        minus = BranchSpec(**{**vars(minus), part: flipped})
+    elif kind == "mismatched":
+        while True:
+            other_plus, other_minus, other_case = random_clean_instance(rng)
+            if other_case != case and other_plus.object_part.d == plus.object_part.d:
+                break
+        minus = other_minus
+    elif kind == "scattered":
+        d = plus.object_part.d
+        sectors = {}
+        for nu in rng.choice(np.arange(-3, 5), size=int(rng.integers(1, 5)), replace=False):
+            scale = [0.0, 1e-5, 3e-5, 1.0][int(rng.integers(4))]
+            sectors[int(nu)] = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        vec = GradedVector(d, sectors)
+        if vec.is_zero():
+            vec = GradedVector(d, {0: np.eye(d)[0]})
+        part = ["object_part", "apparatus_part"][int(rng.integers(2))]
+        branch = [plus, minus][int(rng.integers(2))]
+        replaced = BranchSpec(**{**vars(branch), part: (1.0 / vec.norm()) * vec})
+        plus, minus = (replaced, minus) if branch is plus else (plus, replaced)
+    return plus, minus, kind
+
+
+class TestReferenceClassify:
+    def test_verdicts_match_reference(self):
+        # classify computes each part's finite sectors once; the reference
+        # recomputes them for every question it asks
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for _ in range(600):
+            plus, minus, kind = random_branch_pair(rng)
+            verdict = classify(plus, minus)
+            assert verdict == reference_classify(plus, minus)
+            assert support_check(plus, minus) == list(verdict.violations)
+            if verdict.violations:
+                seen.add("violation")
+            elif verdict.kind == "Infeasible":
+                seen.add(f"infeasible-{kind}")
+            else:
+                seen.add(verdict.kind)
+        assert seen >= {
+            "Case1", "Case2", "violation", "infeasible-uncancelled", "infeasible-mismatched",
+        }
 
 
 class TestExchangeForm:

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +130,8 @@ class TestValidate:
             n=s.n, d=s.d, xi=s.xi, sigma=GradedVector(s.d, sectors),
             tau=s.tau, rho=s.rho, c=s.c, cprime=s.cprime,
         )
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert not validate_scheme(bad).passed()
 
     def test_span_wider_than_one_window_rejected(self):
@@ -333,7 +336,58 @@ class TestIsometryCoverage:
                 assert defect == pytest.approx(max(cover), rel=1e-12, abs=1e-15)
 
 
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324]),
+)
+
+
+@st.composite
+def json_schemes(draw):
+    """Schemes of any sector dimension, with empty vectors and non-finite amplitudes."""
+    d = draw(st.integers(1, 4))
+
+    def vector():
+        lo = draw(st.integers(-50, 50) | st.integers(-(2**40), 2**40))
+        k = draw(st.integers(0, 4))
+        values = draw(st.lists(_JSON_FLOATS, min_size=2 * k * d, max_size=2 * k * d))
+        amps = np.array(values, dtype=np.float64).reshape(k, 2 * d).view(np.complex128)
+        return GradedVector.from_window(lo, amps)
+
+    return ApproxScheme(
+        n=draw(st.integers(-5, 10**6)), d=d, xi=vector(), sigma=vector(), tau=vector(),
+        rho=vector(), c=draw(_JSON_FLOATS), cprime=draw(_JSON_FLOATS),
+    )
+
+
+#: sha256 of ``build_canonical_scheme(n).to_json(indent)`` as ``json.dumps`` wrote it.
+_CANONICAL_JSON_SHA256 = {
+    (1, None): "4a8ed13fe1cd0a9a3ef226d8390093ead73c1e6b5db3cead6f7ba6204e17fe12",
+    (1, 2): "90a59d82e219aebb153e1220b808db1a3c7158f5c49176015b2f5ba9e3e41367",
+    (2, None): "67483b99f63aec625e7ab142d39b4a8273f6cafc5cc06a7ba61661cc9d2e3028",
+    (2, 2): "36e2b1c9e10365db450dc0dd36f11f7304afd5e79bd34c0b4f785eab13a5f48c",
+    (3, None): "c0b8745af7d315b950e736ebc9c30321d4d04677f79e14a5f5d99963365286ba",
+    (3, 2): "21f1de1d01e08d8634ad1ac90ff46e180c8ee1e09d72943cded5b4727fc0463d",
+    (7, None): "80dd9c7fc8bb3a0cb7d26546a93c96c146b42c52960b43413f8e9501d9bb4b6f",
+    (7, 2): "fa9a397ad35b12f0a80636f966ae83bbd09b326d5e44785381e3290193d56fb6",
+    (64, None): "36a83eea78aaf81ab583ca652485715e29f10a9494b85fd65b96ad663cdb309f",
+    (64, 2): "ccd7c355f736e39cbcbf0390bfbe19f6491dd15dcc0586000627c144ff07e4eb",
+    (1000, None): "e09347d36ec61b47ddea8570c0f02543b65bffcc2a9e852c835f5cac8d9e856d",
+    (1000, 2): "51a148cb7547b75a14eba53db66c22117e440c5ccdf4e7f6dbacdd944040340a",
+}
+
+
 class TestJson:
+    @settings(max_examples=150, deadline=None)
+    @given(json_schemes(), st.sampled_from([None, 0, 2, 4, "\t", " %s"]))
+    def test_writer_matches_json_dumps(self, s, indent):
+        assert s.to_json(indent=indent) == json.dumps(s.to_dict(), indent=indent)
+
+    @pytest.mark.parametrize("n, indent", sorted(_CANONICAL_JSON_SHA256, key=str))
+    def test_canonical_bytes_pinned(self, n, indent):
+        text = build_canonical_scheme(n).to_json(indent=indent)
+        assert hashlib.sha256(text.encode()).hexdigest() == _CANONICAL_JSON_SHA256[n, indent]
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 3))
     def test_random_schemes_round_trip_byte_identical(self, seed, n, d):
