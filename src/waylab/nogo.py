@@ -15,8 +15,20 @@ supported on the window ``1..n``.  The system is inconsistent for every
 finite ``n``: the overlap chains force ``a = b = 0``, the norm-balance
 recursion makes ``t`` constant on each parity class, the boundary rows
 pin those constants to zero, and ``sum t = 1`` then fails.  This module
-measures the minimal violation (least-squares over nonnegative data) and
-produces the symbolic derivation as a certificate.
+measures the minimal violation and produces the symbolic derivation as a
+certificate.
+
+The minimal violation is ``min |A w - r|^2`` over the data ``w`` whose
+squared norms ``x, s, t`` are nonnegative.  One unconstrained solve gives
+it exactly: the unconstrained minimum over all ``w`` is at most the
+bounded one, and an unconstrained minimizer with nonnegative ``x, s, t``
+lies in the bounded set, so the bounded minimum is at most its value.
+Whenever the minimum-norm minimizer passes that check the two minima are
+equal; when it fails, the solve raises instead of clipping.  The optimal
+set is that minimizer plus the null space of ``A`` (``s = 2x``,
+``t = a = b = 0``, ``sum x = 0`` in the standard basis), and the
+minimum-norm point is the one orthogonal to it, so ``x + 2s`` is constant
+across sectors.
 
 The same machinery covers an arbitrary rotated object basis
 ``alpha psi0 + beta psi1`` / ``-conj(beta) psi0 + conj(alpha) psi1``:
@@ -33,7 +45,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .graded import ConstraintReport, ObjectState
 from .optimize import OptimizationError
@@ -138,23 +149,28 @@ def exact_constraint_residual(data):
                 f"{name}[{nu}] = {arr[nu - 1]!r} is negative; squared norms "
                 f"must be nonnegative"
             )
-    w = data.window
-    entries = []
-    for nu in range(1, data.n + 2):
-        entries.append(
-            (
-                f"unitary-norm0[{nu}]",
-                abs(w("x", nu) - 0.5 * w("s", nu) - 0.5 * w("t", nu - 1)),
-            )
+    # index nu of a padded copy is the value at nu, zero outside 1..n
+    x, s, t, a, b = (
+        np.concatenate(([0.0], getattr(data, name), [0.0]))
+        for name in ("x", "s", "t", "a", "b")
+    )
+    rows = np.abs(
+        np.stack(
+            [
+                x[1:] - 0.5 * s[1:] - 0.5 * t[:-1],
+                x[:-1] - 0.5 * t[1:] - 0.5 * s[:-1],
+                a[1:] + a[:-1],
+                b[1:] - b[:-1],
+            ],
+            axis=1,
         )
-        entries.append(
-            (
-                f"unitary-norm1[{nu}]",
-                abs(w("x", nu - 1) - 0.5 * w("t", nu) - 0.5 * w("s", nu - 1)),
-            )
-        )
-        entries.append((f"unitary-ortho-re[{nu}]", abs(w("a", nu) + w("a", nu - 1))))
-        entries.append((f"unitary-ortho-im[{nu}]", abs(w("b", nu) - w("b", nu - 1))))
+    )
+    ids = [
+        f"{kind}[{nu}]"
+        for nu in range(1, data.n + 2)
+        for kind in ("unitary-norm0", "unitary-norm1", "unitary-ortho-re", "unitary-ortho-im")
+    ]
+    entries = list(zip(ids, rows.ravel().tolist()))
     entries.append(("sum-x", abs(float(np.sum(data.x)) - 1.0)))
     entries.append(("sum-s", abs(float(np.sum(data.s)) - 1.0)))
     entries.append(("sum-t", abs(float(np.sum(data.t)) - 1.0)))
@@ -166,8 +182,9 @@ def exact_constraint_residual(data):
 def _build_system(n, m, delta):
     """Linear system ``A w = rhs`` of the (rotated) exact constraints.
 
-    Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``.
-    Bounds keep the squared norms nonnegative and leave the overlaps free.
+    Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``;
+    the per-sector unitarity rows come first, four per ``nu = 1..n+1``,
+    then the five normalization sums.
     """
     def ix(k, nu):
         return k * n + (nu - 1)
@@ -213,68 +230,43 @@ def _build_system(n, m, delta):
     for k, target in ((0, 1.0), (1, 1.0), (2, 1.0), (3, 0.0), (4, 0.0)):
         row({(k, nu): 1.0 for nu in range(1, n + 1)}, target)
 
-    lb = np.concatenate([np.zeros(3 * n), np.full(2 * n, -np.inf)])
-    ub = np.full(5 * n, np.inf)
-    return np.vstack(rows), np.asarray(rhs), (lb, ub)
+    return np.vstack(rows), np.asarray(rhs)
 
 
 def _solve_min_violation(n, m, delta):
-    """Global least-squares violation of the (rotated) exact system.
+    """Least-squares violation of the (rotated) exact system.
 
-    The residuals are linear and the bounds are a box, so the problem is
-    convex and one bounded linear least-squares solve gives the global
-    optimum.
+    One minimum-norm solve; its value is the minimum over nonnegative
+    squared norms exactly when the check below passes (module docstring).
     """
-    a_mat, rhs, bounds = _build_system(n, m, delta)
-    direct = lsq_linear(a_mat, rhs, bounds=bounds, tol=1e-14)
-    if direct.status <= 0:
+    a_mat, rhs = _build_system(n, m, delta)
+    w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
+    data = ExactSchemeData(n, *w.reshape(5, n))
+    if np.any(w[: 3 * n] < 0):
         raise OptimizationError(
-            f"feasibility solve did not converge for n={n}: {direct.message}",
-            best=None,
+            f"minimum-norm solution for n={n} has a negative squared norm "
+            f"(min {float(np.min(w[: 3 * n]))!r}), so its value need not be "
+            f"the bounded minimum",
+            best=data,
         )
-    w = direct.x
     r = a_mat @ w - rhs
-    value = float(r @ r)
-    data = ExactSchemeData(
-        n=n,
-        x=w[0:n].copy(),
-        s=w[n : 2 * n].copy(),
-        t=w[2 * n : 3 * n].copy(),
-        a=w[3 * n : 4 * n].copy(),
-        b=w[4 * n : 5 * n].copy(),
-    )
-    return value, data
+    return float(r @ r), data
 
 
-def project_to_unitarity(data, weight=1e6):
-    """Nearest data with the per-sector unitarity rows driven to zero.
+def project_to_unitarity(data):
+    """Nearest nonnegative data with every unitarity row of the standard system zero.
 
-    Least-squares projection of ``data`` onto the subsystem consisting of
-    the norm-balance and orthogonality chains (the normalization sums are
-    released), keeping the squared norms nonnegative.  This realizes the
-    witness derivation numerically: on the projected data the overlaps
-    vanish and ``t`` is constant on each parity class (identically zero),
-    which is what makes the conflict with ``sum t = 1`` checkable.
+    The norm-balance and orthogonality chains alone (the normalization
+    sums released) force ``a = b = t = 0`` and ``s = 2x``, as in the
+    witness derivation.  The nearest such point to ``data`` therefore
+    solves, sector by sector, ``min (x - x0)^2 + (2x - s0)^2`` over
+    ``x >= 0``: ``x = max(0, (x0 + 2 s0) / 5)`` and ``s = 2x``.  On the
+    result the overlaps vanish and ``t`` is identically zero, so it is
+    constant on each parity class, which is what makes the conflict with
+    ``sum t = 1`` checkable.
     """
-    n = data.n
-    a_mat, rhs, bounds = _build_system(n, 0.25, 0.0)
-    # Unitarity rows come first: 4 rows per sector index, sums last.
-    n_unitary = 4 * (n + 1)
-    a_u = a_mat[:n_unitary]
-    rhs_u = rhs[:n_unitary]
-    w0 = np.concatenate([data.x, data.s, data.t, data.a, data.b])
-    stacked = np.vstack([weight * a_u, np.eye(5 * n)])
-    target = np.concatenate([weight * rhs_u, w0])
-    res = lsq_linear(stacked, target, bounds=bounds, tol=1e-14)
-    w = res.x
-    return ExactSchemeData(
-        n=n,
-        x=w[0:n].copy(),
-        s=w[n : 2 * n].copy(),
-        t=w[2 * n : 3 * n].copy(),
-        a=w[3 * n : 4 * n].copy(),
-        b=w[4 * n : 5 * n].copy(),
-    )
+    x = np.maximum(0.0, (data.x + 2.0 * data.s) / 5.0)
+    return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))
 
 
 def derive_witness(n, m=0.25, delta=0.0):

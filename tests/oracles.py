@@ -4,7 +4,12 @@ The feasibility-violation oracle re-implements the exact-measurement
 constraint residuals with literal per-equation loops (no shared code
 with the production matrix assembly) and minimizes by coarse enumeration
 plus quasi-Newton polish from many seeded starts.  The production path
-uses bounded linear least squares; the oracle deliberately does not.
+uses one minimum-norm least-squares solve; the oracle deliberately does
+not.  ``bounded_min_violation`` is the float cross-check of that solve:
+the bounded linear least-squares problem over the same matrix, solved with
+the nonnegativity bounds imposed instead of checked afterwards.
+``constraint_entries_by_loops`` is the exact-system residual report as it
+was before it was evaluated with array expressions.
 
 The scheme local-optimality oracle writes the approximate-scheme
 constraints out equation by equation (no shared code with
@@ -24,7 +29,7 @@ it computed each part's finite sectors once per call.
 import itertools
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares, lsq_linear, minimize
 
 
 def violation_by_loops(n, x, s, t, a, b):
@@ -45,6 +50,53 @@ def violation_by_loops(n, x, s, t, a, b):
     total += sum(a) ** 2
     total += sum(b) ** 2
     return total
+
+
+def constraint_entries_by_loops(data):
+    """``(id, residual)`` entries of ``exact_constraint_residual``, one at a time."""
+    w = data.window
+    entries = []
+    for nu in range(1, data.n + 2):
+        entries.append(
+            (
+                f"unitary-norm0[{nu}]",
+                abs(w("x", nu) - 0.5 * w("s", nu) - 0.5 * w("t", nu - 1)),
+            )
+        )
+        entries.append(
+            (
+                f"unitary-norm1[{nu}]",
+                abs(w("x", nu - 1) - 0.5 * w("t", nu) - 0.5 * w("s", nu - 1)),
+            )
+        )
+        entries.append((f"unitary-ortho-re[{nu}]", abs(w("a", nu) + w("a", nu - 1))))
+        entries.append((f"unitary-ortho-im[{nu}]", abs(w("b", nu) - w("b", nu - 1))))
+    entries.append(("sum-x", abs(float(np.sum(data.x)) - 1.0)))
+    entries.append(("sum-s", abs(float(np.sum(data.s)) - 1.0)))
+    entries.append(("sum-t", abs(float(np.sum(data.t)) - 1.0)))
+    entries.append(("sum-a", abs(float(np.sum(data.a)))))
+    entries.append(("sum-b", abs(float(np.sum(data.b)))))
+    return tuple(entries)
+
+
+def bounded_min_violation(n, m=0.25, delta=0.0):
+    """Minimal violation of ``nogo._build_system(n, m, delta)`` with ``x, s, t >= 0`` imposed.
+
+    Uses the bounded-variable active-set method: the default trust-region
+    method stops short when the minimum is near rounding level (at
+    ``|beta|^2 = 1e-12``, ``n = 64`` it returns 1.1e-15 where the minimum
+    is 1.75e-16).
+    """
+    from waylab.nogo import _build_system
+
+    a_mat, rhs = _build_system(n, m, delta)
+    lower = np.concatenate([np.zeros(3 * n), np.full(2 * n, -np.inf)])
+    res = lsq_linear(
+        a_mat, rhs, bounds=(lower, np.full(5 * n, np.inf)), method="bvls", tol=1e-14
+    )
+    assert res.status > 0, res.message
+    r = a_mat @ res.x - rhs
+    return float(r @ r)
 
 
 def brute_force_min_violation(n, seed=20240601, random_starts=48):

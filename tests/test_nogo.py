@@ -1,8 +1,16 @@
 """Tests for the exact-measurement infeasibility analysis."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import waylab
+from waylab import nogo
 from waylab.graded import ObjectState
 from waylab.nogo import (
     ExactSchemeData,
@@ -12,8 +20,14 @@ from waylab.nogo import (
     project_to_unitarity,
     rotated_basis_residual,
 )
+from waylab.optimize import OptimizationError
 
-from oracles import brute_force_min_violation, violation_by_loops
+from oracles import (
+    bounded_min_violation,
+    brute_force_min_violation,
+    constraint_entries_by_loops,
+    violation_by_loops,
+)
 
 # Frozen grid+polish oracle values (see oracles.brute_force_min_violation;
 # n=1 also has the closed form 10/21 by separating the decoupled blocks).
@@ -64,17 +78,22 @@ class TestExactConstraintResidual:
             exact_constraint_residual(data)
 
     def test_matches_independent_loop_evaluation(self):
-        rng = np.random.default_rng(8)
-        n = 4
-        data = ExactSchemeData(
-            n=n,
-            x=rng.uniform(0, 1, n), s=rng.uniform(0, 1, n), t=rng.uniform(0, 1, n),
-            a=rng.uniform(-0.5, 0.5, n), b=rng.uniform(-0.5, 0.5, n),
-        )
-        report = exact_constraint_residual(data)
-        assert report.sum_squares == pytest.approx(
-            violation_by_loops(n, data.x, data.s, data.t, data.a, data.b), abs=1e-12
-        )
+        for seed, n in itertools.product((8, 9, 10), (1, 4, 17)):
+            rng = np.random.default_rng(seed)
+            data = ExactSchemeData(
+                n=n,
+                x=rng.uniform(0, 1, n), s=rng.uniform(0, 1, n), t=rng.uniform(0, 1, n),
+                a=rng.uniform(-0.5, 0.5, n), b=rng.uniform(-0.5, 0.5, n),
+            )
+            report = exact_constraint_residual(data)
+            assert report.sum_squares == pytest.approx(
+                violation_by_loops(n, data.x, data.s, data.t, data.a, data.b), abs=1e-12
+            )
+            expected = constraint_entries_by_loops(data)
+            assert [cid for cid, _ in report.entries] == [cid for cid, _ in expected]
+            for (cid, got), (_, want) in zip(report.entries, expected):
+                assert type(got) is float
+                assert got.hex() == want.hex(), (seed, n, cid)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_zero_unitarity_rows_for_genuine_isometry_data(self, seed):
@@ -160,6 +179,72 @@ class TestInfeasibilityCertificate:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             infeasibility_certificate(0)
+
+
+class TestBoundedOracle:
+    """The minimum-norm solve against the bounded solve it replaced."""
+
+    def test_certificates_match(self):
+        for n in range(1, 65):
+            cert = infeasibility_certificate(n)
+            expected = bounded_min_violation(n)
+            assert cert.min_violation == pytest.approx(expected, rel=1e-12), n
+            residual = exact_constraint_residual(cert.minimizer).sum_squares
+            assert residual == pytest.approx(cert.min_violation, rel=1e-9), n
+
+    @pytest.mark.parametrize(
+        "alpha,beta,tol",
+        [
+            (0.8, 0.6, {"rel": 1e-12}),
+            (0.6, -0.8j, {"rel": 1e-12}),
+            (np.sqrt(1 - 1e-12), 1e-6, {"rel": 1e-12}),
+            (1.0, 0.0, {"abs": 1e-12}),
+        ],
+    )
+    def test_rotated_bases_match(self, alpha, beta, tol):
+        # exact_constraint_residual evaluates the standard (m = 1/4) rows,
+        # so the rotated minimizers are checked against the oracle only
+        for n in (4, 16, 64):
+            cert = rotated_basis_residual(n, ObjectState(alpha, beta))
+            expected = bounded_min_violation(n, *cert.mix)
+            assert cert.min_violation == pytest.approx(expected, **tol), n
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_minimizer_is_minimum_norm(self, n):
+        # the optimal set is the minimizer plus {s = 2x, t = a = b = 0,
+        # sum x = 0}; the minimum-norm point is orthogonal to it
+        data = infeasibility_certificate(n).minimizer
+        assert np.ptp(data.x + 2.0 * data.s) <= 1e-12
+
+    def test_negative_solution_raises(self, monkeypatch):
+        build = nogo._build_system
+
+        def negated_sum_x(n, m, delta):
+            a_mat, rhs = build(n, m, delta)
+            rhs = rhs.copy()
+            rhs[4 * (n + 1)] = -1.0  # the sum-x row follows the unitarity rows
+            return a_mat, rhs
+
+        monkeypatch.setattr(nogo, "_build_system", negated_sum_x)
+        with pytest.raises(OptimizationError, match="negative") as info:
+            infeasibility_certificate(3)
+        assert np.min(info.value.best.x) < 0
+
+
+def test_import_does_not_load_scipy():
+    src = Path(waylab.__file__).resolve().parents[1]
+    probe = (
+        "import sys, waylab; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestRotatedBasis:
