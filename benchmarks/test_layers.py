@@ -1,4 +1,4 @@
-"""Per-layer micro-timings of the block-map, scheme-JSON and classifier layers.
+"""Per-layer micro-timings of the block-map, scheme-JSON, classifier and no-go layers, and of the CLI.
 
 Run from the repository root with
 
@@ -9,7 +9,9 @@ run does not collect it, and no performance claim rests on it: the
 benchmark of record is ``perfbench/``.  Each case times one call on
 inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors and one Case 1 pair of
-product branches.
+product branches.  The no-go certificate is timed at n = 4 to 256, where
+its dense solve grows cubically, and each CLI subcommand once in process
+on small inputs.
 """
 
 import functools
@@ -17,9 +19,10 @@ import functools
 import numpy as np
 import pytest
 
-from waylab import ObjectState, build_canonical_scheme, tensor
+from waylab import ObjectState, build_canonical_scheme, cli, tensor
 from waylab.generalized import BranchSpec, classify
 from waylab.graded import BlockMap, GradedVector, check_conserving, orthogonality_transfer_check
+from waylab.nogo import infeasibility_certificate
 from waylab.scheme import ApproxScheme, interaction_blocks
 
 SIZES = [10**3, 10**4]
@@ -121,3 +124,25 @@ def test_classify_case1_pair(benchmark):
     minus = BranchSpec(GradedVector(2, {0: [0.45, 0.4375**0.5], 1: [0.0, -0.6]}), app)
     verdict = benchmark(classify, plus, minus)
     assert verdict.kind == "Case1" and verdict.branch_overlap < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_infeasibility_certificate(benchmark, n):
+    assert benchmark(infeasibility_certificate, n).min_violation > 0
+
+
+CLI_CASES = {
+    "build": ["build", "--n", "1000", "--out", "{dir}/built.json"],
+    "validate": ["validate", "--scheme", "{dir}/scheme.json"],
+    "optimize": ["optimize", "--n", "1000", "--out", "{dir}/opt.json"],
+    "sweep": ["sweep", "--n-min", "4", "--n-max", "256", "--geometric", "--out", "{dir}/s.csv"],
+    "sample": ["sample", "--scheme", "{dir}/scheme.json", "--state", "plus", "--shots", "10000"],
+    "nogo": ["nogo", "--n", "16"],
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_CASES))
+def test_cli(benchmark, tmp_path, command):
+    (tmp_path / "scheme.json").write_text(build_canonical_scheme(1000).to_json(indent=2))
+    argv = [arg.format(dir=tmp_path) for arg in CLI_CASES[command]]
+    assert benchmark(cli.run, argv).exit_code == 0

@@ -1,9 +1,10 @@
 """Batch front door: build, validate, optimize, sweep, sample, nogo.
 
-Every subcommand is deterministic for a fixed ``--seed`` (omitting the
-flag means the documented default seed 7, never entropy), artifacts are
-written atomically (temp file + rename), and CSV output uses ``.``
-decimals and ``\\n`` line endings regardless of locale.
+Every subcommand is deterministic: ``sample`` is the only one that draws
+random numbers, all from its ``--seed`` (omitting the flag means the
+documented default seed 7, never entropy).  Artifacts are written
+atomically (temp file + rename), and CSV output uses ``.`` decimals and
+``\\n`` line endings regardless of locale.
 
 Exit codes: 0 success, 1 domain or validation failure, 2 usage error.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from .born import counts_to_csv, sample_outcomes, three_outcome_stats
 from .graded import DEFAULT_TOL, ObjectState
 from .nogo import infeasibility_certificate, rotated_basis_residual
-from .optimize import OptimizerOptions, fit_scaling, optimize_scheme, sweep
+from .optimize import fit_scaling, optimize_scheme, sweep
 from .scheme import ApproxScheme, build_canonical_scheme, scheme_error, validate_scheme
 
 DEFAULT_SEED = 7
@@ -48,16 +49,17 @@ def _atomic_write(path, text):
     return path
 
 
-def _parse_complex_pair(text):
+def _parse_pair(text, convert):
+    """Exactly two comma-separated values, each read by ``convert``."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
-            f"expected two comma-separated amplitudes, got {text!r}"
+            f"expected two comma-separated values, got {text!r}"
         )
     try:
-        return complex(parts[0]), complex(parts[1])
+        return convert(parts[0]), convert(parts[1])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad amplitude in {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad value in {text!r}: {exc}") from exc
 
 
 def _parse_state(text):
@@ -65,8 +67,12 @@ def _parse_state(text):
         return ObjectState(2**-0.5, 2**-0.5)
     if text == "minus":
         return ObjectState(2**-0.5, -(2**-0.5))
-    amp0, amp1 = _parse_complex_pair(text)
-    return ObjectState(amp0, amp1)
+    return ObjectState(*_parse_pair(text, complex))
+
+
+def _parse_amplitude(text):
+    """One complex amplitude written as ``"re,im"``."""
+    return complex(*_parse_pair(text, float))
 
 
 def _build_parser():
@@ -88,14 +94,6 @@ def _build_parser():
     p_opt = sub.add_parser("optimize", help="write an error-optimized scheme as JSON")
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--d", type=int, default=2)
-    p_opt.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="accepted and ignored: the scheme is built in closed form",
-    )
-    p_opt.add_argument(
-        "--max-iters", type=int, default=40,
-        help="accepted and ignored: the scheme is built in closed form",
-    )
     p_opt.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="optimize a range of sizes, write CSV")
@@ -104,10 +102,6 @@ def _build_parser():
     p_sweep.add_argument(
         "--geometric", action="store_true", help="double n from n-min up to n-max"
     )
-    p_sweep.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="accepted and ignored: each scheme is built in closed form",
-    )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_sample = sub.add_parser("sample", help="sample pointer readouts, print counts CSV")
@@ -115,6 +109,7 @@ def _build_parser():
     p_sample.add_argument(
         "--state",
         required=True,
+        type=_parse_state,
         help='"plus", "minus", or two comma-separated complex amplitudes "a,b"',
     )
     p_sample.add_argument("--shots", type=int, required=True)
@@ -124,8 +119,8 @@ def _build_parser():
         "nogo", help="print the exact-measurement infeasibility certificate"
     )
     p_nogo.add_argument("--n", type=int, required=True)
-    p_nogo.add_argument("--alpha", help='object amplitude "re,im"')
-    p_nogo.add_argument("--beta", help='object amplitude "re,im"')
+    p_nogo.add_argument("--alpha", type=_parse_amplitude, help='object amplitude "re,im"')
+    p_nogo.add_argument("--beta", type=_parse_amplitude, help='object amplitude "re,im"')
     return parser
 
 
@@ -152,8 +147,7 @@ def _cmd_validate(args):
 
 
 def _cmd_optimize(args):
-    opts = OptimizerOptions(max_iters=args.max_iters, seed=args.seed)
-    scheme = optimize_scheme(args.n, args.d, opts)
+    scheme = optimize_scheme(args.n, args.d)
     _atomic_write(args.out, scheme.to_json(indent=2) + "\n")
     return CommandResult(
         0,
@@ -164,6 +158,9 @@ def _cmd_optimize(args):
 
 
 def _cmd_sweep(args):
+    if args.n_min < 2:
+        # doubling from n-min <= 0 never passes n-max
+        raise ValueError(f"--n-min must be >= 2, got {args.n_min}")
     if args.geometric:
         n_values = []
         n = args.n_min
@@ -172,8 +169,7 @@ def _cmd_sweep(args):
             n *= 2
     else:
         n_values = list(range(args.n_min, args.n_max + 1))
-    opts = OptimizerOptions(seed=args.seed)
-    table = sweep(n_values, opts=opts)
+    table = sweep(n_values)
     _atomic_write(args.out, table.to_csv())
     if len(table.rows) >= 3:
         slope, _, r2 = fit_scaling(table)
@@ -189,8 +185,7 @@ def _cmd_sweep(args):
 def _cmd_sample(args):
     with open(args.scheme) as handle:
         scheme = ApproxScheme.from_json(handle.read())
-    state = _parse_state(args.state)
-    dist = three_outcome_stats(scheme, state)
+    dist = three_outcome_stats(scheme, args.state)
     counts = sample_outcomes(dist, args.shots, args.seed)
     return CommandResult(0, [], counts_to_csv(counts, dist).rstrip("\n"))
 
@@ -201,9 +196,7 @@ def _cmd_nogo(args):
     if args.alpha is None:
         cert = infeasibility_certificate(args.n)
     else:
-        alpha = complex(*map(float, args.alpha.split(",")))
-        beta = complex(*map(float, args.beta.split(",")))
-        cert = rotated_basis_residual(args.n, ObjectState(alpha, beta))
+        cert = rotated_basis_residual(args.n, ObjectState(args.alpha, args.beta))
     return CommandResult(0, [], cert.to_json(indent=2))
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graded
 from .graded import ConstraintReport, ObjectState
 from .optimize import OptimizationError
 
@@ -238,7 +239,17 @@ def _solve_min_violation(n, m, delta):
 
     One minimum-norm solve; its value is the minimum over nonnegative
     squared norms exactly when the check below passes (module docstring).
+    Sizes whose dense ``(4n + 9) x 5n`` system would exceed the graded
+    window limit are refused before anything is allocated.
     """
+    if n < 1:
+        raise ValueError(f"support size must be >= 1, got {n}")
+    rows, cols = 4 * n + 9, 5 * n
+    if rows * cols > graded._MAX_WINDOW_ENTRIES:
+        raise ValueError(
+            f"support size n = {n} needs a dense {rows} x {cols} system, more "
+            f"than {graded._MAX_WINDOW_ENTRIES} entries"
+        )
     a_mat, rhs = _build_system(n, m, delta)
     w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
     data = ExactSchemeData(n, *w.reshape(5, n))
@@ -269,12 +280,14 @@ def project_to_unitarity(data):
     return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))
 
 
-def derive_witness(n, m=0.25, delta=0.0):
+def derive_witness(n, m=0.25):
     """Symbolic inconsistency derivation for window size ``n``.
 
     Walks the constraint recursions literally (no numerics) and reports
-    the forced conclusions step by step.  For the degenerate basis
-    ``m = 0`` the orthogonality rows vanish and no contradiction arises.
+    the forced conclusions step by step.  The steps depend on the basis
+    only through whether the mixing weight ``m`` is zero: for the
+    degenerate basis ``m = 0`` the orthogonality rows vanish and no
+    contradiction arises.
     """
     if m == 0.0:
         return (
@@ -321,8 +334,6 @@ def infeasibility_certificate(n):
     ``n``-window minimizer embeds into the ``n+1`` window), and achieved
     by the returned minimizer.
     """
-    if n < 1:
-        raise ValueError(f"support size must be >= 1, got {n}")
     value, data = _solve_min_violation(n, 0.25, 0.0)
     return InfeasibilityCertificate(
         n=n,
@@ -343,8 +354,6 @@ def rotated_basis_residual(n, obj):
     :func:`infeasibility_certificate` at ``|alpha| = |beta|``, and is
     exactly zero for an eigenbasis of the conserved quantity.
     """
-    if n < 1:
-        raise ValueError(f"support size must be >= 1, got {n}")
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized()
@@ -355,6 +364,6 @@ def rotated_basis_residual(n, obj):
         n=n,
         min_violation=value,
         minimizer=data,
-        witness=derive_witness(n, m=m, delta=delta),
+        witness=derive_witness(n, m=m),
         mix=(m, delta),
     )

@@ -81,22 +81,19 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Settings for :func:`optimize_scheme`; all fields must be positive.
+    """Acceptance tolerances for :func:`optimize_scheme`; both must be positive.
 
     ``tol_constraint`` bounds the validated constraint residual and
     ``tol_objective`` the gap between the built scheme's error and the
-    closed form ``E(n)``.  ``max_iters``, ``starts`` and ``seed`` are
-    accepted and ignored: the scheme is built without a search.
+    closed form ``E(n)``; a scheme outside either raises
+    :class:`OptimizationError`.
     """
 
-    max_iters: int = 40
     tol_constraint: float = 1e-8
     tol_objective: float = 1e-10
-    starts: int = 8
-    seed: int = 7
 
     def __post_init__(self):
-        for name in ("max_iters", "tol_constraint", "tol_objective", "starts", "seed"):
+        for name in ("tol_constraint", "tol_objective"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import waylab
 from waylab.cli import run
 from waylab.optimize import SweepTable
 from waylab.scheme import ApproxScheme, build_canonical_scheme
@@ -17,6 +22,35 @@ from waylab.scheme import ApproxScheme, build_canonical_scheme
 def read(path):
     with open(path) as handle:
         return handle.read()
+
+
+_GUARDED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from waylab.cli import run
+result = run(sys.argv[1:])
+print(result.exit_code)
+print(result.summary)
+"""
+
+
+def run_guarded(argv):
+    """``(exit code, summary)`` of ``run(argv)`` in a child process.
+
+    The child gets 1 GiB of address space and 60 s, so an input that
+    makes the CLI loop or allocate without bound fails the test instead
+    of exhausting the machine.
+    """
+    src = Path(waylab.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _GUARDED, *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, _, summary = done.stdout.partition("\n")
+    return code, summary
 
 
 class TestBuild:
@@ -82,9 +116,7 @@ class TestValidate:
 class TestOptimizeAndSweep:
     def test_optimize_writes_scheme(self, tmp_path):
         out = tmp_path / "opt.json"
-        result = run(
-            ["optimize", "--n", "4", "--seed", "3", "--max-iters", "25", "--out", str(out)]
-        )
+        result = run(["optimize", "--n", "4", "--out", str(out)])
         assert result.exit_code == 0
         scheme = ApproxScheme.from_json(read(out))
         assert scheme.n == 4
@@ -102,11 +134,35 @@ class TestOptimizeAndSweep:
 
     def test_sweep_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        ra = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(a)])
-        rb = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--seed", "9", "--out", str(b)])
+        ra = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--out", str(a)])
+        rb = run(["sweep", "--n-min", "2", "--n-max", "4", "--geometric", "--out", str(b)])
         assert ra.exit_code == 0
         assert rb.exit_code == 0
         assert read(a) == read(b)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--n", "4", "--seed", "7"],
+            ["optimize", "--n", "4", "--max-iters", "40"],
+            ["sweep", "--n-min", "2", "--n-max", "4", "--seed", "7"],
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]).exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_min", ["0", "-3"])
+    def test_geometric_sweep_refuses_n_min_below_2(self, tmp_path, n_min):
+        # doubling from n-min <= 0 never passes n-max, hence the guard
+        out = tmp_path / "sweep.csv"
+        code, summary = run_guarded(
+            ["sweep", "--n-min", n_min, "--n-max", "8", "--geometric", "--out", str(out)]
+        )
+        assert code == "1"
+        assert ">= 2" in summary
+        assert not out.exists()
 
 
 class TestSample:
@@ -266,6 +322,19 @@ class TestNogo:
         result = run(["nogo", "--n", "2", "--alpha", "1,0"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("value", ["1,2,3", "abc", "1", "1,x"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_malformed_amplitude_is_usage_error(self, capsys, flag, value):
+        argv = ["nogo", "--n", "2", "--alpha", "1,0", "--beta", "0,0"]
+        argv[argv.index(flag) + 1] = value
+        assert run(argv).exit_code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_oversized_system_is_domain_error(self):
+        code, summary = run_guarded(["nogo", "--n", "100000"])
+        assert code == "1"
+        assert "entries" in summary
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self):
@@ -273,6 +342,16 @@ class TestUsage:
 
     def test_missing_subcommand_exits_2(self):
         assert run([]).exit_code == 2
+
+    @pytest.mark.parametrize("value", ["1,2,3", "abc", "1,x"])
+    def test_malformed_state_is_usage_error(self, tmp_path, capsys, value):
+        scheme_file = tmp_path / "s.json"
+        run(["build", "--n", "2", "--out", str(scheme_file)])
+        result = run(
+            ["sample", "--scheme", str(scheme_file), "--state", value, "--shots", "10"]
+        )
+        assert result.exit_code == 2
+        assert "argument --state: " in capsys.readouterr().err
 
     def test_unnormalized_state_is_domain_error(self, tmp_path):
         scheme_file = tmp_path / "s.json"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import waylab
-from waylab import nogo
+from waylab import graded, nogo
 from waylab.graded import ObjectState
 from waylab.nogo import (
     ExactSchemeData,
@@ -179,6 +179,16 @@ class TestInfeasibilityCertificate:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             infeasibility_certificate(0)
+
+    def test_system_size_limit_counts_entries(self, monkeypatch):
+        # the dense system has (4n + 9) x 5n entries: 170 at n = 2, 315 at n = 3
+        monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 170)
+        assert infeasibility_certificate(2).min_violation > 0
+        monkeypatch.setattr(nogo, "_build_system", None)  # refused before any allocation
+        with pytest.raises(ValueError, match="170 entries"):
+            infeasibility_certificate(3)
+        with pytest.raises(ValueError, match="170 entries"):
+            rotated_basis_residual(3, ObjectState(0.8, 0.6))
 
 
 class TestBoundedOracle:

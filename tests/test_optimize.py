@@ -16,8 +16,6 @@ from waylab.scheme import scheme_error, validate_scheme
 
 from oracles import local_min_scheme_errors, ols_loglog_slope
 
-FAST = OptimizerOptions(max_iters=30, starts=2, seed=7)
-
 
 def exact_error(n):
     """``E(n) = (1 - cos t)/(3 + cos t)``, ``t = pi/(ceil(n/2) + 1)``, at mpmath precision."""
@@ -27,23 +25,22 @@ def exact_error(n):
 
 class TestOptimizeScheme:
     def test_never_worse_than_canonical_n2(self):
-        s = optimize_scheme(2, opts=FAST)
+        s = optimize_scheme(2)
         assert scheme_error(s) <= 1 / 3 + 1e-10
 
     def test_beats_canonical_n16(self):
-        s = optimize_scheme(16, opts=FAST)
+        s = optimize_scheme(16)
         assert scheme_error(s) < 1 / 31
         # independent re-validation of the returned scheme
-        assert validate_scheme(s).max_residual <= FAST.tol_constraint
+        assert validate_scheme(s).max_residual <= OptimizerOptions().tol_constraint
 
     def test_deterministic_for_fixed_seed(self):
-        opts = OptimizerOptions(max_iters=30, starts=1, seed=123)
-        a = optimize_scheme(4, opts=opts)
-        b = optimize_scheme(4, opts=opts)
+        a = optimize_scheme(4)
+        b = optimize_scheme(4)
         assert a == b
 
     def test_objective_recompute_matches(self):
-        s = optimize_scheme(8, opts=FAST)
+        s = optimize_scheme(8)
         assert s.cprime == pytest.approx(scheme_error(s), abs=1e-10)
 
     def test_rejects_small_n(self):
@@ -51,8 +48,10 @@ class TestOptimizeScheme:
             optimize_scheme(1)
 
     def test_option_validation(self):
-        with pytest.raises(ValueError, match="starts"):
-            OptimizerOptions(starts=0)
+        with pytest.raises(ValueError, match="tol_constraint"):
+            OptimizerOptions(tol_constraint=0)
+        with pytest.raises(ValueError, match="tol_objective"):
+            OptimizerOptions(tol_objective=-1)
 
     def test_error_is_closed_form(self):
         with mpmath.workdps(50):
@@ -76,18 +75,18 @@ class TestOptimizeScheme:
 
 class TestSweep:
     def test_single_row(self):
-        table = sweep([2], opts=FAST)
+        table = sweep([2])
         assert len(table.rows) == 1
         assert table.rows[0].error_wigner == pytest.approx(1 / 3)
         assert table.rows[0].error_optimized <= 1 / 3 + 1e-10
 
     def test_rows_non_increasing(self):
-        table = sweep([4, 8, 16], opts=FAST)
+        table = sweep([4, 8, 16])
         errs = [r.error_optimized for r in table.rows]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
         for r in table.rows:
             assert r.error_optimized <= r.error_wigner + 1e-10
-            assert r.constraint_residual <= FAST.tol_constraint
+            assert r.constraint_residual <= OptimizerOptions().tol_constraint
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -97,9 +96,7 @@ class TestSweep:
         # an unattainable constraint tolerance fails the row, which falls
         # back to the canonical scheme and carries a note instead of
         # aborting the sweep
-        impossible = OptimizerOptions(
-            max_iters=10, starts=1, seed=1, tol_constraint=1e-300
-        )
+        impossible = OptimizerOptions(tol_constraint=1e-300)
         table = sweep([2], opts=impossible)
         row = table.rows[0]
         assert row.note != ""
@@ -109,20 +106,18 @@ class TestSweep:
         from waylab.optimize import OptimizationError
         from waylab.scheme import ApproxScheme
 
-        impossible = OptimizerOptions(
-            max_iters=10, starts=1, seed=1, tol_constraint=1e-300
-        )
+        impossible = OptimizerOptions(tol_constraint=1e-300)
         with pytest.raises(OptimizationError) as excinfo:
             optimize_scheme(2, opts=impossible)
         assert isinstance(excinfo.value.best, ApproxScheme)
 
     def test_fixed_seed_bit_identical_csv(self):
-        a = sweep([4, 8], opts=FAST).to_csv()
-        b = sweep([4, 8], opts=FAST).to_csv()
+        a = sweep([4, 8]).to_csv()
+        b = sweep([4, 8]).to_csv()
         assert a == b
 
     def test_csv_round_trip(self):
-        table = sweep([4], opts=FAST)
+        table = sweep([4])
         again = SweepTable.from_csv(table.to_csv())
         assert again.rows[0].n == 4
         assert again.rows[0].error_optimized == table.rows[0].error_optimized
