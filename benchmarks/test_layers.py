@@ -1,4 +1,4 @@
-"""Per-layer micro-timings of the block-map, scheme-JSON, classifier and no-go layers, and of the CLI.
+"""Per-layer micro-timings of the graded, block-map, scheme, readout, classifier and no-go layers, and of the CLI.
 
 Run from the repository root with
 
@@ -9,9 +9,10 @@ run does not collect it, and no performance claim rests on it: the
 benchmark of record is ``perfbench/``.  Each case times one call on
 inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors and one Case 1 pair of
-product branches.  The no-go certificate is timed at n = 4 to 256, where
-its dense solve grows cubically, and each CLI subcommand once in process
-on small inputs.
+product branches.  Building, validating and reading out the canonical
+scheme are timed at n = 10^2 to 10^5.  The no-go system assembly and
+certificate are timed at n = 4 to 256, where the dense solve grows
+cubically, and each CLI subcommand once in process on small inputs.
 """
 
 import functools
@@ -19,13 +20,22 @@ import functools
 import numpy as np
 import pytest
 
-from waylab import ObjectState, build_canonical_scheme, cli, tensor
+from waylab import ObjectState, build_canonical_scheme, cli, tensor, three_outcome_stats
 from waylab.generalized import BranchSpec, classify
-from waylab.graded import BlockMap, GradedVector, check_conserving, orthogonality_transfer_check
-from waylab.nogo import infeasibility_certificate
-from waylab.scheme import ApproxScheme, interaction_blocks
+from waylab.graded import (
+    BlockMap,
+    GradedVector,
+    check_conserving,
+    inner,
+    orthogonality_transfer_check,
+)
+from waylab.nogo import _build_system, infeasibility_certificate
+from waylab.scheme import ApproxScheme, interaction_blocks, validate_scheme
 
 SIZES = [10**3, 10**4]
+SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
+NOGO_SIZES = [4, 16, 64, 256]
+PLUS = ObjectState(2**-0.5, 2**-0.5)
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,6 +60,42 @@ def three_sector_case():
         for _ in range(2)
     ]
     return m, inputs
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_graded_add(benchmark, n):
+    # rho and tau sit on windows two sectors apart
+    s = scheme_case(n)[0]
+    benchmark(s.rho.__add__, s.tau)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_graded_inner(benchmark, n):
+    s = scheme_case(n)[0]
+    benchmark(inner, s.rho, s.tau)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_graded_norm2(benchmark, n):
+    s = scheme_case(n)[0]
+    assert benchmark(s.xi.norm2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", SCALE_SIZES)
+def test_build_canonical_scheme(benchmark, n):
+    benchmark(build_canonical_scheme, n)
+
+
+@pytest.mark.parametrize("n", SCALE_SIZES)
+def test_validate_scheme(benchmark, n):
+    s = build_canonical_scheme(n)
+    assert benchmark(validate_scheme, s).passed()
+
+
+@pytest.mark.parametrize("n", SCALE_SIZES)
+def test_three_outcome_stats(benchmark, n):
+    s = build_canonical_scheme(n)
+    benchmark(three_outcome_stats, s, PLUS)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -126,7 +172,12 @@ def test_classify_case1_pair(benchmark):
     assert verdict.kind == "Case1" and verdict.branch_overlap < 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("n", NOGO_SIZES)
+def test_build_system(benchmark, n):
+    benchmark(_build_system, n, 0.25, 0.0)
+
+
+@pytest.mark.parametrize("n", NOGO_SIZES)
 def test_infeasibility_certificate(benchmark, n):
     assert benchmark(infeasibility_certificate, n).min_violation > 0
 

@@ -58,8 +58,9 @@ class Observable:
         if len(set(eigenvalues)) != len(eigenvalues):
             raise ValueError("eigenvalues must be distinct (merge degenerate families)")
         stacked = np.hstack(spaces)
-        gram = stacked.conj().T @ stacked
-        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > tol:
+        with np.errstate(invalid="ignore"):  # non-finite entries fail the check below
+            gram = stacked.conj().T @ stacked
+        if not np.max(np.abs(gram - np.eye(gram.shape[0]))) <= tol:
             raise ValueError("eigenvectors must be orthonormal across all families")
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenspaces", tuple(spaces))
@@ -128,7 +129,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     """
     phi = np.asarray(phi, dtype=np.complex128)
     norm2 = float(np.vdot(phi, phi).real)
-    if abs(norm2 - 1.0) > tol:
+    if not abs(norm2 - 1.0) <= tol:
         raise ValueError(f"state must be normalized, got |phi|^2 = {norm2!r}")
     outcomes = []
     projected = np.zeros_like(phi)

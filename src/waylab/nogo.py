@@ -18,6 +18,13 @@ pin those constants to zero, and ``sum t = 1`` then fails.  This module
 measures the minimal violation and produces the symbolic derivation as a
 certificate.
 
+:func:`_unitarity_rows` states the system once: per sector ``nu = 1..n+1``
+two norm balances and the two parts of the image orthogonality, linear in
+the data at ``nu`` and ``nu - 1``; five normalization sums complete it.
+:func:`exact_constraint_residual` evaluates the rows on data, and
+:func:`_build_system` evaluates them on the five unit one-sector data
+sets to read off the 4x5 stencils of the data at ``nu`` and ``nu - 1``.
+
 The minimal violation is ``min |A w - r|^2`` over the data ``w`` whose
 squared norms ``x, s, t`` are nonnegative.  One unconstrained solve gives
 it exactly: the unconstrained minimum over all ``w`` is at most the
@@ -133,14 +140,37 @@ class InfeasibilityCertificate:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _unitarity_rows(w, m, delta):
+    """Signed unitarity rows of every sector ``nu = 1..n+1``, shape ``(..., 4, n + 1)``.
+
+    ``w`` holds ``(x, s, t, a, b)`` on axis ``-2`` and sectors ``1..n`` on
+    the last axis.  Per sector: the norm balances of the images of
+    ``psi0 xi_nu`` and ``psi1 xi_{nu-1}``, then the real and imaginary
+    parts of their orthogonality.
+    """
+    pad = np.zeros(w.shape[:-1] + (w.shape[-1] + 2,))
+    pad[..., 1:-1] = w
+    x, s, t, a, b = np.moveaxis(pad[..., 1:], -2, 0)  # at nu
+    xb, sb, tb, ab, bb = np.moveaxis(pad[..., :-1], -2, 0)  # at nu - 1
+    g, c = 2.0 * np.sqrt(m), 0.5 * (1.0 - 4.0 * m)
+    return np.stack(
+        [
+            x - 0.5 * s - c * t - delta * a - 2.0 * m * tb,
+            xb - 2.0 * m * t - 0.5 * sb - c * tb + delta * ab,
+            g * a + g * ab + g * delta * t - g * delta * tb,
+            g * b - g * bb,
+        ],
+        axis=-2,
+    )
+
+
 def exact_constraint_residual(data):
     """Named residuals of the exact-measurement system for ``data``.
 
-    Per sector (window ``1..n+1``): the two unitarity norm balances for
-    the object-charge-0 and object-charge-1 inputs, and the real and
-    imaginary parts of the image-orthogonality chain.  Globally: the
-    normalization sums of ``x``, ``s``, ``t`` against 1 and of ``a``,
-    ``b`` against 0.
+    Per sector (window ``1..n+1``): the four unitarity rows of the
+    standard basis (``m = 1/4``, ``delta = 0``), the two norm balances
+    and the two orthogonality parts.  Globally: the normalization sums of
+    ``x``, ``s``, ``t`` against 1 and of ``a``, ``b`` against 0.
     """
     for name in ("x", "s", "t"):
         arr = getattr(data, name)
@@ -150,28 +180,16 @@ def exact_constraint_residual(data):
                 f"{name}[{nu}] = {arr[nu - 1]!r} is negative; squared norms "
                 f"must be nonnegative"
             )
-    # index nu of a padded copy is the value at nu, zero outside 1..n
-    x, s, t, a, b = (
-        np.concatenate(([0.0], getattr(data, name), [0.0]))
-        for name in ("x", "s", "t", "a", "b")
-    )
-    rows = np.abs(
-        np.stack(
-            [
-                x[1:] - 0.5 * s[1:] - 0.5 * t[:-1],
-                x[:-1] - 0.5 * t[1:] - 0.5 * s[:-1],
-                a[1:] + a[:-1],
-                b[1:] - b[:-1],
-            ],
-            axis=1,
-        )
-    )
+    w = np.stack([data.x, data.s, data.t, data.a, data.b])
+    # a non-finite entry gives NaN rows (0 * inf), which report FAIL without warning
+    with np.errstate(invalid="ignore"):
+        rows = np.abs(_unitarity_rows(w, 0.25, 0.0))
     ids = [
         f"{kind}[{nu}]"
         for nu in range(1, data.n + 2)
         for kind in ("unitary-norm0", "unitary-norm1", "unitary-ortho-re", "unitary-ortho-im")
     ]
-    entries = list(zip(ids, rows.ravel().tolist()))
+    entries = list(zip(ids, rows.T.ravel().tolist()))
     entries.append(("sum-x", abs(float(np.sum(data.x)) - 1.0)))
     entries.append(("sum-s", abs(float(np.sum(data.s)) - 1.0)))
     entries.append(("sum-t", abs(float(np.sum(data.t)) - 1.0)))
@@ -185,57 +203,24 @@ def _build_system(n, m, delta):
 
     Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``;
     the per-sector unitarity rows come first, four per ``nu = 1..n+1``,
-    then the five normalization sums.
+    then the five normalization sums.  Row ``4 (nu - 1) + j`` holds
+    ``here[j, k]`` in column ``k n + nu - 1``, ``before[j, k]`` in ``k n + nu - 2``.
     """
-    def ix(k, nu):
-        return k * n + (nu - 1)
-
-    rows, rhs = [], []
-
-    def row(coeffs, target):
-        r = np.zeros(5 * n)
-        for (k, nu), v in coeffs.items():
-            if 1 <= nu <= n:
-                r[ix(k, nu)] += v
-        rows.append(r)
-        rhs.append(target)
-
-    g = 2.0 * np.sqrt(m)
-    for nu in range(1, n + 2):
-        # |image(psi0 xi_nu)|^2 = x_nu
-        row(
-            {
-                (0, nu): 1.0,
-                (1, nu): -0.5,
-                (2, nu): -0.5 * (1.0 - 4.0 * m),
-                (3, nu): -delta,
-                (2, nu - 1): -2.0 * m,
-            },
-            0.0,
-        )
-        # |image(psi1 xi_{nu-1})|^2 = x_{nu-1}
-        row(
-            {
-                (0, nu - 1): 1.0,
-                (2, nu): -2.0 * m,
-                (1, nu - 1): -0.5,
-                (2, nu - 1): -0.5 * (1.0 - 4.0 * m),
-                (3, nu - 1): delta,
-            },
-            0.0,
-        )
-        # orthogonality of the two images, real and imaginary parts
-        row({(3, nu): g, (3, nu - 1): g, (2, nu): g * delta, (2, nu - 1): -g * delta}, 0.0)
-        row({(4, nu): g, (4, nu - 1): -g}, 0.0)
-
-    for k, target in ((0, 1.0), (1, 1.0), (2, 1.0), (3, 0.0), (4, 0.0)):
-        row({(k, nu): 1.0 for nu in range(1, n + 1)}, target)
-
-    return np.vstack(rows), np.asarray(rhs)
+    # unit data set k: variable k is 1 in sector 1; its rows at nu = 1, 2
+    unit = _unitarity_rows(np.eye(5)[:, :, None], m, delta)
+    here, before = unit[:, :, 0].T, unit[:, :, 1].T
+    a_mat = np.zeros((4 * n + 9, 5 * n))
+    i = np.arange(n)
+    a_mat[: 4 * n].reshape(n, 4, 5, n)[i, :, :, i] = here
+    a_mat[4 : 4 * n + 4].reshape(n, 4, 5, n)[i, :, :, i] = before
+    a_mat[4 * n + 4 :].reshape(5, 5, n)[range(5), range(5)] = 1.0
+    rhs = np.zeros(4 * n + 9)
+    rhs[4 * n + 4 : 4 * n + 7] = 1.0
+    return a_mat, rhs
 
 
-def _solve_min_violation(n, m, delta):
-    """Least-squares violation of the (rotated) exact system.
+def _certificate(n, m, delta):
+    """Certificate of the exact system with mixing parameters ``(m, delta)``.
 
     One minimum-norm solve; its value is the minimum over nonnegative
     squared norms exactly when the check below passes (module docstring).
@@ -261,7 +246,13 @@ def _solve_min_violation(n, m, delta):
             best=data,
         )
     r = a_mat @ w - rhs
-    return float(r @ r), data
+    return InfeasibilityCertificate(
+        n=n,
+        min_violation=float(r @ r),
+        minimizer=data,
+        witness=derive_witness(n, m=m),
+        mix=(m, delta),
+    )
 
 
 def project_to_unitarity(data):
@@ -334,14 +325,7 @@ def infeasibility_certificate(n):
     ``n``-window minimizer embeds into the ``n+1`` window), and achieved
     by the returned minimizer.
     """
-    value, data = _solve_min_violation(n, 0.25, 0.0)
-    return InfeasibilityCertificate(
-        n=n,
-        min_violation=value,
-        minimizer=data,
-        witness=derive_witness(n),
-        mix=(0.25, 0.0),
-    )
+    return _certificate(n, 0.25, 0.0)
 
 
 def rotated_basis_residual(n, obj):
@@ -359,11 +343,4 @@ def rotated_basis_residual(n, obj):
     obj.require_normalized()
     m = (abs(obj.amp0) * abs(obj.amp1)) ** 2
     delta = abs(obj.amp0) ** 2 - abs(obj.amp1) ** 2
-    value, data = _solve_min_violation(n, m, delta)
-    return InfeasibilityCertificate(
-        n=n,
-        min_violation=value,
-        minimizer=data,
-        witness=derive_witness(n, m=m),
-        mix=(m, delta),
-    )
+    return _certificate(n, m, delta)

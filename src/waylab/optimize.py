@@ -61,6 +61,7 @@ import numpy as np
 from .graded import GradedVector
 from .scheme import (
     ApproxScheme,
+    _require_size,
     build_canonical_scheme,
     scheme_error,
     validate_scheme,
@@ -190,6 +191,7 @@ def _checked_scheme(n, d, opts):
         raise ValueError(f"optimization needs n >= 2, got {n}")
     if d < 2:
         raise ValueError(f"per-sector dimension must be >= 2, got {d}")
+    _require_size(n, d)
     opts = opts or OptimizerOptions()
     scheme = _smooth_profile_scheme(n, d)
     report = validate_scheme(scheme)
@@ -233,6 +235,7 @@ def sweep(n_values, d=2, opts=None):
         raise ValueError("n_values must be nonempty")
     if any(n < 2 for n in n_values):
         raise ValueError("every swept size must be >= 2")
+    _require_size(max(n_values), d)  # the largest size bounds every window
     rows = []
     for n in n_values:
         baseline = 1.0 / (2.0 * n - 1.0)

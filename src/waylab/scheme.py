@@ -24,6 +24,7 @@ tau`` and the error vector ``2 eta = tau - rho`` (its partner is
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import graded
 from .graded import (
     DEFAULT_TOL,
     BlockMap,
@@ -113,7 +115,14 @@ class ApproxScheme:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        # the parsed lists and dicts hold no cycles, so a collection finds nothing
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls.from_dict(json.loads(text))
+        finally:
+            if enabled:
+                gc.enable()
 
 
 #: Parser of each field of the JSON form of a scheme.
@@ -160,6 +169,15 @@ def canonical_weights(n):
     return c, cprime
 
 
+def _require_size(n, d):
+    """Refuse ``n`` before any build if its windows (sectors ``-2..n+3``) pass the entry limit."""
+    if (n + 6) * d > graded._MAX_WINDOW_ENTRIES:
+        raise ValueError(
+            f"apparatus size n = {n} at dimension {d} needs windows of {n + 6} "
+            f"sectors, more than {graded._MAX_WINDOW_ENTRIES} entries"
+        )
+
+
 def build_canonical_scheme(n, d=2):
     """Construct the canonical scheme of apparatus size ``n``.
 
@@ -182,6 +200,7 @@ def build_canonical_scheme(n, d=2):
             f"per-sector dimension must be >= 2 so sigma and tau can be "
             f"orthogonal within a sector, got {d}"
         )
+    _require_size(n, d)
     c_frac, cp_frac = canonical_weights(n)
     c, cp = float(c_frac), float(cp_frac)
     e0, e1 = np.eye(d)[:2]

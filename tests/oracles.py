@@ -5,9 +5,13 @@ constraint residuals with literal per-equation loops (no shared code
 with the production matrix assembly) and minimizes by coarse enumeration
 plus quasi-Newton polish from many seeded starts.  The production path
 uses one minimum-norm least-squares solve; the oracle deliberately does
-not.  ``bounded_min_violation`` is the float cross-check of that solve:
-the bounded linear least-squares problem over the same matrix, solved with
-the nonnegativity bounds imposed instead of checked afterwards.
+not.  ``build_system_by_rows`` is the exact system's matrix as it was
+assembled before ``waylab.nogo`` read it from one row function: one row
+at a time from per-row coefficient dicts.  ``bounded_min_violation`` is
+the float cross-check of the production solve: it builds its own matrix
+with ``build_system_by_rows`` and solves the bounded linear least-squares
+problem with the nonnegativity bounds imposed instead of checked
+afterwards, so it shares no code with the solve it checks.
 ``constraint_entries_by_loops`` is the exact-system residual report as it
 was before it was evaluated with array expressions.
 
@@ -79,17 +83,69 @@ def constraint_entries_by_loops(data):
     return tuple(entries)
 
 
+def build_system_by_rows(n, m, delta):
+    """Linear system ``A w = rhs`` of the (rotated) exact constraints.
+
+    Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``;
+    the per-sector unitarity rows come first, four per ``nu = 1..n+1``,
+    then the five normalization sums.
+    """
+    def ix(k, nu):
+        return k * n + (nu - 1)
+
+    rows, rhs = [], []
+
+    def row(coeffs, target):
+        r = np.zeros(5 * n)
+        for (k, nu), v in coeffs.items():
+            if 1 <= nu <= n:
+                r[ix(k, nu)] += v
+        rows.append(r)
+        rhs.append(target)
+
+    g = 2.0 * np.sqrt(m)
+    for nu in range(1, n + 2):
+        # |image(psi0 xi_nu)|^2 = x_nu
+        row(
+            {
+                (0, nu): 1.0,
+                (1, nu): -0.5,
+                (2, nu): -0.5 * (1.0 - 4.0 * m),
+                (3, nu): -delta,
+                (2, nu - 1): -2.0 * m,
+            },
+            0.0,
+        )
+        # |image(psi1 xi_{nu-1})|^2 = x_{nu-1}
+        row(
+            {
+                (0, nu - 1): 1.0,
+                (2, nu): -2.0 * m,
+                (1, nu - 1): -0.5,
+                (2, nu - 1): -0.5 * (1.0 - 4.0 * m),
+                (3, nu - 1): delta,
+            },
+            0.0,
+        )
+        # orthogonality of the two images, real and imaginary parts
+        row({(3, nu): g, (3, nu - 1): g, (2, nu): g * delta, (2, nu - 1): -g * delta}, 0.0)
+        row({(4, nu): g, (4, nu - 1): -g}, 0.0)
+
+    for k, target in ((0, 1.0), (1, 1.0), (2, 1.0), (3, 0.0), (4, 0.0)):
+        row({(k, nu): 1.0 for nu in range(1, n + 1)}, target)
+
+    return np.vstack(rows), np.asarray(rhs)
+
+
 def bounded_min_violation(n, m=0.25, delta=0.0):
-    """Minimal violation of ``nogo._build_system(n, m, delta)`` with ``x, s, t >= 0`` imposed.
+    """Minimal violation of ``build_system_by_rows(n, m, delta)`` with ``x, s, t >= 0`` imposed.
 
     Uses the bounded-variable active-set method: the default trust-region
     method stops short when the minimum is near rounding level (at
     ``|beta|^2 = 1e-12``, ``n = 64`` it returns 1.1e-15 where the minimum
     is 1.75e-16).
     """
-    from waylab.nogo import _build_system
-
-    a_mat, rhs = _build_system(n, m, delta)
+    a_mat, rhs = build_system_by_rows(n, m, delta)
     lower = np.concatenate([np.zeros(3 * n), np.full(2 * n, -np.inf)])
     res = lsq_linear(
         a_mat, rhs, bounds=(lower, np.full(5 * n, np.inf)), method="bvls", tol=1e-14

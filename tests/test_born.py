@@ -67,10 +67,20 @@ class TestBornDistribution:
         with pytest.raises(ValueError, match="normalized"):
             born_distribution(three_level, 2.0 * basis(3, 0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_state(self, three_level, value):
+        with pytest.raises(ValueError, match="normalized"):
+            born_distribution(three_level, [value, 0.0, 0.0])
+
     def test_rejects_non_orthonormal_families(self):
         v = basis(2, 0)
         with pytest.raises(ValueError, match="orthonormal"):
             Observable(eigenvalues=[1.0, 2.0], eigenspaces=[v, v])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_eigenvectors(self, value):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Observable(eigenvalues=[1.0, 2.0], eigenspaces=[[value, 0.0], basis(2, 1)])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_probabilities_sum_to_one(self, seed):

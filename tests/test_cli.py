@@ -165,6 +165,23 @@ class TestOptimizeAndSweep:
         assert not out.exists()
 
 
+class TestOversizedApparatus:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--n", "100000000", "--out", "{dir}/b.json"],
+            ["optimize", "--n", "100000000", "--out", "{dir}/o.json"],
+            ["sweep", "--n-min", "2", "--n-max", "100000000", "--geometric",
+             "--out", "{dir}/s.csv"],
+        ],
+    )
+    def test_refused_as_domain_error(self, tmp_path, argv):
+        code, summary = run_guarded([arg.format(dir=tmp_path) for arg in argv])
+        assert code == "1"
+        assert "more than 16777216 entries" in summary
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSample:
     def test_sample_plus_state(self, tmp_path):
         scheme_file = tmp_path / "s.json"

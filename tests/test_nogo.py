@@ -25,6 +25,7 @@ from waylab.optimize import OptimizationError
 from oracles import (
     bounded_min_violation,
     brute_force_min_violation,
+    build_system_by_rows,
     constraint_entries_by_loops,
     violation_by_loops,
 )
@@ -39,9 +40,33 @@ ORACLE_MIN_VIOLATION = {
 }
 
 
+# Rotated bases checked against the bounded oracle, with the tolerance of
+# that check; at the eigenbasis (beta = 0) the minimum is rounding level.
+ROTATED_BASES = [
+    (0.8, 0.6, {"rel": 1e-12}),
+    (0.6, -0.8j, {"rel": 1e-12}),
+    (np.sqrt(1 - 1e-12), 1e-6, {"rel": 1e-12}),
+    (1.0, 0.0, {"abs": 1e-12}),
+]
+
+
 def zero_data(n):
     z = np.zeros(n)
     return ExactSchemeData(n=n, x=z, s=z.copy(), t=z.copy(), a=z.copy(), b=z.copy())
+
+
+def mixing(alpha, beta):
+    """``(m, delta)`` of the rotated basis ``(alpha, beta)``."""
+    return (abs(alpha) * abs(beta)) ** 2, abs(alpha) ** 2 - abs(beta) ** 2
+
+
+def violation_of_own_rows(cert):
+    """Squared unitarity rows of ``cert.mix`` plus the five squared sums, at its minimizer."""
+    d = cert.minimizer
+    w = np.stack([d.x, d.s, d.t, d.a, d.b])
+    rows = nogo._unitarity_rows(w, *cert.mix)
+    sums = w.sum(axis=1) - np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    return float(np.sum(rows**2) + np.sum(sums**2))
 
 
 class TestExactConstraintResidual:
@@ -114,6 +139,17 @@ class TestExactConstraintResidual:
             if cid.startswith("unitary"):
                 assert r == pytest.approx(0.0, abs=1e-14)
         assert report.entry("sum-t") == 1.0
+
+    @pytest.mark.parametrize("name", ["x", "t", "a"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_fails(self, name, value):
+        n = 3
+        u = np.full(n, 1.0 / n)
+        fields = dict(x=u, s=2.0 * u, t=np.zeros(n), a=np.zeros(n), b=np.zeros(n))
+        fields[name] = fields[name].copy()
+        fields[name][1] = value
+        report = exact_constraint_residual(ExactSchemeData(n=n, **fields))
+        assert not report.passed(1e-6)
 
 
 class TestInfeasibilityCertificate:
@@ -202,22 +238,25 @@ class TestBoundedOracle:
             residual = exact_constraint_residual(cert.minimizer).sum_squares
             assert residual == pytest.approx(cert.min_violation, rel=1e-9), n
 
-    @pytest.mark.parametrize(
-        "alpha,beta,tol",
-        [
-            (0.8, 0.6, {"rel": 1e-12}),
-            (0.6, -0.8j, {"rel": 1e-12}),
-            (np.sqrt(1 - 1e-12), 1e-6, {"rel": 1e-12}),
-            (1.0, 0.0, {"abs": 1e-12}),
-        ],
-    )
+    @pytest.mark.parametrize("alpha,beta,tol", ROTATED_BASES)
     def test_rotated_bases_match(self, alpha, beta, tol):
-        # exact_constraint_residual evaluates the standard (m = 1/4) rows,
-        # so the rotated minimizers are checked against the oracle only
+        row_tol = {"abs": 1e-20} if beta == 0 else {"rel": 1e-9}
         for n in (4, 16, 64):
             cert = rotated_basis_residual(n, ObjectState(alpha, beta))
             expected = bounded_min_violation(n, *cert.mix)
             assert cert.min_violation == pytest.approx(expected, **tol), n
+            own = violation_of_own_rows(cert)
+            assert own == pytest.approx(cert.min_violation, **row_tol), n
+
+    @pytest.mark.parametrize(
+        "mix", [(0.25, 0.0)] + [mixing(alpha, beta) for alpha, beta, _ in ROTATED_BASES]
+    )
+    def test_system_matches_row_by_row_builder(self, mix):
+        for n in range(1, 65):
+            a_mat, rhs = nogo._build_system(n, *mix)
+            want_a, want_rhs = build_system_by_rows(n, *mix)
+            assert np.array_equal(a_mat, want_a), n
+            assert np.array_equal(rhs, want_rhs), n
 
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
     def test_minimizer_is_minimum_norm(self, n):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from waylab import graded, optimize
 from waylab.optimize import (
     OptimizerOptions,
     SweepRow,
@@ -87,6 +88,19 @@ class TestSweep:
         for r in table.rows:
             assert r.error_optimized <= r.error_wigner + 1e-10
             assert r.constraint_residual <= OptimizerOptions().tol_constraint
+
+    def test_oversized_n_refused_before_building(self, monkeypatch):
+        # validation reads sectors -2..n+3: 2 (n + 6) = 20 entries at n = 4, d = 2
+        monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 20)
+        assert optimize_scheme(4).n == 4
+        assert [r.n for r in sweep([2, 4]).rows] == [2, 4]
+        monkeypatch.setattr(optimize, "_smooth_profile_scheme", None)
+        monkeypatch.setattr(optimize, "build_canonical_scheme", None)
+        with pytest.raises(ValueError, match="n = 5 at dimension 2 .* 20 entries"):
+            optimize_scheme(5)
+        # every size is checked before the first row is built
+        with pytest.raises(ValueError, match="n = 5 at dimension 2 .* 20 entries"):
+            sweep([2, 3, 5])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

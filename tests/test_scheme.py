@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import gc
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_interaction_blocks
+from waylab import graded, scheme
 from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
 from waylab.scheme import (
     ApproxScheme,
@@ -142,6 +144,16 @@ class TestValidate:
                 n=s.n, d=s.d, xi=s.xi, sigma=s.sigma, tau=far, rho=s.rho,
                 c=s.c, cprime=s.cprime,
             ))
+
+    def test_oversized_n_refused_before_building(self, monkeypatch):
+        # validation reads sectors -2..n+3: 2 (n + 6) = 20 entries at n = 4, d = 2
+        monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 20)
+        assert validate_scheme(build_canonical_scheme(4)).passed()
+        monkeypatch.setattr(scheme, "canonical_weights", None)  # the first step of a build
+        with pytest.raises(ValueError, match="n = 5 at dimension 2 .* 20 entries"):
+            build_canonical_scheme(5)
+        with pytest.raises(ValueError, match="n = 2 at dimension 3 .* 20 entries"):
+            build_canonical_scheme(2, d=3)
 
     def test_n1_fails_structurally(self):
         # No charge-respecting isometry realizes the degenerate limit.
@@ -397,6 +409,26 @@ class TestJson:
             again = ApproxScheme.from_json(text)
             assert again == s
             assert again.to_json(indent=indent) == text
+
+    def test_from_json_pauses_and_restores_gc(self, monkeypatch):
+        s = build_canonical_scheme(3)
+        text = s.to_json()
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda t: seen.append(gc.isenabled()) or loads(t))
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                assert ApproxScheme.from_json(text) == s
+                assert gc.isenabled() is enabled
+                for malformed in (text[:-1], json.dumps([1])):  # bad JSON, bad scheme
+                    with pytest.raises(ValueError):
+                        ApproxScheme.from_json(malformed)
+                    assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert seen == [False] * 6
 
     @pytest.mark.parametrize(
         "edit, match",
