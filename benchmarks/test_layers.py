@@ -10,9 +10,11 @@ benchmark of record is ``perfbench/``.  Each case times one call on
 inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors and one Case 1 pair of
 product branches.  Building, validating and reading out the canonical
-scheme are timed at n = 10^2 to 10^5.  The no-go system assembly and
-certificate are timed at n = 4 to 256, where the dense solve grows
-cubically, and each CLI subcommand once in process on small inputs.
+scheme are timed at n = 10^2 to 10^5.  The dense no-go system assembly
+is timed at n = 4 to 256, the standard certificate (an O(n) parity-chain
+solve) at n = 4 to 10^4, a rotated-basis certificate (still a dense
+solve) at n = 64, and each CLI subcommand once in process on small
+inputs.
 """
 
 import functools
@@ -29,12 +31,13 @@ from waylab.graded import (
     inner,
     orthogonality_transfer_check,
 )
-from waylab.nogo import _build_system, infeasibility_certificate
+from waylab.nogo import _build_system, infeasibility_certificate, rotated_basis_residual
 from waylab.scheme import ApproxScheme, interaction_blocks, validate_scheme
 
 SIZES = [10**3, 10**4]
 SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
 NOGO_SIZES = [4, 16, 64, 256]
+CERTIFICATE_SIZES = NOGO_SIZES + [10**3, 10**4]
 PLUS = ObjectState(2**-0.5, 2**-0.5)
 
 
@@ -177,9 +180,13 @@ def test_build_system(benchmark, n):
     benchmark(_build_system, n, 0.25, 0.0)
 
 
-@pytest.mark.parametrize("n", NOGO_SIZES)
+@pytest.mark.parametrize("n", CERTIFICATE_SIZES)
 def test_infeasibility_certificate(benchmark, n):
     assert benchmark(infeasibility_certificate, n).min_violation > 0
+
+
+def test_rotated_basis_residual(benchmark):
+    assert benchmark(rotated_basis_residual, 64, ObjectState(0.8, 0.6)).min_violation > 0
 
 
 CLI_CASES = {

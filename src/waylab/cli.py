@@ -21,7 +21,13 @@ from .born import counts_to_csv, sample_outcomes, three_outcome_stats
 from .graded import DEFAULT_TOL, ObjectState
 from .nogo import infeasibility_certificate, rotated_basis_residual
 from .optimize import fit_scaling, optimize_scheme, sweep
-from .scheme import ApproxScheme, build_canonical_scheme, scheme_error, validate_scheme
+from .scheme import (
+    ApproxScheme,
+    _require_size,
+    build_canonical_scheme,
+    scheme_error,
+    validate_scheme,
+)
 
 DEFAULT_SEED = 7
 
@@ -168,6 +174,7 @@ def _cmd_sweep(args):
             n_values.append(n)
             n *= 2
     else:
+        _require_size(args.n_max, 2)  # sweep's dimension; before the list is built
         n_values = list(range(args.n_min, args.n_max + 1))
     table = sweep(n_values)
     _atomic_write(args.out, table.to_csv())

@@ -18,12 +18,14 @@ pin those constants to zero, and ``sum t = 1`` then fails.  This module
 measures the minimal violation and produces the symbolic derivation as a
 certificate.
 
+Data are held as the five rows ``(x, s, t, a, b)``, shape ``(5, n)``.
 :func:`_unitarity_rows` states the system once: per sector ``nu = 1..n+1``
 two norm balances and the two parts of the image orthogonality, linear in
-the data at ``nu`` and ``nu - 1``; five normalization sums complete it.
-:func:`exact_constraint_residual` evaluates the rows on data, and
-:func:`_build_system` evaluates them on the five unit one-sector data
-sets to read off the 4x5 stencils of the data at ``nu`` and ``nu - 1``.
+the data at ``nu`` and ``nu - 1``; five normalization sums against
+``_SUM_TARGETS`` complete it.  :func:`exact_constraint_residual` evaluates
+the rows on data, and :func:`_build_system` evaluates them on the five
+unit one-sector data sets to read off the 4x5 stencils of the data at
+``nu`` and ``nu - 1``.
 
 The minimal violation is ``min |A w - r|^2`` over the data ``w`` whose
 squared norms ``x, s, t`` are nonnegative.  One unconstrained solve gives
@@ -37,6 +39,38 @@ set is that minimizer plus the null space of ``A`` (``s = 2x``,
 minimum-norm point is the one orthogonal to it, so ``x + 2s`` is constant
 across sectors.
 
+In the standard basis that point is found in O(n) along two parity chains:
+
+* The overlaps enter only their own chains ``a[nu] + a[nu-1]`` and
+  ``b[nu] - b[nu-1]`` and the sums ``sum a = sum b = 0``; ``a = b = 0``
+  zeroes all of them.
+* ``u = x - s/2`` and ``v = x + 2s`` are an orthogonal change of
+  variables, ``x = (4u + v)/5``, ``s = 2(v - u)/5``, with
+  ``x^2 + s^2 = (4u^2 + v^2)/5``.  The norm balances read
+  ``u[nu] - t[nu-1]/2`` and ``u[nu-1] - t[nu]/2``, so ``v`` enters only
+  the sums ``sum x = (4 sum u + sum v)/5`` and
+  ``sum s = 2(sum v - sum u)/5``.  The best ``sum v`` is 3, which leaves
+  the sum residual ``(4/5)(sum u - 1/2)^2 + (sum t - 1)^2``; the
+  minimum-norm point spreads it evenly, ``v[nu] = 3/n``.
+* The rows split ``(u, t)`` into two chains by parity, ``q[k] = u[k]`` on
+  odd ``k`` and ``t[k]`` on even ``k``, and the other way round.  On each,
+  row ``k = 1..n+1`` is ``d[k] q[k] + d[k-1] q[k-1]`` with ``d = 1`` on the
+  ``u`` entries and ``-1/2`` on the ``t`` entries, so its normal matrix is
+  ``K = D S^T S D`` with ``S^T S = tridiag(1, 2, 1)``: diagonal 2 on ``u``
+  and 1/2 on ``t``, off-diagonals -1/2.  The inverse of
+  ``tridiag(1, 2, 1)`` is ``(-1)^(i+j) min(i, j)(n + 1 - max(i, j))/(n + 1)``
+  (its two Thomas sweeps in closed form: the pivots are ``(k + 1)/k``),
+  so applying it to a parity indicator takes two cumulative sums of
+  same-sign terms.
+* The two sum rows ``W = (1_u, 1_t)``, weighted ``C = diag(4/5, 1)`` with
+  targets ``c = (1/2, 1)``, are a rank-two update of ``K``.  Woodbury
+  gives the minimizer ``K^-1 W lam`` with
+  ``lam = (C^-1 + W^T K^-1 W)^-1 c``, one 2x2 solve, and every column of
+  ``K^-1 W`` is one of the two parity-indicator solves above.
+
+The value is then the squared rows of :func:`_unitarity_rows` plus the
+five squared sums at that point.
+
 The same machinery covers an arbitrary rotated object basis
 ``alpha psi0 + beta psi1`` / ``-conj(beta) psi0 + conj(alpha) psi1``:
 only the mixing weight ``m = |alpha|^2 |beta|^2`` and the imbalance
@@ -44,6 +78,9 @@ only the mixing weight ``m = |alpha|^2 |beta|^2`` and the imbalance
 is invariant under phases of ``alpha`` and ``beta``, reduces to the
 standard system at ``m = 1/4``, and becomes exactly feasible in the
 degenerate case ``m = 0`` (measuring the conserved quantity itself).
+Rotated bases keep the dense minimum-norm ``lstsq`` of
+:func:`_build_system`: near ``m = 0`` the reduced normal equations lose
+accuracy, and at ``m = 0`` the system is rank-deficient.
 """
 
 from __future__ import annotations
@@ -56,6 +93,9 @@ import numpy as np
 from . import graded
 from .graded import ConstraintReport, ObjectState
 from .optimize import OptimizationError
+
+#: Targets of the five normalization sums of ``(x, s, t, a, b)``.
+_SUM_TARGETS = (1.0, 1.0, 1.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -215,40 +255,78 @@ def _build_system(n, m, delta):
     a_mat[4 : 4 * n + 4].reshape(n, 4, 5, n)[i, :, :, i] = before
     a_mat[4 * n + 4 :].reshape(5, 5, n)[range(5), range(5)] = 1.0
     rhs = np.zeros(4 * n + 9)
-    rhs[4 * n + 4 : 4 * n + 7] = 1.0
+    rhs[4 * n + 4 :] = _SUM_TARGETS
     return a_mat, rhs
 
 
-def _certificate(n, m, delta):
-    """Certificate of the exact system with mixing parameters ``(m, delta)``.
-
-    One minimum-norm solve; its value is the minimum over nonnegative
-    squared norms exactly when the check below passes (module docstring).
-    Sizes whose dense ``(4n + 9) x 5n`` system would exceed the graded
-    window limit are refused before anything is allocated.
-    """
+def _require_entries(n, entries, what):
+    """Refuse ``n < 1``, or a solve whose ``what`` needs more than the graded window limit."""
     if n < 1:
         raise ValueError(f"support size must be >= 1, got {n}")
-    rows, cols = 4 * n + 9, 5 * n
-    if rows * cols > graded._MAX_WINDOW_ENTRIES:
+    if entries > graded._MAX_WINDOW_ENTRIES:
         raise ValueError(
-            f"support size n = {n} needs a dense {rows} x {cols} system, more "
-            f"than {graded._MAX_WINDOW_ENTRIES} entries"
+            f"support size n = {n} needs {what}, more than "
+            f"{graded._MAX_WINDOW_ENTRIES} entries"
         )
+
+
+def _dense_minimizer(n, m, delta):
+    """Minimum-norm least-squares data ``(5, n)`` of ``_build_system`` and its violation."""
+    rows, cols = 4 * n + 9, 5 * n
+    _require_entries(n, rows * cols, f"a dense {rows} x {cols} system")
     a_mat, rhs = _build_system(n, m, delta)
     w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
-    data = ExactSchemeData(n, *w.reshape(5, n))
-    if np.any(w[: 3 * n] < 0):
+    r = a_mat @ w - rhs
+    return w.reshape(5, n), float(r @ r)
+
+
+def _parity_chain_minimizer(n):
+    """Minimum-norm least-squares data ``(5, n)`` of the standard system, in O(n).
+
+    The parity-chain solve of the module docstring, for the sum targets
+    of ``x, s, t`` in ``_SUM_TARGETS`` (those of ``a, b`` are zero).
+    """
+    _require_entries(n, 5 * n, f"5 x {n} data")
+    x_sum, s_sum, t_sum = _SUM_TARGETS[:3]
+    k = np.arange(1.0, n + 1.0)
+    f = np.stack([k % 2, 1.0 - k % 2])  # parity indicators, odd k first
+    # tridiag(-1, 2, -1)^-1 f: (n+1-k) sum_{j<=k} j f_j + k sum_{j>k} (n+1-j) f_j, over n+1
+    left = np.cumsum(k * f, axis=1)
+    right = np.zeros_like(f)
+    right[:, :-1] = np.cumsum(((n + 1 - k) * f)[:, :0:-1], axis=1)[:, ::-1]
+    solved = ((n + 1 - k) * left + k * right) / (n + 1)
+    # tridiag(1, 2, 1)^-1 on the indicator of k's own parity and of the other one, signs removed
+    same, other = np.sum(f * solved, axis=0), np.sum(f[::-1] * solved, axis=0)
+    # K^-1 1_u = (u: same, t: 2 other), K^-1 1_t = (u: 2 other, t: 4 same); C^-1 + W^T K^-1 W
+    total_same, total_other = same.sum(), other.sum()
+    gram = np.array(
+        [[1.25 + total_same, 2.0 * total_other], [2.0 * total_other, 1.0 + 4.0 * total_same]]
+    )
+    lam_u, lam_t = np.linalg.solve(gram, [x_sum - 0.5 * s_sum, t_sum])
+    u = lam_u * same + 2.0 * lam_t * other
+    t = 2.0 * lam_u * other + 4.0 * lam_t * same
+    v = (x_sum + 2.0 * s_sum) / n
+    return np.stack([(4.0 * u + v) / 5.0, 2.0 * (v - u) / 5.0, t, np.zeros(n), np.zeros(n)])
+
+
+def _certificate(w, value, m, delta):
+    """Certificate of the minimum-norm data ``w`` with violation ``value``.
+
+    Its value is the minimum over nonnegative squared norms exactly when
+    the check below passes (module docstring).
+    """
+    n = w.shape[1]
+    data = ExactSchemeData(n, *w)
+    if np.any(w[:3] < 0):
         raise OptimizationError(
             f"minimum-norm solution for n={n} has a negative squared norm "
-            f"(min {float(np.min(w[: 3 * n]))!r}), so its value need not be "
+            f"(min {float(np.min(w[:3]))!r}), so its value need not be "
             f"the bounded minimum",
             best=data,
         )
-    r = a_mat @ w - rhs
     return InfeasibilityCertificate(
         n=n,
-        min_violation=float(r @ r),
+        min_violation=value,
         minimizer=data,
         witness=derive_witness(n, m=m),
         mix=(m, delta),
@@ -323,9 +401,14 @@ def infeasibility_certificate(n):
 
     The returned violation is strictly positive, non-increasing in ``n`` (an
     ``n``-window minimizer embeds into the ``n+1`` window), and achieved
-    by the returned minimizer.
+    by the returned minimizer.  Solved in O(n) along the two parity chains
+    (module docstring); sizes whose ``5 x n`` data would pass the graded
+    window limit are refused before anything is allocated.
     """
-    return _certificate(n, 0.25, 0.0)
+    w = _parity_chain_minimizer(n)
+    sums = w.sum(axis=1) - _SUM_TARGETS
+    value = float(np.sum(_unitarity_rows(w, 0.25, 0.0) ** 2) + sums @ sums)
+    return _certificate(w, value, 0.25, 0.0)
 
 
 def rotated_basis_residual(n, obj):
@@ -336,11 +419,14 @@ def rotated_basis_residual(n, obj):
     Only ``m = |alpha beta|^2`` and ``delta = |alpha|^2 - |beta|^2``
     enter, so the result is phase covariant, reduces to
     :func:`infeasibility_certificate` at ``|alpha| = |beta|``, and is
-    exactly zero for an eigenbasis of the conserved quantity.
+    exactly zero for an eigenbasis of the conserved quantity.  Solved
+    densely by ``lstsq``, so sizes whose ``(4n + 9) x 5n`` system would
+    pass the graded window limit (``n >= 915``) are refused before
+    anything is allocated.
     """
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized()
     m = (abs(obj.amp0) * abs(obj.amp1)) ** 2
     delta = abs(obj.amp0) ** 2 - abs(obj.amp1) ** 2
-    return _certificate(n, m, delta)
+    return _certificate(*_dense_minimizer(n, m, delta), m, delta)

@@ -203,7 +203,7 @@ def build_canonical_scheme(n, d=2):
     _require_size(n, d)
     c_frac, cp_frac = canonical_weights(n)
     c, cp = float(c_frac), float(cp_frac)
-    e0, e1 = np.eye(d)[:2]
+    e0, e1 = np.eye(2, d)
 
     if n == 1:
         # Degenerate limit: sigma vanishes (c = 0) and the error vector

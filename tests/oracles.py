@@ -13,7 +13,12 @@ with ``build_system_by_rows`` and solves the bounded linear least-squares
 problem with the nonnegativity bounds imposed instead of checked
 afterwards, so it shares no code with the solve it checks.
 ``constraint_entries_by_loops`` is the exact-system residual report as it
-was before it was evaluated with array expressions.
+was before it was evaluated with array expressions.  The standard
+certificate is solved in O(n) along two parity chains; two references
+check it: ``dense_min_norm_solution``, the dense minimum-norm ``lstsq``
+of ``build_system_by_rows`` that it replaced, and
+``rational_min_violation``, the exact minimum as a rational function of
+``n``.
 
 The scheme local-optimality oracle writes the approximate-scheme
 constraints out equation by equation (no shared code with
@@ -31,6 +36,7 @@ it computed each part's finite sectors once per call.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear, minimize
@@ -153,6 +159,28 @@ def bounded_min_violation(n, m=0.25, delta=0.0):
     assert res.status > 0, res.message
     r = a_mat @ res.x - rhs
     return float(r @ r)
+
+
+def dense_min_norm_solution(n, m=0.25, delta=0.0):
+    """Minimum-norm least-squares data ``(5, n)`` of ``build_system_by_rows`` and its violation."""
+    a_mat, rhs = build_system_by_rows(n, m, delta)
+    w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
+    r = a_mat @ w - rhs
+    return w.reshape(5, n), float(r @ r)
+
+
+def rational_min_violation(n):
+    """Exact minimal violation of the standard system, one rational function of ``n`` per parity.
+
+    Fitted to the exact rational least-squares minima at ``n = 1..24``
+    (twelve values per parity, six free coefficients per formula); it
+    gives ``10/21`` at ``n = 1`` and falls like ``6/n^3``.
+    """
+    if n % 2:
+        return Fraction(6 * (n + 4), n**4 + 7 * n**3 + 14 * n**2 + 17 * n + 24)
+    return Fraction(
+        6 * (n**2 + 5 * n + 3), n**5 + 8 * n**4 + 20 * n**3 + 28 * n**2 + 39 * n + 15
+    )
 
 
 def brute_force_min_violation(n, seed=20240601, random_starts=48):

@@ -173,6 +173,8 @@ class TestOversizedApparatus:
             ["optimize", "--n", "100000000", "--out", "{dir}/o.json"],
             ["sweep", "--n-min", "2", "--n-max", "100000000", "--geometric",
              "--out", "{dir}/s.csv"],
+            # the linear sweep is refused before its list of sizes is built
+            ["sweep", "--n-min", "2", "--n-max", "100000000", "--out", "{dir}/s.csv"],
         ],
     )
     def test_refused_as_domain_error(self, tmp_path, argv):
@@ -180,6 +182,14 @@ class TestOversizedApparatus:
         assert code == "1"
         assert "more than 16777216 entries" in summary
         assert list(tmp_path.iterdir()) == []
+
+    def test_large_dimension_is_not_a_crash(self, tmp_path):
+        # the basis vectors e0, e1 are built without the d x d identity
+        out = tmp_path / "b.json"
+        code, summary = run_guarded(["build", "--n", "2", "--d", "100000", "--out", str(out)])
+        assert code in ("0", "1"), summary
+        if code == "0":
+            assert ApproxScheme.from_json(read(out)).d == 100000
 
 
 class TestSample:
@@ -348,9 +358,14 @@ class TestNogo:
         assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_oversized_system_is_domain_error(self):
-        code, summary = run_guarded(["nogo", "--n", "100000"])
-        assert code == "1"
-        assert "entries" in summary
+        # the standard solve holds 5n entries, the dense rotated system (4n + 9) x 5n
+        for argv in (
+            ["nogo", "--n", "3355444"],
+            ["nogo", "--n", "915", "--alpha", "0.8,0", "--beta", "0.6,0"],
+        ):
+            code, summary = run_guarded(argv)
+            assert code == "1", argv
+            assert "more than 16777216 entries" in summary, argv
 
 
 class TestUsage:

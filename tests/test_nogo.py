@@ -27,6 +27,8 @@ from oracles import (
     brute_force_min_violation,
     build_system_by_rows,
     constraint_entries_by_loops,
+    dense_min_norm_solution,
+    rational_min_violation,
     violation_by_loops,
 )
 
@@ -217,12 +219,14 @@ class TestInfeasibilityCertificate:
             infeasibility_certificate(0)
 
     def test_system_size_limit_counts_entries(self, monkeypatch):
-        # the dense system has (4n + 9) x 5n entries: 170 at n = 2, 315 at n = 3
+        # the standard solve holds 5n data entries: 170 at n = 34, 175 at n = 35;
+        # the dense rotated system has (4n + 9) x 5n: 170 at n = 2, 315 at n = 3
         monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 170)
-        assert infeasibility_certificate(2).min_violation > 0
+        assert infeasibility_certificate(34).min_violation > 0
+        assert rotated_basis_residual(2, ObjectState(0.8, 0.6)).min_violation > 0
         monkeypatch.setattr(nogo, "_build_system", None)  # refused before any allocation
-        with pytest.raises(ValueError, match="170 entries"):
-            infeasibility_certificate(3)
+        with pytest.raises(ValueError, match="5 x 35 data, more than 170 entries"):
+            infeasibility_certificate(35)
         with pytest.raises(ValueError, match="170 entries"):
             rotated_basis_residual(3, ObjectState(0.8, 0.6))
 
@@ -266,18 +270,57 @@ class TestBoundedOracle:
         assert np.ptp(data.x + 2.0 * data.s) <= 1e-12
 
     def test_negative_solution_raises(self, monkeypatch):
-        build = nogo._build_system
+        # a sum-x target of -1 drives x negative in the chain and the dense solve
+        monkeypatch.setattr(nogo, "_SUM_TARGETS", (-1.0, 1.0, 1.0, 0.0, 0.0))
+        for solve in (
+            infeasibility_certificate,
+            lambda n: rotated_basis_residual(n, ObjectState(0.8, 0.6)),
+        ):
+            with pytest.raises(OptimizationError, match="negative") as info:
+                solve(3)
+            assert np.min(info.value.best.x) < 0
 
-        def negated_sum_x(n, m, delta):
-            a_mat, rhs = build(n, m, delta)
-            rhs = rhs.copy()
-            rhs[4 * (n + 1)] = -1.0  # the sum-x row follows the unitarity rows
-            return a_mat, rhs
 
-        monkeypatch.setattr(nogo, "_build_system", negated_sum_x)
-        with pytest.raises(OptimizationError, match="negative") as info:
-            infeasibility_certificate(3)
-        assert np.min(info.value.best.x) < 0
+class TestParityChainSolve:
+    """The O(n) standard solve against the dense solve it replaced and the exact minimum."""
+
+    @staticmethod
+    def assert_matches_dense(n):
+        cert = infeasibility_certificate(n)
+        w, value = dense_min_norm_solution(n)
+        d = cert.minimizer
+        got = np.stack([d.x, d.s, d.t, d.a, d.b])
+        assert cert.min_violation == pytest.approx(value, rel=1e-12), n
+        assert np.max(np.abs(got - w)) <= 1e-12, n
+
+    def test_matches_dense_oracle(self):
+        for n in range(1, 65):
+            self.assert_matches_dense(n)
+
+    @pytest.mark.parametrize("n", [128, 512, 914])
+    def test_matches_dense_oracle_large(self, n):
+        self.assert_matches_dense(n)
+
+    def test_matches_rational_formula(self):
+        for n in range(1, 65):
+            exact = rational_min_violation(n)
+            assert infeasibility_certificate(n).min_violation == pytest.approx(
+                float(exact), rel=1e-12
+            ), n
+
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    def test_matches_rational_formula_large(self, n):
+        cert = infeasibility_certificate(n)
+        assert cert.min_violation == pytest.approx(float(rational_min_violation(n)), rel=1e-12)
+        assert np.ptp(cert.minimizer.x + 2.0 * cert.minimizer.s) <= 1e-15
+
+    @pytest.mark.parametrize("targets", [(2.0, 0.5, 3.0), (0.3, 1.0, -1.0)])
+    def test_other_sum_targets_match_dense(self, monkeypatch, targets):
+        # the chain solve reads its targets; the dense lstsq of the same system agrees
+        monkeypatch.setattr(nogo, "_SUM_TARGETS", (*targets, 0.0, 0.0))
+        for n in (1, 2, 7, 16):
+            dense, _ = nogo._dense_minimizer(n, 0.25, 0.0)
+            assert np.max(np.abs(nogo._parity_chain_minimizer(n) - dense)) <= 1e-13, n
 
 
 def test_import_does_not_load_scipy():
