@@ -14,7 +14,9 @@ scheme are timed at n = 10^2 to 10^5.  The dense no-go system assembly
 is timed at n = 4 to 256, the standard certificate (an O(n) parity-chain
 solve) at n = 4 to 10^4, a rotated-basis certificate (still a dense
 solve) at n = 64, and each CLI subcommand once in process on small
-inputs.
+inputs.  Vector construction (``from_window``), ``u - v`` and
+``scheme_error``, whose fixed cost per vector dominates at small n, are
+timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
 """
 
 import functools
@@ -32,10 +34,12 @@ from waylab.graded import (
     orthogonality_transfer_check,
 )
 from waylab.nogo import _build_system, infeasibility_certificate, rotated_basis_residual
-from waylab.scheme import ApproxScheme, interaction_blocks, validate_scheme
+from waylab.optimize import sweep
+from waylab.scheme import ApproxScheme, interaction_blocks, scheme_error, validate_scheme
 
 SIZES = [10**3, 10**4]
 SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
+VECTOR_SIZES = [10**2, 10**4]
 NOGO_SIZES = [4, 16, 64, 256]
 CERTIFICATE_SIZES = NOGO_SIZES + [10**3, 10**4]
 PLUS = ObjectState(2**-0.5, 2**-0.5)
@@ -70,6 +74,28 @@ def test_graded_add(benchmark, n):
     # rho and tau sit on windows two sectors apart
     s = scheme_case(n)[0]
     benchmark(s.rho.__add__, s.tau)
+
+
+@pytest.mark.parametrize("n", VECTOR_SIZES)
+def test_graded_from_window(benchmark, n):
+    window = build_canonical_scheme(n).rho._amps
+    benchmark(GradedVector.from_window, 0, window)
+
+
+@pytest.mark.parametrize("n", VECTOR_SIZES)
+def test_graded_sub(benchmark, n):
+    s = build_canonical_scheme(n)
+    benchmark(s.tau.__sub__, s.rho)
+
+
+@pytest.mark.parametrize("n", VECTOR_SIZES)
+def test_scheme_error(benchmark, n):
+    s = build_canonical_scheme(n)
+    assert benchmark(scheme_error, s) == pytest.approx(1 / (2 * n - 1))
+
+
+def test_sweep_one_row(benchmark):
+    assert benchmark(sweep, [4]).rows[0].note == ""
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -231,9 +231,22 @@ def run(argv):
 
 
 def main():
+    """Run the command in ``sys.argv`` and print its summary; returns the exit code.
+
+    A reader that closes standard output early (``waylab nogo ... | head``)
+    gets exit code 1 and no traceback.
+    """
     result = run(sys.argv[1:])
-    if result.summary:
-        print(result.summary)
+    try:
+        if result.summary:
+            print(result.summary)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return result.exit_code
 
 

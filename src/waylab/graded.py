@@ -18,6 +18,16 @@ Conventions
   complex array whose rows are sectors ``lo..lo+k-1``, trimmed so its
   first and last rows are nonzero; zero interior rows are absent from
   ``support()``.  Operations are array expressions over windows.
+* A vector is built one way: ``__init__`` fills a window from its sector
+  map, ``from_window`` copies a given one into an instance it allocates
+  directly, and both trim it once in ``_store``.  Every operation that
+  returns a vector ends in ``from_window`` and builds no intermediate
+  vector.
+* Arithmetic keeps the float operations of ``a + (-1) b``: ``u - v``
+  multiplies ``v``'s own rows by ``-1.0``, zero-pads them and adds, so
+  its bits equal those of ``u + (-1.0) * v``.  A plain ``a - b`` of the
+  windows differs: ``(-1.0) * b`` is a full complex multiply, which can
+  flip the sign of a zero or turn an infinite part into NaN.
 * A window costs memory in proportion to its label span, so one of more
   than ``2**24`` entries (``(hi - lo + 1) * d``, 256 MiB) is rejected
   with ``ValueError`` before it is allocated.
@@ -73,6 +83,40 @@ def _bounds(*vectors):
     return min(v._lo for v in nonzero), max(v._hi for v in nonzero)
 
 
+def _trimmed(lo, amps):
+    """Window ``amps`` of sectors ``lo, lo + 1, ...`` cut to its first..last nonzero row, as ``(lo, amps)``.
+
+    A row is nonzero when one of its entries is (NaN counts, ``-0.0``
+    does not).  The ends come from the first and last nonzero entry of
+    the flattened window: a per-row reduction over ``d`` entries costs
+    several times more per row.
+    """
+    nonzero = amps.astype(bool).ravel()
+    first = int(nonzero.argmax()) if nonzero.size else 0
+    if not nonzero.size or not nonzero[first]:
+        return 0, amps[:0]
+    d = amps.shape[1]
+    stop = (nonzero.size - 1 - int(nonzero[::-1].argmax())) // d + 1
+    return int(lo) + first // d, amps[first // d : stop]
+
+
+def _sum_window(u, v, scale=None):
+    """Untrimmed window of ``u + v``, or of ``u + scale * v``, as ``(lo, amps)``.
+
+    ``scale`` multiplies ``v``'s own rows before they are zero-padded and
+    added: the float operations of building the vector ``scale * v`` and
+    adding it, down to signed zeros and NaN (see the module Conventions).
+    """
+    if u.d != v.d:
+        raise ValueError(f"sector dimension mismatch: {u.d} vs {v.d}")
+    lo, hi = _bounds(u, v)
+    out = v.window(lo, hi)
+    if scale is not None and len(v._amps):
+        rows = out[v._lo - lo : v._hi - lo + 1]
+        np.multiply(scale, rows, out=rows)
+    return lo, np.add(u.window(lo, hi), out, out=out)
+
+
 def _row_dots(a, b):
     """Per-row hermitian products ``<a_i, b_i>`` of two windows."""
     return np.einsum("ij,ij->i", a.conj(), b)
@@ -112,10 +156,7 @@ class GradedVector:
 
     def _store(self, lo, amps):
         """Keep ``amps`` (sectors ``lo, lo + 1, ...``) trimmed to nonzero rows."""
-        nonzero = np.flatnonzero(np.any(amps != 0, axis=1))
-        first, stop = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-        self._lo = int(lo) + first if nonzero.size else 0
-        self._amps = amps[first:stop]
+        self._lo, self._amps = _trimmed(lo, amps)
         self._amps.setflags(write=False)
 
     @classmethod
@@ -124,7 +165,8 @@ class GradedVector:
         amps = np.array(amps, dtype=np.complex128)
         if amps.ndim != 2 or amps.shape[1] < 1:
             raise ValueError(f"window shape {amps.shape} is not (k, d) with d >= 1")
-        vec = cls(amps.shape[1])
+        vec = object.__new__(cls)
+        vec.d = amps.shape[1]
         vec._store(lo, amps)
         return vec
 
@@ -173,13 +215,12 @@ class GradedVector:
     def __add__(self, other):
         if not isinstance(other, GradedVector):
             return NotImplemented
-        if self.d != other.d:
-            raise ValueError(f"sector dimension mismatch: {self.d} vs {other.d}")
-        lo, hi = _bounds(self, other)
-        return GradedVector.from_window(lo, self.window(lo, hi) + other.window(lo, hi))
+        return GradedVector.from_window(*_sum_window(self, other))
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        if not isinstance(other, GradedVector):
+            return NotImplemented
+        return GradedVector.from_window(*_sum_window(self, other, -1.0))
 
     def __mul__(self, scalar):
         return GradedVector.from_window(self._lo, scalar * self._amps)
@@ -287,6 +328,24 @@ class GradedVector:
 
 #: ``json``'s spelling of the non-finite floats, keyed by ``str(value)``.
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_indent(indent):
+    """``json``'s ``indent``: ``None`` (compact), or the string an int ``k`` stands for (``k`` spaces)."""
+    if indent is None or isinstance(indent, str):
+        return indent
+    return " " * indent
+
+
+def _json_floats(values):
+    """Texts of the entries of a 1-D float array as ``json.dumps`` writes them.
+
+    Each distinct bit pattern is formatted once (``-0.0`` and ``0.0`` stay
+    apart), which skips most of the work on arrays of repeated values.
+    """
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = map(float.__repr__, bits.view(np.float64).tolist())
+    return np.array([_JSON_CONSTANTS.get(t, t) for t in texts], dtype=object)[where].tolist()
 
 
 def _json_array(items, indent, depth):

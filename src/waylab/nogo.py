@@ -91,7 +91,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graded
-from .graded import ConstraintReport, ObjectState
+from .graded import (
+    ConstraintReport,
+    ObjectState,
+    _json_array,
+    _json_floats,
+    _json_indent,
+    _json_object,
+)
 from .optimize import OptimizationError
 
 #: Targets of the five normalization sums of ``(x, s, t, a, b)``.
@@ -138,6 +145,14 @@ class ExactSchemeData:
             "b": self.b.tolist(),
         }
 
+    def _json(self, indent, depth):
+        """``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``."""
+        members = [f'"n": {json.dumps(self.n)}']
+        for k in ("x", "s", "t", "a", "b"):
+            values = _json_array(_json_floats(getattr(self, k)), indent, depth + 1)
+            members.append(f'"{k}": {values}')
+        return _json_object(members, indent, depth)
+
     @classmethod
     def from_dict(cls, data):
         return cls(
@@ -177,7 +192,16 @@ class InfeasibilityCertificate:
         }
 
     def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps(self.to_dict(), indent=indent)``, written directly."""
+        indent = _json_indent(indent)
+        witness = _json_array(list(map(json.dumps, self.witness)), indent, 1)
+        members = [
+            f'"n": {json.dumps(self.n)}',
+            f'"min_violation": {json.dumps(self.min_violation)}',
+            f'"minimizer": {self.minimizer._json(indent, 1)}',
+            f'"witness": {witness}',
+        ]
+        return _json_object(members, indent, 0)
 
 
 def _unitarity_rows(w, m, delta):

@@ -241,16 +241,18 @@ def sweep(n_values, d=2, opts=None):
         baseline = 1.0 / (2.0 * n - 1.0)
         try:
             best, report = _checked_scheme(n, d, opts)
+            error = best.cprime  # scheme_error(best), taken when it was built
             note = ""
         except OptimizationError as exc:
             best = build_canonical_scheme(n, d)
             report = validate_scheme(best)
+            error = scheme_error(best)
             note = f"optimizer failed, canonical kept: {exc}"
         rows.append(
             SweepRow(
                 n=n,
                 error_wigner=baseline,
-                error_optimized=scheme_error(best),
+                error_optimized=error,
                 constraint_residual=report.max_residual,
                 iters=0,
                 note=note,

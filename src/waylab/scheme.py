@@ -40,8 +40,11 @@ from .graded import (
     GradedVector,
     ObjectState,
     _bounds,
+    _json_indent,
     _json_object,
     _row_dots,
+    _sum_window,
+    _trimmed,
 )
 
 
@@ -106,8 +109,7 @@ class ApproxScheme:
         ``indent`` follows ``json``: ``None`` is the compact form, an int
         ``k`` indents by ``k`` spaces and a string is used as is.
         """
-        if indent is not None and not isinstance(indent, str):
-            indent = " " * indent
+        indent = _json_indent(indent)
         members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in ("n", "d", "c", "cprime")]
         for k in ("xi", "sigma", "tau", "rho"):
             members.append(f'"{k}": {getattr(self, k)._json(indent, 1)}')
@@ -229,10 +231,11 @@ def scheme_error(s):
     """Probability of the undetermined outcome, ``(eta, eta)``.
 
     Computed from the stored vectors as a quarter of the summed squared
-    sector norms of ``tau - rho``.
+    sector norms of ``tau - rho``, read off the window of that difference
+    (trimmed as a vector would be) without building the vector.
     """
-    diff = s.tau - s.rho
-    return 0.25 * diff.norm2()
+    _, diff = _trimmed(*_sum_window(s.tau, s.rho, -1.0))
+    return 0.25 * float(np.vdot(diff, diff).real)
 
 
 def derived_pointers(s):

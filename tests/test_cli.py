@@ -357,6 +357,21 @@ class TestNogo:
         assert run(argv).exit_code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 
+    def test_closed_stdout_exits_without_traceback(self):
+        # the reader is gone before anything is printed, as in `waylab nogo --n 64 | head -2`
+        src = Path(waylab.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "waylab.cli", "nogo", "--n", "64"],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     def test_oversized_system_is_domain_error(self):
         # the standard solve holds 5n entries, the dense rotated system (4n + 9) x 5n
         for argv in (

@@ -1,6 +1,7 @@
 """Tests for the charge-graded vector algebra."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from waylab.graded import (
     split_object_components,
     tensor,
 )
+from waylab.scheme import ApproxScheme, scheme_error
 
 
 def unit(d, nu, k=0):
@@ -158,6 +160,65 @@ class TestDictReference:
         assert joint.to_dict() == ref_joint.to_dict()
         for part, ref_part in zip(split_object_components(joint, d), ref_joint.split()):
             assert part.to_dict() == ref_part.to_dict()
+
+
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-4, 4),
+)
+
+
+def _special_windows(d):
+    """``(lo, window)`` over amplitudes with signed zeros, infinities and NaN.
+
+    Rows that are entirely zero are exact ``+0`` (``GradedVector(d, {...})``
+    fills absent rows so, while ``from_window`` keeps a row's bits).
+    """
+    row = st.one_of(st.just([0j] * d), st.lists(st.builds(complex, _parts, _parts), min_size=d, max_size=d))
+    return st.tuples(st.integers(-4, 4), st.lists(row, max_size=5)).map(
+        lambda case: (case[0], _plus_zero_rows(np.array(case[1], dtype=np.complex128).reshape(-1, d)))
+    )
+
+
+def _plus_zero_rows(w):
+    w[~w.any(axis=1)] = 0
+    return w
+
+
+_special_pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(_special_windows(d), _special_windows(d)))
+
+
+def _bits(v):
+    return v._lo, v._amps.shape, v._amps.view(np.uint64).tolist()
+
+
+class TestBitwise:
+    """Raw bits, not values: signed zeros and NaN must come out as the reference writes them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_special_pairs)
+    def test_difference_keeps_the_float_ops_of_adding_minus_one_times(self, pair):
+        u, v = (GradedVector.from_window(lo, w) for lo, w in pair)
+        with np.errstate(all="ignore"):
+            assert _bits(u - v) == _bits(u + (-1.0) * v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_special_pairs)
+    def test_window_constructor_matches_dict_constructor(self, pair):
+        for lo, w in pair:
+            d = w.shape[1]
+            expected = GradedVector(d, {lo + i: row for i, row in enumerate(w)})
+            assert _bits(GradedVector.from_window(lo, w)) == _bits(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_special_pairs)
+    def test_scheme_error_matches_the_difference_vector(self, pair):
+        tau, rho = (GradedVector.from_window(lo, w) for lo, w in pair)
+        s = ApproxScheme(n=3, d=tau.d, xi=tau, sigma=rho, tau=tau, rho=rho, c=0.0, cprime=0.0)
+        with np.errstate(all="ignore"):
+            expected = 0.25 * (s.tau + (-1.0) * s.rho).norm2()
+            got = scheme_error(s)
+        assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
 
 
 def _legacy_from_dict(data):

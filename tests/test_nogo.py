@@ -1,6 +1,8 @@
 """Tests for the exact-measurement infeasibility analysis."""
 
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -206,8 +208,6 @@ class TestInfeasibilityCertificate:
         assert "sum(t) = 1" in w[3]
 
     def test_json_round_trip(self):
-        import json
-
         cert = infeasibility_certificate(2)
         payload = json.loads(cert.to_json())
         assert set(payload) == {"n", "min_violation", "minimizer", "witness"}
@@ -229,6 +229,40 @@ class TestInfeasibilityCertificate:
             infeasibility_certificate(35)
         with pytest.raises(ValueError, match="170 entries"):
             rotated_basis_residual(3, ObjectState(0.8, 0.6))
+
+
+_JSON_INDENTS = [None, 0, 2, "\t"]
+
+
+class TestCertificateJson:
+    """``to_json`` writes its text directly; ``json.dumps(to_dict())`` is the oracle."""
+
+    @pytest.mark.parametrize("indent", _JSON_INDENTS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    def test_standard_matches_json_dumps(self, n, indent):
+        cert = infeasibility_certificate(n)
+        assert cert.to_json(indent=indent) == json.dumps(cert.to_dict(), indent=indent)
+
+    @pytest.mark.parametrize("indent", _JSON_INDENTS)
+    @pytest.mark.parametrize("alpha, beta", [(a, b) for a, b, _ in ROTATED_BASES])
+    def test_rotated_matches_json_dumps(self, alpha, beta, indent):
+        # the eigenbasis minimizer holds rounding-level values near 1e-31
+        cert = rotated_basis_residual(5, ObjectState(alpha, beta))
+        assert cert.to_json(indent=indent) == json.dumps(cert.to_dict(), indent=indent)
+
+    @pytest.mark.parametrize("indent", _JSON_INDENTS)
+    def test_signed_zeros_and_non_finite_values(self, indent):
+        # -0.0 and 0.0 are written apart although they compare equal
+        data = ExactSchemeData(
+            n=4,
+            x=[0.0, -0.0, 0.0, -0.0],
+            s=[math.nan, math.inf, -math.inf, 5e-324],
+            t=[0.1, 1e16, 1e-5, 0.1],
+            a=[-1.0, 2.5, -1.0, 1e300],
+            b=[0.0, 0.0, 0.0, 0.0],
+        )
+        cert = nogo.InfeasibilityCertificate(4, math.nan, data, ("quote \" and \u00e9", "x"))
+        assert cert.to_json(indent=indent) == json.dumps(cert.to_dict(), indent=indent)
 
 
 class TestBoundedOracle:

@@ -13,7 +13,7 @@ from waylab.optimize import (
     optimize_scheme,
     sweep,
 )
-from waylab.scheme import scheme_error, validate_scheme
+from waylab.scheme import build_canonical_scheme, scheme_error, validate_scheme
 
 from oracles import local_min_scheme_errors, ols_loglog_slope
 
@@ -115,6 +115,16 @@ class TestSweep:
         row = table.rows[0]
         assert row.note != ""
         assert row.error_optimized == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_row_error_is_scheme_error_of_the_kept_scheme(self, failed):
+        # an optimized row reuses the error taken when its scheme was built,
+        # a canonical fallback row computes it; both read scheme_error exactly
+        opts = OptimizerOptions(tol_constraint=1e-300) if failed else None
+        for row in sweep([2, 5, 12], opts=opts).rows:
+            assert bool(row.note) == failed
+            kept = build_canonical_scheme(row.n) if failed else optimize_scheme(row.n)
+            assert row.error_optimized == scheme_error(kept)
 
     def test_failure_carries_best_iterate(self):
         from waylab.optimize import OptimizationError
