@@ -84,7 +84,7 @@ def _bounds(*vectors):
 
 
 def _trimmed(lo, amps):
-    """Window ``amps`` of sectors ``lo, lo + 1, ...`` cut to its first..last nonzero row, as ``(lo, amps)``.
+    """``(lo, amps)`` for sectors ``lo, lo + 1, ...`` cut to the first..last nonzero row.
 
     A row is nonzero when one of its entries is (NaN counts, ``-0.0``
     does not).  The ends come from the first and last nonzero entry of
@@ -331,7 +331,7 @@ _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_indent(indent):
-    """``json``'s ``indent``: ``None`` (compact), or the string an int ``k`` stands for (``k`` spaces)."""
+    """``json``'s ``indent`` as ``None`` (compact) or a string; an int ``k`` means ``k`` spaces."""
     if indent is None or isinstance(indent, str):
         return indent
     return " " * indent

@@ -174,18 +174,22 @@ def _special_windows(d):
     Rows that are entirely zero are exact ``+0`` (``GradedVector(d, {...})``
     fills absent rows so, while ``from_window`` keeps a row's bits).
     """
-    row = st.one_of(st.just([0j] * d), st.lists(st.builds(complex, _parts, _parts), min_size=d, max_size=d))
+    entries = st.lists(st.builds(complex, _parts, _parts), min_size=d, max_size=d)
+    row = st.one_of(st.just([0j] * d), entries)
     return st.tuples(st.integers(-4, 4), st.lists(row, max_size=5)).map(
-        lambda case: (case[0], _plus_zero_rows(np.array(case[1], dtype=np.complex128).reshape(-1, d)))
+        lambda case: (case[0], _plus_zero_rows(np.array(case[1], dtype=np.complex128), d))
     )
 
 
-def _plus_zero_rows(w):
-    w[~w.any(axis=1)] = 0
-    return w
+def _plus_zero_rows(rows, d):
+    window = rows.reshape(-1, d)
+    window[~window.any(axis=1)] = 0
+    return window
 
 
-_special_pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(_special_windows(d), _special_windows(d)))
+_special_pairs = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(_special_windows(d), _special_windows(d))
+)
 
 
 def _bits(v):
