@@ -18,11 +18,11 @@ Conventions
   complex array whose rows are sectors ``lo..lo+k-1``, trimmed so its
   first and last rows are nonzero; zero interior rows are absent from
   ``support()``.  Operations are array expressions over windows.
-* A vector is built one way: ``__init__`` fills a window from its sector
-  map, ``from_window`` copies a given one into an instance it allocates
-  directly, and both trim it once in ``_store``.  Every operation that
-  returns a vector ends in ``from_window`` and builds no intermediate
-  vector.
+* A vector keeps the window ``_store`` trimmed for it: ``__init__`` fills
+  one from a sector map, ``from_dict`` from parsed JSON, and
+  ``from_window`` copies a given one into an instance it allocates
+  directly, without running ``__init__``.  Every operation that returns a
+  vector ends in ``from_window`` and builds no intermediate vector.
 * Arithmetic keeps the float operations of ``a + (-1) b``: ``u - v``
   multiplies ``v``'s own rows by ``-1.0``, zero-pads them and adds, so
   its bits equal those of ``u + (-1.0) * v``.  A plain ``a - b`` of the
