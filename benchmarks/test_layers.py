@@ -8,8 +8,9 @@ This directory is outside the test suite's ``testpaths``, so the tier-1
 run does not collect it, and no performance claim rests on it: the
 benchmark of record is ``perfbench/``.  Each case times one call on
 inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
-a conserving isometry on three scattered sectors and one Case 1 pair of
-product branches.  Building, validating and reading out the canonical
+a conserving isometry on three scattered sectors (two columns in every
+block, or one block of one column among two of two) and one Case 1 pair
+of product branches.  Building, validating and reading out the canonical
 scheme are timed at n = 10^2 to 10^5.  The dense no-go system assembly
 is timed at n = 4 to 256, the standard certificate (an O(n) parity-chain
 solve) at n = 4 to 10^4, a rotated-basis certificate (still a dense
@@ -53,17 +54,22 @@ def scheme_case(n):
     return s, interaction_blocks(s), inputs, s.to_json()
 
 
+#: Column counts of the three blocks of :func:`three_sector_case`.
+WIDTHS = {"uniform": (2, 2, 2), "mixed": (2, 1, 2)}
+
+
 @functools.lru_cache(maxsize=None)
-def three_sector_case():
-    """Isometry with two orthonormal columns on sectors -4, 1, 7 (d = 4), and two inputs."""
+def three_sector_case(widths):
+    """Isometry on sectors -4, 1, 7 (d = 4) with ``widths`` orthonormal columns, and two inputs."""
     rng = np.random.default_rng(3)
 
-    def orthonormal():
-        return np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    def orthonormal(m):
+        return np.linalg.qr(rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)))[0]
 
-    m = BlockMap(4, {nu: (orthonormal(), orthonormal()) for nu in (-4, 1, 7)})
+    m = BlockMap(4, {nu: (orthonormal(k), orthonormal(k)) for nu, k in zip((-4, 1, 7), widths)})
+    doms = {nu: dom for nu, (dom, _) in m.blocks.items()}
     inputs = [
-        GradedVector(4, {nu: m.blocks[nu][0] @ rng.standard_normal(2) for nu in m.blocks})
+        GradedVector(4, {nu: dom @ rng.standard_normal(dom.shape[1]) for nu, dom in doms.items()})
         for _ in range(2)
     ]
     return m, inputs
@@ -171,23 +177,28 @@ def test_from_json(benchmark, n):
     assert benchmark(ApproxScheme.from_json, text) == s
 
 
-def test_three_sector_check_conserving(benchmark):
-    m, _ = three_sector_case()
-    benchmark(check_conserving, m)
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_check_conserving(benchmark, widths):
+    m, _ = three_sector_case(widths)
+    assert benchmark(check_conserving, m).max_residual < 1e-12
 
 
-def test_three_sector_completed(benchmark):
-    m, _ = three_sector_case()
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_completed(benchmark, widths):
+    m, _ = three_sector_case(widths)
     benchmark(m.completed)
 
 
-def test_three_sector_orthogonality_transfer_check(benchmark):
-    m, inputs = three_sector_case()
-    benchmark(orthogonality_transfer_check, m, inputs)
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_orthogonality_transfer_check(benchmark, widths):
+    m, inputs = three_sector_case(widths)
+    pre, post = benchmark(orthogonality_transfer_check, m, inputs)
+    np.testing.assert_allclose(post, pre, atol=1e-10)
 
 
-def test_three_sector_apply(benchmark):
-    m, inputs = three_sector_case()
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_apply(benchmark, widths):
+    m, inputs = three_sector_case(widths)
     benchmark(m.apply, inputs[0])
 
 

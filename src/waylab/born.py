@@ -156,20 +156,6 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     return OutcomeDistribution(outcomes=tuple(outcomes))
 
 
-def _pointer_projection(joint, direction, d):
-    """Component of a joint state whose apparatus factor lies along ``direction``.
-
-    Returns ``(projected_joint, probability)`` for the unit apparatus
-    vector ``direction``.
-    """
-    a0, a1 = split_object_components(joint, d)
-    amp0 = inner(direction, a0)
-    amp1 = inner(direction, a1)
-    prob = abs(amp0) ** 2 + abs(amp1) ** 2
-    part = tensor(ObjectState(amp0, amp1), direction)
-    return part, float(prob)
-
-
 def three_outcome_stats(s, obj, tol=DEFAULT_TOL):
     """Pointer-readout distribution of the scheme on a normalized object.
 
@@ -184,11 +170,16 @@ def three_outcome_stats(s, obj, tol=DEFAULT_TOL):
     pointers = derived_pointers(s)
     outcomes = []
     remainder = joint
+    # the apparatus factors of joint = psi0 (x) a0 + psi1 (x) a1
+    a0, a1 = split_object_components(joint, s.d)
     for label, vec in (("plus", pointers.chi), ("minus", pointers.chiprime)):
         nrm = vec.norm()
         if nrm > tol:
             direction = (1.0 / nrm) * vec
-            part, prob = _pointer_projection(joint, direction, s.d)
+            # the component of joint whose apparatus factor lies along direction
+            amp0, amp1 = inner(direction, a0), inner(direction, a1)
+            prob = float(abs(amp0) ** 2 + abs(amp1) ** 2)
+            part = tensor(ObjectState(amp0, amp1), direction)
             remainder = remainder - part
             post = (1.0 / np.sqrt(prob)) * part if prob > tol**2 else None
             outcomes.append(Outcome(label=label, probability=prob, post_state=post))

@@ -32,12 +32,12 @@ Conventions
   than ``2**24`` entries (``(hi - lo + 1) * d``, 256 MiB) is rejected
   with ``ValueError`` before it is allocated.
 * ``inner`` is conjugate-linear in its *first* argument.
-* A :class:`BlockMap` stores its blocks stacked by column count ``m``:
-  each group is a sorted label array with ``(K, d, m)`` domain and image
-  stacks, ``blocks`` maps each label to views into them, and every
-  operation is a few batched array or LAPACK calls per group (taken in
-  slices of at most 256 blocks, which bounds their temporaries) rather
-  than a loop over sectors.
+* A :class:`BlockMap` stores one stack: sorted labels, the column count
+  of each block and ``(K, d, M)`` domain and image stacks, each block
+  zero-padded to the widest ``M``.  ``blocks`` maps each label to views
+  into them, and every operation is a few batched array or LAPACK calls
+  over the stack (taken in slices of at most 256 blocks, which bounds
+  their temporaries) rather than a loop over sectors.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -61,7 +61,7 @@ DEFAULT_TOL = 1e-10
 #: Largest window a graded vector may allocate, in complex entries (256 MiB).
 _MAX_WINDOW_ENTRIES = 2**24
 
-#: Most blocks per batched call over a :class:`BlockMap`'s stacks.
+#: Most blocks per batched call over a :class:`BlockMap`'s stacks, which bounds its temporaries.
 _SLICE = 256
 
 
@@ -98,6 +98,16 @@ def _trimmed(lo, amps):
     d = amps.shape[1]
     stop = (nonzero.size - 1 - int(nonzero[::-1].argmax())) // d + 1
     return int(lo) + first // d, amps[first // d : stop]
+
+
+def _nonzero_rows(amps):
+    """Mask of the window rows with a nonzero entry (NaN counts, ``-0.0`` does not)."""
+    # ORing the d columns is several times faster than a per-row reduction
+    nonzero = amps.astype(bool)
+    mask = nonzero[:, 0].copy()
+    for j in range(1, amps.shape[1]):
+        mask |= nonzero[:, j]
+    return mask
 
 
 def _sum_window(u, v, scale=None):
@@ -178,7 +188,7 @@ class GradedVector:
 
     def support(self):
         """Sorted tuple of sector labels with nonzero amplitudes."""
-        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        rows = np.flatnonzero(_nonzero_rows(self._amps))
         return tuple((rows + self._lo).tolist())
 
     def sector(self, nu):
@@ -255,7 +265,7 @@ class GradedVector:
 
     def to_dict(self):
         """JSON form: ``{"d": int, "sectors": [{"nu": int, "amp": [[re, im], ...]}]}``."""
-        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        rows = np.flatnonzero(_nonzero_rows(self._amps))
         amps = self._amps[rows].view(np.float64).reshape(len(rows), self.d, 2).tolist()
         labels = (rows + self._lo).tolist()
         return {
@@ -270,7 +280,7 @@ class GradedVector:
         per sector is repeated and filled from flat lists of labels and
         floats, so no per-sector container is built.
         """
-        rows = np.flatnonzero(np.any(self._amps != 0, axis=1))
+        rows = np.flatnonzero(_nonzero_rows(self._amps))
         amps = self._amps[rows].view(np.float64)
         values = amps.ravel().tolist()
         if not np.isfinite(amps).all():
@@ -316,7 +326,7 @@ class GradedVector:
         # the last entry of each label, in label order, without exact-zero sectors
         last = len(labels) - 1 - np.unique(labels[::-1], return_index=True)[1]
         labels, amps = labels[last], amps[last].view(np.complex128)[..., 0]
-        keep = np.any(amps != 0, axis=1)
+        keep = _nonzero_rows(amps)
         labels, amps = labels[keep], amps[keep]
         if len(labels):
             lo = int(labels[0])
@@ -364,11 +374,12 @@ def _json_object(members, indent, depth):
 
 
 def _int_field(data, key):
-    """``int(data[key])``, or ``ValueError`` naming ``key``."""
-    try:
-        return int(data[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key!r} must be an integer") from None
+    """``data[key]`` as an ``int``, or ``ValueError`` naming ``key`` unless it is an integer."""
+    value = data.get(key)
+    # a JSON true or false parses as a bool, an int subclass that is no integer here
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{key!r} must be an integer")
+    return int(value)
 
 
 def _number_array(value):
@@ -524,21 +535,22 @@ class BlockMap:
     built into the representation, so conservation can only fail through
     a per-block isometry defect, never through off-grading leakage.
 
-    The blocks are stored stacked: those with ``m`` columns form one
-    group of a sorted label array and ``(K, d, m)`` domain and image
-    stacks, and each operation is batched over a group.  ``blocks`` is a
+    The blocks are stored as one stack: their sorted labels, the column
+    count of each block, and ``(K, d, M)`` domain and image stacks in
+    which every block is zero-padded to the common width ``M``.  A zero
+    column changes no Gram matrix, singular value or image, so each
+    operation is a few batched calls over the stack.  ``blocks`` is a
     read-only mapping, in the order the blocks were given, whose values
     are views into the stacks.
     """
 
-    __slots__ = ("d", "blocks", "_groups")
+    __slots__ = ("d", "blocks", "_labels", "_cols", "_dom", "_img")
 
     def __init__(self, d, blocks):
         d = int(d)
         parsed = {}
         for n, (dom, img) in blocks.items():
-            dom = np.asarray(dom, dtype=np.complex128)
-            img = np.asarray(img, dtype=np.complex128)
+            dom, img = np.asarray(dom, dtype=np.complex128), np.asarray(img, dtype=np.complex128)
             if dom.ndim != 2 or dom.shape[0] != d:
                 raise ValueError(f"block {n}: domain shape {dom.shape}")
             if img.shape != dom.shape:
@@ -546,41 +558,31 @@ class BlockMap:
                     f"block {n}: image shape {img.shape} != domain shape {dom.shape}"
                 )
             parsed[int(n)] = (dom, img)
-        by_cols = {}
-        for n in sorted(parsed):
-            by_cols.setdefault(parsed[n][0].shape[1], []).append(n)
-        groups = [
-            (
-                np.array(labels, dtype=np.int64),
-                np.stack([parsed[n][0] for n in labels]),
-                np.stack([parsed[n][1] for n in labels]),
-            )
-            for labels in by_cols.values()
-        ]
-        self._set(d, groups, parsed)
+        labels = sorted(parsed)
+        cols = np.array([parsed[n][0].shape[1] for n in labels], dtype=np.intp)
+        dom = np.zeros((len(labels), d, cols.max(initial=0)), dtype=np.complex128)
+        img = np.zeros_like(dom)
+        for k, n in enumerate(labels):
+            dom[k, :, : cols[k]], img[k, :, : cols[k]] = parsed[n]
+        self._set(d, np.array(labels, dtype=np.int64), cols, dom, img, parsed)
 
     @classmethod
-    def _from_groups(cls, d, groups, order=None):
-        """Map over ``groups`` of ``(labels, domains, images)`` stacks, labels sorted."""
+    def _from_stack(cls, d, labels, cols, dom, img, order=None):
+        """Map over sorted ``labels`` whose block ``k`` is the first ``cols[k]`` stack columns."""
         m = object.__new__(cls)
-        m._set(d, groups, order)
+        m._set(d, labels, cols, dom, img, order)
         return m
 
-    def _set(self, d, groups, order):
+    def _set(self, d, labels, cols, dom, img, order):
         """Keep the stacks; ``blocks`` lists their labels in ``order`` (default ascending)."""
-        self.d = d
-        self._groups = tuple(groups)
-        labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [g[0] for g in groups])
-        views = []
-        for _, dom, img in groups:
-            views.extend(zip(dom, img))
-        where = np.argsort(labels, kind="stable")
-        if order is None:
-            keys, index = labels[where].tolist(), where
-        else:
-            keys = list(order)
-            index = where[np.searchsorted(labels, keys, sorter=where)]
-        self.blocks = MappingProxyType(dict(zip(keys, map(views.__getitem__, index.tolist()))))
+        self.d, self._labels, self._cols, self._dom, self._img = d, labels, cols, dom, img
+        views = list(zip(dom, img))
+        for k in np.flatnonzero(cols < dom.shape[2]).tolist():
+            views[k] = dom[k, :, : cols[k]], img[k, :, : cols[k]]
+        blocks = dict(zip(labels.tolist(), views))
+        if order is not None:
+            blocks = {n: blocks[n] for n in order}
+        self.blocks = MappingProxyType(blocks)
 
     def sectors(self):
         return tuple(sorted(self.blocks))
@@ -598,26 +600,23 @@ class BlockMap:
         """Images of the sector rows ``amps`` (sectors ``labels``).
 
         Each row is solved by least squares against its block's domain,
-        through pseudo-inverses from one stacked SVD per group of the
-        blocks hit (cutoff as in ``lstsq(rcond=None)``).  The first row
-        outside the declared domain raises ``ValueError``.
+        through pseudo-inverses from one stacked SVD of the blocks hit
+        (cutoff as in ``lstsq(rcond=None)``).  The first row outside the
+        declared domain raises ``ValueError``.
         """
         images = np.zeros_like(amps)
         residual = np.zeros(len(labels))
-        found = np.zeros(len(labels), dtype=bool)
-        for lab, dom, img in self._groups:
-            pos = np.searchsorted(lab, labels).clip(max=len(lab) - 1)
-            rows = np.flatnonzero(lab[pos] == labels)
-            if not rows.size:
-                continue
-            pos = pos[rows]
-            # invert only the blocks the rows hit, each once
-            used, at = np.unique(pos, return_inverse=True)
-            coeff = np.einsum("tmd,td->tm", _pinv(dom[used])[at], amps[rows])
-            fitted = np.einsum("tdm,tm->td", dom[pos], coeff)
-            residual[rows] = np.linalg.norm(fitted - amps[rows], axis=1)
-            images[rows] = np.einsum("tdm,tm->td", img[pos], coeff)
-            found[rows] = True
+        pos = np.searchsorted(self._labels, labels)
+        found = pos < len(self._labels)
+        found[found] = self._labels[pos[found]] == labels[found]
+        rows = np.flatnonzero(found)
+        pos = pos[rows]
+        # invert only the blocks the rows hit, each once
+        used, at = np.unique(pos, return_inverse=True)
+        coeff = np.einsum("tmd,td->tm", _pinv(self._dom[used], self._cols[used])[at], amps[rows])
+        fitted = np.einsum("tdm,tm->td", self._dom[pos], coeff)
+        residual[rows] = np.linalg.norm(fitted - amps[rows], axis=1)
+        images[rows] = np.einsum("tdm,tm->td", self._img[pos], coeff)
         outside = ~found | (residual > tol * (1.0 + np.linalg.norm(amps, axis=1)))
         if outside.any():
             i = int(np.argmax(outside))
@@ -638,56 +637,45 @@ class BlockMap:
         the whole sector, a deterministic completion.
         Requires the map to be an isometry on its declared domain.
         """
-        worst = _isometry_defects(self)[1].max(initial=0.0)
+        worst = _isometry_defects(self).max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
-        if not self._groups:
-            return BlockMap._from_groups(self.d, [])
-        labels = np.sort(np.concatenate([lab for lab, _, _ in self._groups]))
-        doms = np.empty((len(labels), self.d, self.d), dtype=np.complex128)
+        k, d = len(self._labels), self.d
+        doms = np.empty((k, d, d), dtype=np.complex128)
         imgs = np.empty_like(doms)
-        for lab, dom, img in _slices(self._groups):
-            at = np.searchsorted(labels, lab)
-            u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-            rank = np.count_nonzero(sv > 1e-12, axis=1)
-            for r in set(rank.tolist()):
-                sel = rank == r
-                q_img = img[sel] @ (vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r])
-                # domain and image bases share one stacked QR
-                full = _extend_basis(np.concatenate([u[sel, :, :r], q_img]))
-                doms[at[sel]] = full[: len(q_img)]
-                imgs[at[sel]] = full[len(q_img) :]
-        return BlockMap._from_groups(self.d, [(labels, doms, imgs)], self.blocks)
-
-
-def _slices(groups):
-    """The ``(labels, domains, images)`` groups cut into slices of at most ``_SLICE`` blocks.
-
-    Batched calls go through slices so their temporaries stay small.
-    """
-    for lab, dom, img in groups:
-        for i in range(0, len(lab), _SLICE):
-            yield lab[i : i + _SLICE], dom[i : i + _SLICE], img[i : i + _SLICE]
+        # the SVD runs on unpadded blocks, one column count at a time: on a
+        # padded block its singular vectors can come out with other phases
+        for c in sorted(set(self._cols.tolist())):
+            same = np.flatnonzero(self._cols == c)
+            for i in range(0, len(same), _SLICE):
+                at = same[i : i + _SLICE]
+                u, sv, vh = np.linalg.svd(self._dom[at, :, :c], full_matrices=False)
+                rank = np.count_nonzero(sv > 1e-12, axis=1)
+                for r in set(rank.tolist()):
+                    sel = rank == r
+                    basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
+                    q_img = self._img[at[sel], :, :c] @ basis
+                    # domain and image bases share one stacked QR
+                    full = _extend_basis(np.concatenate([u[sel, :, :r], q_img]))
+                    doms[at[sel]] = full[: len(q_img)]
+                    imgs[at[sel]] = full[len(q_img) :]
+        return BlockMap._from_stack(d, self._labels, np.full(k, d), doms, imgs, self.blocks)
 
 
 def _sector_rows(vectors, d):
     """Nonzero sector rows of ``vectors``, by vector then label: ``(owner, labels, amps)``."""
-    owner = [np.zeros(0, dtype=np.intp)]
-    labels = [np.zeros(0, dtype=np.int64)]
-    amps = [np.zeros((0, d), dtype=np.complex128)]
-    for j, v in enumerate(vectors):
-        rows = np.flatnonzero(np.any(v._amps != 0, axis=1))
-        owner.append(np.full(rows.size, j))
-        labels.append(rows + v._lo)
-        amps.append(v._amps[rows])
-    return np.concatenate(owner), np.concatenate(labels), np.concatenate(amps)
+    rows = [np.flatnonzero(_nonzero_rows(v._amps)) for v in vectors]
+    owner = np.repeat(np.arange(len(vectors)), [len(r) for r in rows])
+    labels = [np.zeros(0, dtype=np.int64)] + [r + v._lo for r, v in zip(rows, vectors)]
+    amps = [np.zeros((0, d), dtype=np.complex128)] + [v._amps[r] for r, v in zip(rows, vectors)]
+    return owner, np.concatenate(labels), np.concatenate(amps)
 
 
-def _pinv(dom):
-    """Pseudo-inverses of a ``(K, D, m)`` stack, singular values cut as ``lstsq(rcond=None)``."""
+def _pinv(dom, cols):
+    """Pseudo-inverses of a padded stack, cut as ``lstsq(rcond=None)`` cuts each unpadded block."""
     u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-    keep = sv > np.finfo(np.float64).eps * max(dom.shape[1:]) * sv[:, :1]
+    keep = sv > np.finfo(np.float64).eps * np.maximum(dom.shape[1], cols)[:, None] * sv[:, :1]
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     return (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)
 
@@ -713,18 +701,17 @@ def _gram(a):
 
 
 def _isometry_defects(m):
-    """Sorted labels and isometry defects of the blocks of ``m``.
+    """Isometry defects of the blocks of ``m``, in label order.
 
     The defect of a block is the max-norm difference between the Gram
-    matrices of its image and its domain columns (0 without columns).
+    matrices of its image and its domain columns (0 without columns);
+    the padding columns add zero Gram entries only.
     """
-    labels, defects = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for lab, dom, img in _slices(m._groups):
-        labels.append(lab)
+    defects = [np.zeros(0)]
+    for i in range(0, len(m._labels), _SLICE):
+        dom, img = m._dom[i : i + _SLICE], m._img[i : i + _SLICE]
         defects.append(np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0))
-    labels, defects = np.concatenate(labels), np.concatenate(defects)
-    order = np.argsort(labels)
-    return labels[order], defects[order]
+    return np.concatenate(defects)
 
 
 def check_conserving(m):
@@ -735,9 +722,8 @@ def check_conserving(m):
     Gram matrix of the image columns and the Gram matrix of the domain
     columns.
     """
-    labels, defects = _isometry_defects(m)
-    ids = map("isometry[{}]".format, labels.tolist())
-    return ConstraintReport((("grading", 0.0), *zip(ids, defects.tolist())))
+    ids = map("isometry[{}]".format, m._labels.tolist())
+    return ConstraintReport((("grading", 0.0), *zip(ids, _isometry_defects(m).tolist())))
 
 
 def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):

@@ -128,7 +128,7 @@ class SweepTable:
 
     @classmethod
     def from_csv(cls, text):
-        lines = [ln for ln in text.strip().split("\n") if ln]
+        lines = [ln for ln in text.strip().split("\n") if ln] or [""]
         if lines[0] != cls.CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {lines[0]!r}")
         rows = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from .graded import (
     _bounds,
     _json_indent,
     _json_object,
+    _nonzero_rows,
     _row_dots,
     _sum_window,
     _trimmed,
@@ -127,16 +129,30 @@ class ApproxScheme:
                 gc.enable()
 
 
+def _size(value):
+    """A scheme size from JSON: an integer ``>= 1`` (a bool is not)."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _weight(value):
+    """A scheme weight from JSON: a real number (a bool or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 #: Parser of each field of the JSON form of a scheme.
 _FIELDS = {
-    "n": int,
-    "d": int,
+    "n": _size,
+    "d": _size,
     "xi": GradedVector.from_dict,
     "sigma": GradedVector.from_dict,
     "tau": GradedVector.from_dict,
     "rho": GradedVector.from_dict,
-    "c": float,
-    "cprime": float,
+    "c": _weight,
+    "cprime": _weight,
 }
 
 
@@ -155,20 +171,14 @@ class DerivedPointers:
 def canonical_weights(n):
     """Exact weights ``(c, c')`` of the canonical scheme as fractions.
 
-    Solves the two defining linear relations -- total apparatus weight
-    ``n (c + c') = 1`` and pointer orthogonality ``4 n c = 4 (n - 1) c'``
-    -- in rational arithmetic (Cramer's rule), so the headline error
-    value ``c' = 1/(2n - 1)`` carries no accumulation error before float
-    conversion.
+    ``c = (n - 1)/(n (2n - 1))`` and ``c' = 1/(2n - 1)`` solve the total
+    apparatus weight ``n (c + c') = 1`` and pointer orthogonality
+    ``4 n c = 4 (n - 1) c'``; rational arithmetic keeps the headline
+    error free of rounding before the float conversion.
     """
     if n < 1:
         raise ValueError(f"apparatus size must be >= 1, got {n}")
-    a11, a12, b1 = Fraction(n), Fraction(n), Fraction(1)
-    a21, a22, b2 = Fraction(4 * n), Fraction(-4 * (n - 1)), Fraction(0)
-    det = a11 * a22 - a12 * a21
-    c = (b1 * a22 - a12 * b2) / det
-    cprime = (a11 * b2 - b1 * a21) / det
-    return c, cprime
+    return Fraction(n - 1, n * (2 * n - 1)), Fraction(1, 2 * n - 1)
 
 
 def _require_size(n, d):
@@ -265,15 +275,15 @@ def interaction_blocks(s):
     zero = np.zeros_like(xi[1:])
     head = np.hstack([xi[1:], zero]), np.hstack([sg[1:], rh[:-1]])
     tail = np.hstack([zero, xi[:-1]]), np.hstack([tu[1:], sg[:-1]])
-    has_head, has_tail = np.any(xi[1:] != 0, axis=1), np.any(xi[:-1] != 0, axis=1)
-    totals = lo + np.arange(len(has_head))
-    one, both = has_head ^ has_tail, has_head & has_tail
-    pick = has_head[one, None]
-    groups = [
-        (totals[one], *(np.where(pick, h[one], t[one])[:, :, None] for h, t in zip(head, tail))),
-        (totals[both], *(np.stack([h[both], t[both]], axis=2) for h, t in zip(head, tail))),
-    ]
-    return BlockMap._from_groups(2 * s.d, [g for g in groups if len(g[0])])
+    has_head, has_tail = _nonzero_rows(xi[1:]), _nonzero_rows(xi[:-1])
+    keep = np.flatnonzero(has_head | has_tail)
+    first, both = has_head[keep, None], (has_head & has_tail)[keep, None]
+    # a block without its head keeps the tail in column 0; one column leaves zero padding
+    dom, img = (
+        np.stack([np.where(first, h[keep], t[keep]), np.where(both, t[keep], 0)], axis=2)
+        for h, t in zip(head, tail)
+    )
+    return BlockMap._from_stack(2 * s.d, lo + keep, 1 + both[:, 0], dom, img)
 
 
 def _windows(s):

@@ -244,6 +244,16 @@ class TestMalformedFiles:
             ("tau", lambda p: p["tau"].update(d=3)),
             ("n", lambda p: p.update(n=[])),
             ("cprime", lambda p: p.pop("cprime")),
+            # n, d and labels must be JSON integers (n, d >= 1), c and cprime JSON numbers
+            pytest.param("n", lambda p: p.update(n=2.5), id="n-float"),
+            pytest.param("n", lambda p: p.update(n=True), id="n-bool"),
+            pytest.param("n", lambda p: p.update(n=-5), id="n-negative"),
+            pytest.param("d", lambda p: p.update(d=2.0), id="d-float"),
+            pytest.param("d", lambda p: p.update(d=0), id="d-zero"),
+            pytest.param("c", lambda p: p.update(c="0.25"), id="c-string"),
+            pytest.param("cprime", lambda p: p.update(cprime=False), id="cprime-bool"),
+            pytest.param("xi", lambda p: p["xi"]["sectors"][0].update(nu=1.5), id="xi-nu-float"),
+            pytest.param("rho", lambda p: p["rho"].update(d=2.0), id="rho-d-float"),
         ],
     )
     def test_malformed_field_is_domain_error(self, tmp_path, command, field, corrupt):

@@ -285,6 +285,12 @@ class TestJson:
             ({"d": 1, "sectors": [{"nu": 0, "amp": [[{}, 0]]}]}, "sector 0: amp is not"),
             ({"d": 1, "sectors": [{"nu": 0, "amp": [[None, 0]]}]}, "sector 0: amp is not"),
             ({"d": 1, "sectors": [{"nu": 0, "amp": [["1.0", 0]]}]}, "sector 0: amp is not"),
+            # JSON numbers that are not integers, and booleans, are no labels or sizes
+            ({"d": 2.0, "sectors": []}, "'d' must be an integer"),
+            ({"d": True, "sectors": []}, "'d' must be an integer"),
+            ({"d": 1, "sectors": [{"nu": 1.5, "amp": [[1, 0]]}]}, "'nu' must be an integer"),
+            ({"d": 1, "sectors": [{"nu": False, "amp": [[1, 0]]}]}, "'nu' must be an integer"),
+            ({"d": 1, "sectors": [{"nu": "3", "amp": [[1, 0]]}]}, "'nu' must be an integer"),
         ],
     )
     def test_malformed_data_raise_value_error(self, data, match):
@@ -455,13 +461,17 @@ class TestBlockMap:
 
     def test_blocks_are_views_into_one_stack(self):
         rng = np.random.default_rng(8)
-        m = random_isometry_blocks(rng, 3, [4, -1, 2], 2)
-        assert list(m.blocks) == [4, -1, 2]
-        assert m.sectors() == (-1, 2, 4)
-        doms = [dom for dom, _ in m.blocks.values()]
-        stack = doms[0].base
-        assert stack is not None and stack.shape == (3, 3, 2)
-        assert all(dom.base is stack for dom in doms)
+        given = {4: 2, -1: 1, 2: 3, 0: 0}  # label: column count
+        blocks = {n: _block(rng, 3, m, "isometry") for n, m in given.items()}
+        m = BlockMap(3, blocks)
+        assert list(m.blocks) == [4, -1, 2, 0]
+        assert m.sectors() == (-1, 0, 2, 4)
+        stacks = m.blocks[2][0].base, m.blocks[2][1].base
+        assert stacks[0] is not None and stacks[0].shape == stacks[1].shape == (4, 3, 3)
+        for n, (dom, img) in m.blocks.items():
+            assert dom.base is stacks[0] and img.base is stacks[1]
+            np.testing.assert_array_equal(dom, blocks[n][0])
+            np.testing.assert_array_equal(img, blocks[n][1])
         with pytest.raises(TypeError):
             m.blocks[0] = m.blocks[4]
 

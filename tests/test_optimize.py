@@ -146,6 +146,11 @@ class TestSweep:
         assert again.rows[0].n == 4
         assert again.rows[0].error_optimized == table.rows[0].error_optimized
 
+    @pytest.mark.parametrize("text", ["", "\n", "n,error\n"])
+    def test_csv_without_header_is_value_error(self, text):
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            SweepTable.from_csv(text)
+
 
 class TestFitScaling:
     def test_canonical_error_rows(self):
