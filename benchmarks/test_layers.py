@@ -18,6 +18,10 @@ solve) at n = 64, and each CLI subcommand once in process on small
 inputs.  Vector construction (``from_window``), ``u - v`` and
 ``scheme_error``, whose fixed cost per vector dominates at small n, are
 timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
+The constructors that read labels from outside are timed on sector maps
+of 10^3 and 10^4 sectors (``GradedVector(d, sectors)``), parsed JSON of
+3 * 10^3 sectors (``GradedVector.from_dict``) and certificate data at
+n = 10^4 (``ExactSchemeData.from_dict``).
 """
 
 import functools
@@ -34,7 +38,12 @@ from waylab.graded import (
     inner,
     orthogonality_transfer_check,
 )
-from waylab.nogo import _build_system, infeasibility_certificate, rotated_basis_residual
+from waylab.nogo import (
+    ExactSchemeData,
+    _build_system,
+    infeasibility_certificate,
+    rotated_basis_residual,
+)
 from waylab.optimize import sweep
 from waylab.scheme import ApproxScheme, interaction_blocks, scheme_error, validate_scheme
 
@@ -43,6 +52,7 @@ SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
 VECTOR_SIZES = [10**2, 10**4]
 NOGO_SIZES = [4, 16, 64, 256]
 CERTIFICATE_SIZES = NOGO_SIZES + [10**3, 10**4]
+SECTOR_MAP_SIZES = [10**3, 10**4]
 PLUS = ObjectState(2**-0.5, 2**-0.5)
 
 
@@ -98,6 +108,24 @@ def test_graded_sub(benchmark, n):
 def test_scheme_error(benchmark, n):
     s = build_canonical_scheme(n)
     assert benchmark(scheme_error, s) == pytest.approx(1 / (2 * n - 1))
+
+
+@pytest.mark.parametrize("k", SECTOR_MAP_SIZES)
+def test_graded_from_sector_map(benchmark, k):
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+    sectors = {nu: amps[nu] for nu in range(k)}
+    assert len(benchmark(GradedVector, 2, sectors).support()) == k
+
+
+def test_graded_from_dict(benchmark):
+    xi = build_canonical_scheme(3 * 10**3).xi
+    assert benchmark(GradedVector.from_dict, xi.to_dict()) == xi
+
+
+def test_exact_scheme_data_from_dict(benchmark):
+    data = infeasibility_certificate(10**4).minimizer
+    assert benchmark(ExactSchemeData.from_dict, data.to_dict()) == data
 
 
 def test_sweep_one_row(benchmark):

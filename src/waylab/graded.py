@@ -18,11 +18,14 @@ Conventions
   complex array whose rows are sectors ``lo..lo+k-1``, trimmed so its
   first and last rows are nonzero; zero interior rows are absent from
   ``support()``.  Operations are array expressions over windows.
-* A vector keeps the window ``_store`` trimmed for it: ``__init__`` fills
-  one from a sector map, ``from_dict`` from parsed JSON, and
-  ``from_window`` copies a given one into an instance it allocates
-  directly, without running ``__init__``.  Every operation that returns a
-  vector ends in ``from_window`` and builds no intermediate vector.
+* ``__init__`` (a sector map) and ``from_dict`` (parsed JSON) read labels
+  and rows into two arrays and share one tail, ``_fill``: the last row of
+  a repeated label wins, exact-zero rows are dropped, and one window is
+  filled.  ``from_window`` copies and trims a given window.  Every
+  operation that returns a vector ends in ``from_window``.
+* One integer rule, :func:`_integer`, reads every sector label, ``d`` and
+  ``n`` from outside: an ``int`` or a numpy integer; a bool, float (even
+  ``2.0``) or string raises ``ValueError`` naming the field.
 * Arithmetic keeps the float operations of ``a + (-1) b``: ``u - v``
   multiplies ``v``'s own rows by ``-1.0``, zero-pads them and adds, so
   its bits equal those of ``u + (-1.0) * v``.  A plain ``a - b`` of the
@@ -30,7 +33,8 @@ Conventions
   flip the sign of a zero or turn an infinite part into NaN.
 * A window costs memory in proportion to its label span, so one of more
   than ``2**24`` entries (``(hi - lo + 1) * d``, 256 MiB) is rejected
-  with ``ValueError`` before it is allocated.
+  with ``ValueError`` before it is allocated.  :func:`_require_entries`,
+  the one check of that limit, also bounds scheme sizes and no-go solves.
 * ``inner`` is conjugate-linear in its *first* argument.
 * A :class:`BlockMap` stores one stack: sorted labels, the column count
   of each block and ``(K, d, M)`` domain and image stacks, each block
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -65,13 +70,41 @@ _MAX_WINDOW_ENTRIES = 2**24
 _SLICE = 256
 
 
+def _require_entries(entries, what, *args):
+    """Refuse more than ``_MAX_WINDOW_ENTRIES`` entries; ``what.format(*args)`` names them."""
+    if entries > _MAX_WINDOW_ENTRIES:
+        raise ValueError(f"{what.format(*args)} more than {_MAX_WINDOW_ENTRIES} entries")
+
+
+def _is_integer(kind):
+    """The integer rule on a type: ``int`` or a numpy integer (a bool, float or string is not)."""
+    # an exact test: bool subclasses int, and an ABC check costs a microsecond
+    return kind is int or issubclass(kind, np.integer)
+
+
+def _integer(value, what, minimum=None):
+    """``value`` as an ``int``; ``ValueError`` naming ``what`` unless an integer ``>= minimum``."""
+    if not _is_integer(type(value)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _integers(values, what):
+    """The list ``values`` as an int64 array under the rule of :func:`_integer`."""
+    if not all(map(_is_integer, set(map(type, values)))):
+        for value in values:
+            _integer(value, what)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} out of the 64-bit range") from None
+
+
 def _zeros(lo, hi, d):
     """Zero window for sectors ``lo..hi``, refused beyond the entry limit."""
-    if (hi - lo + 1) * d > _MAX_WINDOW_ENTRIES:
-        raise ValueError(
-            f"sector labels {lo}..{hi} at dimension {d} span more than "
-            f"{_MAX_WINDOW_ENTRIES} entries"
-        )
+    _require_entries((hi - lo + 1) * d, "sector labels {}..{} at dimension {} span", lo, hi, d)
     return np.zeros((max(hi - lo + 1, 0), d), dtype=np.complex128)
 
 
@@ -97,7 +130,7 @@ def _trimmed(lo, amps):
         return 0, amps[:0]
     d = amps.shape[1]
     stop = (nonzero.size - 1 - int(nonzero[::-1].argmax())) // d + 1
-    return int(lo) + first // d, amps[first // d : stop]
+    return lo + first // d, amps[first // d : stop]
 
 
 def _nonzero_rows(amps):
@@ -148,26 +181,25 @@ class GradedVector:
     __slots__ = ("d", "_lo", "_amps")
 
     def __init__(self, d, sectors=None):
-        if d < 1:
-            raise ValueError(f"sector dimension must be >= 1, got {d}")
-        d = self.d = int(d)
-        rows = {}
-        for nu, amp in (sectors or {}).items():
-            arr = np.asarray(amp, dtype=np.complex128)
-            if arr.shape != (d,):
-                raise ValueError(f"sector {nu}: expected shape ({d},), got {arr.shape}")
-            if np.any(arr != 0):
-                rows[int(nu)] = arr
-        lo, hi = (min(rows), max(rows)) if rows else (0, -1)
-        amps = _zeros(lo, hi, d)
-        for nu, arr in rows.items():
-            amps[nu - lo] = arr
-        self._store(lo, amps)
+        d = _integer(d, "sector dimension 'd'", 1)
+        sectors = sectors or {}
+        labels = _integers(list(sectors), "sector label 'nu'")
+        rows = _rows(labels, list(sectors.values()), (d,), partial(np.array, dtype=complex))
+        self._fill(d, labels, rows)
 
-    def _store(self, lo, amps):
-        """Keep ``amps`` (sectors ``lo, lo + 1, ...``) trimmed to nonzero rows."""
-        self._lo, self._amps = _trimmed(lo, amps)
-        self._amps.setflags(write=False)
+    def _fill(self, d, labels, amps):
+        """Keep ``d`` and the rows ``amps`` of sectors ``labels`` (int64): last row per label."""
+        order = np.argsort(labels, kind="stable")  # repeated labels keep their input order
+        labels, amps = labels[order], amps[order]
+        keep = _nonzero_rows(amps)
+        keep[:-1] &= labels[1:] != labels[:-1]
+        labels, amps = labels[keep], amps[keep]
+        lo, hi = (int(labels[0]), int(labels[-1])) if len(labels) else (0, -1)
+        window = _zeros(lo, hi, d)
+        window[labels - lo] = amps
+        # its first and last rows are nonzero, so the window is already trimmed
+        self.d, self._lo, self._amps = d, lo, window
+        window.setflags(write=False)
 
     @classmethod
     def from_window(cls, lo, amps):
@@ -177,7 +209,8 @@ class GradedVector:
             raise ValueError(f"window shape {amps.shape} is not (k, d) with d >= 1")
         vec = object.__new__(cls)
         vec.d = amps.shape[1]
-        vec._store(lo, amps)
+        vec._lo, vec._amps = _trimmed(_integer(lo, "window start 'lo'"), amps)
+        vec._amps.setflags(write=False)
         return vec
 
     # -- basic queries ---------------------------------------------------
@@ -193,7 +226,7 @@ class GradedVector:
 
     def sector(self, nu):
         """Amplitude vector of sector ``nu`` (zeros if absent)."""
-        i = int(nu) - self._lo
+        i = _integer(nu, "sector label 'nu'") - self._lo
         if 0 <= i < len(self._amps):
             return self._amps[i]
         return np.zeros(self.d, dtype=np.complex128)
@@ -307,32 +340,14 @@ class GradedVector:
         """
         if not isinstance(data, dict) or not isinstance(data.get("sectors"), list):
             raise ValueError("expected an object with 'd' and a 'sectors' list")
-        vec = cls(_int_field(data, "d"))
-        entries, d = data["sectors"], vec.d
-        if not entries:
-            return vec
+        d = _integer(data.get("d"), "sector dimension 'd'", 1)
+        entries = data["sectors"]
         if not all(isinstance(e, dict) and "amp" in e for e in entries):
             raise ValueError("every sector needs 'nu' and 'amp'")
-        try:
-            labels = np.array([_int_field(e, "nu") for e in entries], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("sector label out of the 64-bit range") from None
-        try:
-            amps = _number_array([e["amp"] for e in entries])
-        except ValueError:
-            amps = None
-        if amps is None or amps.shape != (len(entries), d, 2):
-            _raise_amp_error(labels, entries, d)
-        # the last entry of each label, in label order, without exact-zero sectors
-        last = len(labels) - 1 - np.unique(labels[::-1], return_index=True)[1]
-        labels, amps = labels[last], amps[last].view(np.complex128)[..., 0]
-        keep = _nonzero_rows(amps)
-        labels, amps = labels[keep], amps[keep]
-        if len(labels):
-            lo = int(labels[0])
-            window = _zeros(lo, int(labels[-1]), d)
-            window[labels - lo] = amps
-            vec._store(lo, window)
+        labels = _integers([e.get("nu") for e in entries], "sector label 'nu'")
+        amps = _rows(labels, [e["amp"] for e in entries], (d, 2), _number_array)
+        vec = object.__new__(cls)
+        vec._fill(d, labels, amps.view(np.complex128)[..., 0])
         return vec
 
 
@@ -373,15 +388,6 @@ def _json_object(members, indent, depth):
     return "{" + _json_array(members, indent, depth)[1:-1] + "}"
 
 
-def _int_field(data, key):
-    """``data[key]`` as an ``int``, or ``ValueError`` naming ``key`` unless it is an integer."""
-    value = data.get(key)
-    # a JSON true or false parses as a bool, an int subclass that is no integer here
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise ValueError(f"{key!r} must be an integer")
-    return int(value)
-
-
 def _number_array(value):
     """``value`` as a float array, or ``ValueError`` unless it is a regular array of numbers."""
     arr = np.asarray(value)
@@ -390,15 +396,37 @@ def _number_array(value):
     return arr.astype(np.float64)
 
 
-def _raise_amp_error(labels, entries, d):
-    """Name the first sector whose ``amp`` is not ``d`` pairs of numbers."""
-    for nu, entry in zip(labels.tolist(), entries):
+def _read_fields(data, parsers, kind):
+    """``{name: parse(data[name])}`` over ``parsers``; ``ValueError`` names a bad ``kind`` field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {kind} must be a JSON object")
+    fields = {}
+    for name, parse in parsers.items():
+        if name not in data:
+            raise ValueError(f"{kind} field {name!r} is missing")
         try:
-            shape = _number_array(entry["amp"]).shape
-        except ValueError:
+            fields[name] = parse(data[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} field {name!r}: {exc}") from None
+    return fields
+
+
+def _rows(labels, values, shape, convert):
+    """``values`` read by ``convert`` as one ``(len(values), *shape)`` array, or ``ValueError``."""
+    try:
+        amps = convert(values) if values else np.zeros((0, *shape))
+    except (TypeError, ValueError):
+        amps = None
+    if amps is not None and amps.shape == (len(values), *shape):
+        return amps
+    for nu, value in zip(labels.tolist(), values):
+        try:
+            got = convert(value).shape
+        except (TypeError, ValueError):
             raise ValueError(f"sector {nu}: amp is not an array of numbers") from None
-        if shape != (d, 2):
-            raise ValueError(f"sector {nu}: expected amp shape ({d}, 2), got {shape}")
+        if got != shape:
+            raise ValueError(f"sector {nu}: expected amp shape {shape}, got {got}")
+    raise ValueError(f"sector amplitudes are not rows of shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -416,9 +444,7 @@ class ObjectState:
 
     def require_normalized(self, tol=DEFAULT_TOL):
         if not self.is_normalized(tol):
-            raise ValueError(
-                f"object state not normalized: |amp0|^2+|amp1|^2 = {self.norm2()!r}"
-            )
+            raise ValueError(f"object state not normalized: |amp0|^2+|amp1|^2 = {self.norm2()!r}")
 
 
 @dataclass(frozen=True)
@@ -547,24 +573,23 @@ class BlockMap:
     __slots__ = ("d", "blocks", "_labels", "_cols", "_dom", "_img")
 
     def __init__(self, d, blocks):
-        d = int(d)
+        d = _integer(d, "sector dimension 'd'", 1)
+        labels = _integers(list(blocks), "block label 'N'")
         parsed = {}
-        for n, (dom, img) in blocks.items():
+        for n, (dom, img) in zip(labels.tolist(), blocks.values()):
             dom, img = np.asarray(dom, dtype=np.complex128), np.asarray(img, dtype=np.complex128)
             if dom.ndim != 2 or dom.shape[0] != d:
                 raise ValueError(f"block {n}: domain shape {dom.shape}")
             if img.shape != dom.shape:
-                raise ValueError(
-                    f"block {n}: image shape {img.shape} != domain shape {dom.shape}"
-                )
-            parsed[int(n)] = (dom, img)
-        labels = sorted(parsed)
-        cols = np.array([parsed[n][0].shape[1] for n in labels], dtype=np.intp)
+                raise ValueError(f"block {n}: image shape {img.shape} != domain shape {dom.shape}")
+            parsed[n] = (dom, img)
+        labels = np.sort(labels)
+        cols = np.array([parsed[n][0].shape[1] for n in labels.tolist()], dtype=np.intp)
         dom = np.zeros((len(labels), d, cols.max(initial=0)), dtype=np.complex128)
         img = np.zeros_like(dom)
-        for k, n in enumerate(labels):
+        for k, n in enumerate(labels.tolist()):
             dom[k, :, : cols[k]], img[k, :, : cols[k]] = parsed[n]
-        self._set(d, np.array(labels, dtype=np.int64), cols, dom, img, parsed)
+        self._set(d, labels, cols, dom, img, parsed)
 
     @classmethod
     def _from_stack(cls, d, labels, cols, dom, img, order=None):

@@ -90,14 +90,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graded
 from .graded import (
     ConstraintReport,
     ObjectState,
+    _integer,
     _json_array,
     _json_floats,
     _json_indent,
     _json_object,
+    _number_array,
+    _read_fields,
+    _require_entries,
 )
 from .optimize import OptimizationError
 
@@ -105,14 +108,15 @@ from .optimize import OptimizationError
 _SUM_TARGETS = (1.0, 1.0, 1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactSchemeData:
     """Sector data of a candidate exact scheme on the window ``1..n``.
 
     Arrays are indexed by ``nu - 1``; values outside the window are zero.
     ``x``, ``s`` and ``t`` are squared norms, so a well-formed instance
     is entrywise nonnegative (checked by the residual operation, not the
-    constructor, so corrupt data can be diagnosed).
+    constructor, so corrupt data can be diagnosed).  Two instances are
+    equal when ``n`` and every array are.
     """
 
     n: int
@@ -123,46 +127,46 @@ class ExactSchemeData:
     b: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "s", "t", "a", "b"):
+        for name in _ROWS:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.n,):
                 raise ValueError(f"{name}: expected shape ({self.n},), got {arr.shape}")
             object.__setattr__(self, name, arr)
 
-    def window(self, name, nu):
-        """Sequence value at ``nu`` with zeros outside ``1..n``."""
-        if 1 <= nu <= self.n:
-            return float(getattr(self, name)[nu - 1])
-        return 0.0
+    def __eq__(self, other):
+        if not isinstance(other, ExactSchemeData):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in _ROWS
+        )
+
+    __hash__ = None
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "x": self.x.tolist(),
-            "s": self.s.tolist(),
-            "t": self.t.tolist(),
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-        }
+        return {"n": self.n, **{k: getattr(self, k).tolist() for k in _ROWS}}
 
     def _json(self, indent, depth):
         """``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``."""
         members = [f'"n": {json.dumps(self.n)}']
-        for k in ("x", "s", "t", "a", "b"):
+        for k in _ROWS:
             values = _json_array(_json_floats(getattr(self, k)), indent, depth + 1)
             members.append(f'"{k}": {values}')
         return _json_object(members, indent, depth)
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            n=int(data["n"]),
-            x=np.asarray(data["x"], dtype=float),
-            s=np.asarray(data["s"], dtype=float),
-            t=np.asarray(data["t"], dtype=float),
-            a=np.asarray(data["a"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
-        )
+        """Inverse of :meth:`to_dict`; malformed data raise ``ValueError`` naming the field."""
+        return cls(**_read_fields(data, _EXACT_FIELDS, "exact scheme data"))
+
+
+#: The five sector sequences of :class:`ExactSchemeData`, in data-row order.
+_ROWS = ("x", "s", "t", "a", "b")
+
+#: Parser of each field of the JSON form of :class:`ExactSchemeData`.
+_EXACT_FIELDS = {
+    "n": lambda value: _integer(value, "support size", 1),
+    **dict.fromkeys(_ROWS, _number_array),
+}
 
 
 @dataclass(frozen=True)
@@ -254,11 +258,8 @@ def exact_constraint_residual(data):
         for kind in ("unitary-norm0", "unitary-norm1", "unitary-ortho-re", "unitary-ortho-im")
     ]
     entries = list(zip(ids, rows.T.ravel().tolist()))
-    entries.append(("sum-x", abs(float(np.sum(data.x)) - 1.0)))
-    entries.append(("sum-s", abs(float(np.sum(data.s)) - 1.0)))
-    entries.append(("sum-t", abs(float(np.sum(data.t)) - 1.0)))
-    entries.append(("sum-a", abs(float(np.sum(data.a)))))
-    entries.append(("sum-b", abs(float(np.sum(data.b)))))
+    for k, target in zip(_ROWS, _SUM_TARGETS):
+        entries.append((f"sum-{k}", abs(float(np.sum(getattr(data, k))) - target)))
     return ConstraintReport(tuple(entries))
 
 
@@ -283,21 +284,12 @@ def _build_system(n, m, delta):
     return a_mat, rhs
 
 
-def _require_entries(n, entries, what):
-    """Refuse ``n < 1``, or a solve whose ``what`` needs more than the graded window limit."""
-    if n < 1:
-        raise ValueError(f"support size must be >= 1, got {n}")
-    if entries > graded._MAX_WINDOW_ENTRIES:
-        raise ValueError(
-            f"support size n = {n} needs {what}, more than "
-            f"{graded._MAX_WINDOW_ENTRIES} entries"
-        )
-
-
 def _dense_minimizer(n, m, delta):
     """Minimum-norm least-squares data ``(5, n)`` of ``_build_system`` and its violation."""
+    n = _integer(n, "support size 'n'", 1)
     rows, cols = 4 * n + 9, 5 * n
-    _require_entries(n, rows * cols, f"a dense {rows} x {cols} system")
+    what = "support size n = {} needs a dense {} x {} system,"
+    _require_entries(rows * cols, what, n, rows, cols)
     a_mat, rhs = _build_system(n, m, delta)
     w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
     r = a_mat @ w - rhs
@@ -310,7 +302,8 @@ def _parity_chain_minimizer(n):
     The parity-chain solve of the module docstring, for the sum targets
     of ``x, s, t`` in ``_SUM_TARGETS`` (those of ``a, b`` are zero).
     """
-    _require_entries(n, 5 * n, f"5 x {n} data")
+    n = _integer(n, "support size 'n'", 1)
+    _require_entries(5 * n, "support size n = {} needs 5 x {} data,", n, n)
     x_sum, s_sum, t_sum = _SUM_TARGETS[:3]
     k = np.arange(1.0, n + 1.0)
     f = np.stack([k % 2, 1.0 - k % 2])  # parity indicators, odd k first

@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graded import GradedVector
+from .graded import GradedVector, _integer
 from .scheme import (
     ApproxScheme,
     _require_size,
@@ -187,11 +187,9 @@ def _smooth_profile_scheme(n, d):
 
 def _checked_scheme(n, d, opts):
     """Build the optimal scheme and its validation report, or raise."""
+    n, d = _require_size(n, d)
     if n < 2:
         raise ValueError(f"optimization needs n >= 2, got {n}")
-    if d < 2:
-        raise ValueError(f"per-sector dimension must be >= 2, got {d}")
-    _require_size(n, d)
     opts = opts or OptimizerOptions()
     scheme = _smooth_profile_scheme(n, d)
     report = validate_scheme(scheme)
@@ -230,11 +228,9 @@ def sweep(n_values, d=2, opts=None):
     the canonical scheme rather than aborting the sweep.  ``iters`` is 0
     in every row, since no search runs.
     """
-    n_values = list(n_values)
+    n_values = [_integer(n, "swept size 'n'", 2) for n in n_values]
     if not n_values:
         raise ValueError("n_values must be nonempty")
-    if any(n < 2 for n in n_values):
-        raise ValueError("every swept size must be >= 2")
     _require_size(max(n_values), d)  # the largest size bounds every window
     rows = []
     for n in n_values:

@@ -33,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import graded
 from .graded import (
     DEFAULT_TOL,
     BlockMap,
@@ -41,13 +40,20 @@ from .graded import (
     GradedVector,
     ObjectState,
     _bounds,
+    _integer,
     _json_indent,
     _json_object,
     _nonzero_rows,
+    _read_fields,
+    _require_entries,
     _row_dots,
     _sum_window,
     _trimmed,
 )
+
+
+#: The four graded vectors of a scheme, in the order of its JSON form.
+_VECTORS = ("xi", "sigma", "tau", "rho")
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,8 @@ class ApproxScheme:
     cprime: float
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "d": self.d,
-            "c": self.c,
-            "cprime": self.cprime,
-            "xi": self.xi.to_dict(),
-            "sigma": self.sigma.to_dict(),
-            "tau": self.tau.to_dict(),
-            "rho": self.rho.to_dict(),
-        }
+        data = {k: getattr(self, k) for k in ("n", "d", "c", "cprime")}
+        return data | {k: getattr(self, k).to_dict() for k in _VECTORS}
 
     @classmethod
     def from_dict(cls, data):
@@ -87,22 +85,11 @@ class ApproxScheme:
         Malformed data raise ``ValueError`` naming the field, and so does a
         vector whose sector dimension is not the scheme's ``d``.
         """
-        if not isinstance(data, dict):
-            raise ValueError("a scheme must be a JSON object")
-        fields = {}
-        for name, parse in _FIELDS.items():
-            if name not in data:
-                raise ValueError(f"scheme field {name!r} is missing")
-            try:
-                fields[name] = parse(data[name])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"scheme field {name!r}: {exc}") from None
-        for name in ("xi", "sigma", "tau", "rho"):
+        fields = _read_fields(data, _FIELDS, "scheme")
+        for name in _VECTORS:
             if fields[name].d != fields["d"]:
-                raise ValueError(
-                    f"scheme field {name!r}: sector dimension {fields[name].d} "
-                    f"!= scheme d {fields['d']}"
-                )
+                what = f"sector dimension {fields[name].d} != scheme d {fields['d']}"
+                raise ValueError(f"scheme field {name!r}: {what}")
         return cls(**fields)
 
     def to_json(self, indent=None):
@@ -113,7 +100,7 @@ class ApproxScheme:
         """
         indent = _json_indent(indent)
         members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in ("n", "d", "c", "cprime")]
-        for k in ("xi", "sigma", "tau", "rho"):
+        for k in _VECTORS:
             members.append(f'"{k}": {getattr(self, k)._json(indent, 1)}')
         return _json_object(members, indent, 0)
 
@@ -129,13 +116,6 @@ class ApproxScheme:
                 gc.enable()
 
 
-def _size(value):
-    """A scheme size from JSON: an integer ``>= 1`` (a bool is not)."""
-    if not (type(value) is int or isinstance(value, np.integer)) or value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _weight(value):
     """A scheme weight from JSON: a real number (a bool or a string is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -145,14 +125,10 @@ def _weight(value):
 
 #: Parser of each field of the JSON form of a scheme.
 _FIELDS = {
-    "n": _size,
-    "d": _size,
-    "xi": GradedVector.from_dict,
-    "sigma": GradedVector.from_dict,
-    "tau": GradedVector.from_dict,
-    "rho": GradedVector.from_dict,
-    "c": _weight,
-    "cprime": _weight,
+    "n": lambda value: _integer(value, "apparatus size", 1),
+    "d": lambda value: _integer(value, "sector dimension", 1),
+    **dict.fromkeys(_VECTORS, GradedVector.from_dict),
+    **dict.fromkeys(("c", "cprime"), _weight),
 }
 
 
@@ -182,12 +158,16 @@ def canonical_weights(n):
 
 
 def _require_size(n, d):
-    """Refuse ``n`` before any build if its windows (sectors ``-2..n+3``) pass the entry limit."""
-    if (n + 6) * d > graded._MAX_WINDOW_ENTRIES:
-        raise ValueError(
-            f"apparatus size n = {n} at dimension {d} needs windows of {n + 6} "
-            f"sectors, more than {graded._MAX_WINDOW_ENTRIES} entries"
-        )
+    """``(n, d)`` of a scheme to build as ints, checked before anything is allocated.
+
+    Integers ``n >= 1`` and ``d >= 2`` (so ``sigma`` and ``tau`` can be orthogonal
+    in a sector) whose windows (sectors ``-2..n+3``) fit the entry limit.
+    """
+    n = _integer(n, "apparatus size 'n'", 1)
+    d = _integer(d, "per-sector dimension 'd'", 2)
+    what = "apparatus size n = {} at dimension {} needs windows of {} sectors,"
+    _require_entries((n + 6) * d, what, n, d, n + 6)
+    return n, d
 
 
 def build_canonical_scheme(n, d=2):
@@ -205,14 +185,7 @@ def build_canonical_scheme(n, d=2):
     returned data keep the exact error and pointer algebra but fail the
     structural validation, which requires ``n >= 2``).
     """
-    if n < 1:
-        raise ValueError(f"apparatus size must be >= 1, got {n}")
-    if d < 2:
-        raise ValueError(
-            f"per-sector dimension must be >= 2 so sigma and tau can be "
-            f"orthogonal within a sector, got {d}"
-        )
-    _require_size(n, d)
+    n, d = _require_size(n, d)
     c_frac, cp_frac = canonical_weights(n)
     c, cp = float(c_frac), float(cp_frac)
     e0, e1 = np.eye(2, d)
@@ -300,11 +273,12 @@ def _windows(s):
 
 def _fsum(terms):
     """Correctly rounded sum, or the plain sum where ``math.fsum`` raises (inf - inf)."""
-    terms = np.asarray(terms, dtype=np.complex128)
     try:
-        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        if np.iscomplexobj(terms):
+            return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        return math.fsum(terms.tolist())
     except (OverflowError, ValueError):
-        return complex(terms.sum())
+        return terms.sum().item()
 
 
 def validate_scheme(s):
@@ -314,16 +288,20 @@ def validate_scheme(s):
     outputs and the two weight-split relations fixing ``|xi_nu|^2``; and
     globally: normalization of ``xi``, vanishing overlap of the two
     pointer states, vanishing overlap of the error vector with ``sigma``
-    and with the pointer difference.  Global sums are correctly rounded
-    (``math.fsum``), so they do not drift with ``n``.
+    and with the pointer difference.  Three more entries compare the
+    header with the vectors: ``header-n`` is the weight of ``xi`` outside
+    sectors ``1..n``, ``header-c`` is ``|c - |sigma|^2 / n|`` and
+    ``header-cprime`` is ``|c' - (eta, eta)|``.  Global sums are correctly
+    rounded (``math.fsum``), so they do not drift with ``n``.
 
     These entries cover the induced block map: the isometry defect of
     block ``N`` of :func:`interaction_blocks` is the maximum of
     ``orthogonality[N]``, ``weights-rho[N]`` and ``weights-tau[N-1]``,
     restricted to the domain vectors ``psi0 xi_N``, ``psi1 xi_{N-1}``
     present.  Reports and never raises for finite inputs whose label
-    span fits one window.
+    span fits one window and whose ``n`` is an integer ``>= 1``.
     """
+    n = _integer(s.n, "apparatus size 'n'", 1)
     lo, (xi, sg, tu, rh) = _windows(s)
     mid = slice(1, -1)
     # overflowing amplitudes give inf/NaN residuals, which report FAIL without warning
@@ -334,11 +312,17 @@ def validate_scheme(s):
         w_rho = np.abs(x[mid] - sn[mid] - r[:-2])
         w_tau = np.abs(x[mid] - sn[mid] - t[2:])
         pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
+        diff = tu - rh
+        nu = np.arange(lo - 1, lo - 1 + len(x))  # the sector of each window row
+        outside = x[(nu < 1) | (nu > n)]
         totals = [
             ("norm-xi", abs(_fsum(x) - 1.0)),
             ("overlap-pointers", abs(_fsum(pointers))),
-            ("overlap-eta-sigma", abs(_fsum(_row_dots(sg, tu - rh)))),
-            ("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, tu - rh)))),
+            ("overlap-eta-sigma", abs(_fsum(_row_dots(sg, diff)))),
+            ("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, diff)))),
+            ("header-n", abs(_fsum(outside))),
+            ("header-c", abs(s.c - _fsum(sn) / n)),
+            ("header-cprime", abs(s.cprime - 0.25 * _fsum(_row_dots(diff, diff).real))),
         ]
 
     labels = range(lo, lo + len(ortho))
@@ -363,7 +347,7 @@ def apply_interaction(s, obj, tol=DEFAULT_TOL):
         obj = ObjectState(*obj)
     obj.require_normalized(tol)
     lo, windows = _windows(s)
-    for name, win in zip(("xi", "sigma", "tau", "rho"), windows):
+    for name, win in zip(_VECTORS, windows):
         if not np.isfinite(win).all():
             raise ValueError(f"scheme vector {name} has non-finite amplitudes")
     _, sg, tu, rh = windows

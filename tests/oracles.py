@@ -64,7 +64,10 @@ def violation_by_loops(n, x, s, t, a, b):
 
 def constraint_entries_by_loops(data):
     """``(id, residual)`` entries of ``exact_constraint_residual``, one at a time."""
-    w = data.window
+
+    def w(name, nu):
+        return float(getattr(data, name)[nu - 1]) if 1 <= nu <= data.n else 0.0
+
     entries = []
     for nu in range(1, data.n + 2):
         entries.append(

@@ -266,6 +266,25 @@ class TestMalformedFiles:
         assert result.summary.startswith("error:")
         assert repr(field) in result.summary
 
+    @pytest.mark.parametrize(
+        "field, value, entry",
+        [
+            ("cprime", 0.0, "header-cprime"),  # an exact measurement, which the no-go forbids
+            ("c", 7.0, "header-c"),
+            ("n", 2, "header-n"),  # xi has weight on sector 3
+            ("n", 64, "header-c"),  # |sigma|^2 / n no longer matches c
+        ],
+    )
+    def test_header_that_disagrees_with_the_vectors_fails(self, tmp_path, field, value, entry):
+        payload = build_canonical_scheme(3).to_dict()
+        payload[field] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(payload))
+        result = run(_argv("validate", path))
+        assert result.exit_code == 1
+        assert "PASS" not in result.summary
+        assert f"{entry}: " in result.summary
+
     @pytest.mark.parametrize("name, value", [("xi", math.nan), ("sigma", math.inf)])
     def test_sample_refuses_non_finite_amplitude(self, tmp_path, name, value):
         payload = build_canonical_scheme(3).to_dict()

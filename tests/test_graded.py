@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import DictGraded, LoopBlockMap
@@ -22,7 +23,9 @@ from waylab.graded import (
     split_object_components,
     tensor,
 )
-from waylab.scheme import ApproxScheme, scheme_error
+from waylab.nogo import ExactSchemeData, infeasibility_certificate, rotated_basis_residual
+from waylab.optimize import optimize_scheme, sweep
+from waylab.scheme import ApproxScheme, build_canonical_scheme, scheme_error, validate_scheme
 
 
 def unit(d, nu, k=0):
@@ -208,11 +211,28 @@ class TestBitwise:
 
     @settings(max_examples=150, deadline=None)
     @given(_special_pairs)
+    @example(
+        (
+            (-1, np.array([[complex(-0.0, 0.0), complex(math.nan, -0.0)], [0, 0], [1, -0.0]])),
+            (2, np.array([[complex(0.0, math.nan)], [complex(-0.0, 1.0)]])),
+        )
+    )
     def test_window_constructor_matches_dict_constructor(self, pair):
         for lo, w in pair:
             d = w.shape[1]
-            expected = GradedVector(d, {lo + i: row for i, row in enumerate(w)})
-            assert _bits(GradedVector.from_window(lo, w)) == _bits(expected)
+            window = GradedVector.from_window(lo, w)
+            sectors = {lo + i: row for i, row in enumerate(w)}
+            assert _bits(GradedVector(d, sectors)) == _bits(window)
+            # numpy-integer labels read as the same labels
+            numpy_keys = {np.int64(nu): row for nu, row in sectors.items()}
+            assert _bits(GradedVector(d, numpy_keys)) == _bits(window)
+            # exact-zero rows, here of -0.0 entries, are dropped wherever they stand
+            negative_zero = np.full(d, complex(-0.0, -0.0))
+            padded = {lo - 2: negative_zero, **sectors, lo + len(w) + 1: negative_zero}
+            for nu, row in sectors.items():
+                if not row.any():
+                    padded[nu] = negative_zero
+            assert _bits(GradedVector(d, padded)) == _bits(window)
 
     @settings(max_examples=150, deadline=None)
     @given(_special_pairs)
@@ -296,6 +316,79 @@ class TestJson:
     def test_malformed_data_raise_value_error(self, data, match):
         with pytest.raises(ValueError, match=match):
             GradedVector.from_dict(data)
+
+
+_PAIR = (np.eye(2), np.eye(2))
+_EXACT = infeasibility_certificate(3).minimizer.to_dict()
+
+
+def _edited(data, **changes):
+    """Copy of ``data`` with ``changes`` applied; a value of ``None`` removes the key."""
+    out = {**data, **changes}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+# Every integer from outside (a label, d or n) is an int or a numpy integer: a
+# float, bool or string is refused by name, never rounded or cast.
+_REFUSALS = {
+    "vector-d-float": (lambda: GradedVector(2.5), "'d'"),
+    "vector-d-bool": (lambda: GradedVector(True), "'d'"),
+    "vector-d-string": (lambda: GradedVector("2"), "'d'"),
+    "vector-label-float": (lambda: GradedVector(2, {1.5: [1, 0]}), "'nu'"),
+    "vector-label-bool": (lambda: GradedVector(2, {True: [1, 0]}), "'nu'"),
+    "vector-label-string": (lambda: GradedVector(2, {"1": [1, 0]}), "'nu'"),
+    "vector-label-float-bool": (lambda: GradedVector(2, {1.5: [1, 0], True: [0, 1]}), "'nu'"),
+    "vector-sector-float": (lambda: unit(2, 1).sector(1.0), "'nu'"),
+    "vector-window-start-float": (lambda: GradedVector.from_window(0.5, [[1, 0]]), "'lo'"),
+    "map-d-float": (lambda: BlockMap(2.0, {0: _PAIR}), "'d'"),
+    "map-d-bool": (lambda: BlockMap(True, {}), "'d'"),
+    "map-d-string": (lambda: BlockMap("2", {0: _PAIR}), "'d'"),
+    "map-label-float": (lambda: BlockMap(2, {1.7: _PAIR, True: _PAIR}), "'N'"),
+    "map-label-bool": (lambda: BlockMap(2, {True: _PAIR}), "'N'"),
+    "map-label-string": (lambda: BlockMap(2, {"1": _PAIR}), "'N'"),
+    "dict-d-float": (lambda: GradedVector.from_dict({"d": 2.0, "sectors": []}), "'d'"),
+    "dict-d-bool": (lambda: GradedVector.from_dict({"d": True, "sectors": []}), "'d'"),
+    "dict-d-string": (lambda: GradedVector.from_dict({"d": "2", "sectors": []}), "'d'"),
+    "dict-label-float": (
+        lambda: GradedVector.from_dict({"d": 1, "sectors": [{"nu": 1.5, "amp": [[1, 0]]}]}),
+        "'nu'",
+    ),
+    "dict-label-bool": (
+        lambda: GradedVector.from_dict({"d": 1, "sectors": [{"nu": True, "amp": [[1, 0]]}]}),
+        "'nu'",
+    ),
+    "dict-label-string": (
+        lambda: GradedVector.from_dict({"d": 1, "sectors": [{"nu": "1", "amp": [[1, 0]]}]}),
+        "'nu'",
+    ),
+    "exact-n-float": (lambda: ExactSchemeData.from_dict(_edited(_EXACT, n=3.0)), "'n'"),
+    "exact-n-bool": (lambda: ExactSchemeData.from_dict(_edited(_EXACT, n=True)), "'n'"),
+    "exact-n-string": (lambda: ExactSchemeData.from_dict(_edited(_EXACT, n="3")), "'n'"),
+    "exact-missing-key": (lambda: ExactSchemeData.from_dict(_edited(_EXACT, x=None)), "'x'"),
+    "exact-wrong-length": (
+        lambda: ExactSchemeData.from_dict(_edited(_EXACT, s=[0.5, 0.5])),
+        r"s: expected shape \(3,\)",
+    ),
+    "exact-string-numbers": (
+        lambda: ExactSchemeData.from_dict(_edited(_EXACT, x=["1", 2, 3])),
+        "'x'",
+    ),
+    "exact-not-an-object": (lambda: ExactSchemeData.from_dict([_EXACT]), "JSON object"),
+    "scheme-n-float": (lambda: build_canonical_scheme(3.0), "'n'"),
+    "scheme-d-float": (lambda: build_canonical_scheme(3, 2.0), "'d'"),
+    "optimize-n-float": (lambda: optimize_scheme(3.0), "'n'"),
+    "sweep-n-float": (lambda: sweep([3, 4.0]), "'n'"),
+    "nogo-n-float": (lambda: infeasibility_certificate(4.0), "'n'"),
+    "nogo-rotated-n-float": (lambda: rotated_basis_residual(4.0, (0.8, 0.6)), "'n'"),
+    "validate-n-float": (lambda: validate_scheme(replace(build_canonical_scheme(3), n=3.0)), "'n'"),
+    "validate-n-zero": (lambda: validate_scheme(replace(build_canonical_scheme(3), n=0)), "'n'"),
+}
+
+
+@pytest.mark.parametrize("call, match", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_lenient_input_is_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestInner:

@@ -218,6 +218,21 @@ class TestInfeasibilityCertificate:
         with pytest.raises(ValueError):
             infeasibility_certificate(0)
 
+    def test_equality_compares_the_arrays(self):
+        cert = infeasibility_certificate(3)
+        assert cert == infeasibility_certificate(3)
+        assert cert.minimizer == ExactSchemeData.from_dict(cert.minimizer.to_dict())
+        assert cert != infeasibility_certificate(4)
+        assert cert != rotated_basis_residual(3, ObjectState(0.8, 0.6))
+        moved = cert.minimizer.to_dict()
+        moved["t"][0] += 1e-3
+        assert cert.minimizer != ExactSchemeData.from_dict(moved)
+        assert cert.minimizer != zero_data(3) and zero_data(3) != zero_data(4)
+        assert cert.minimizer != "data"
+        for value in (cert, cert.minimizer):
+            with pytest.raises(TypeError):
+                hash(value)
+
     def test_system_size_limit_counts_entries(self, monkeypatch):
         # the standard solve holds 5n data entries: 170 at n = 34, 175 at n = 35;
         # the dense rotated system has (4n + 9) x 5n: 170 at n = 2, 315 at n = 3
