@@ -11,10 +11,10 @@ inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors (two columns in every
 block, or one block of one column among two of two) and one Case 1 pair
 of product branches.  Building, validating and reading out the canonical
-scheme are timed at n = 10^2 to 10^5.  The dense no-go system assembly
-is timed at n = 4 to 256, the standard certificate (an O(n) parity-chain
-solve) at n = 4 to 10^4, a rotated-basis certificate (still a dense
-solve) at n = 64, and each CLI subcommand once in process on small
+scheme are timed at n = 10^2 to 10^5.  The standard certificate (an
+O(n) parity-chain solve) is timed at n = 4 to 10^4, a rotated-basis
+certificate (an O(n) block QR) at n = 16, 914 and 10^4, its symbolic
+witness at n = 10^5, and each CLI subcommand once in process on small
 inputs.  Vector construction (``from_window``), ``u - v`` and
 ``scheme_error``, whose fixed cost per vector dominates at small n, are
 timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
@@ -40,7 +40,7 @@ from waylab.graded import (
 )
 from waylab.nogo import (
     ExactSchemeData,
-    _build_system,
+    derive_witness,
     infeasibility_certificate,
     rotated_basis_residual,
 )
@@ -50,8 +50,7 @@ from waylab.scheme import ApproxScheme, interaction_blocks, scheme_error, valida
 SIZES = [10**3, 10**4]
 SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
 VECTOR_SIZES = [10**2, 10**4]
-NOGO_SIZES = [4, 16, 64, 256]
-CERTIFICATE_SIZES = NOGO_SIZES + [10**3, 10**4]
+CERTIFICATE_SIZES = [4, 16, 64, 256, 10**3, 10**4]
 SECTOR_MAP_SIZES = [10**3, 10**4]
 PLUS = ObjectState(2**-0.5, 2**-0.5)
 
@@ -240,18 +239,18 @@ def test_classify_case1_pair(benchmark):
     assert verdict.kind == "Case1" and verdict.branch_overlap < 1e-12
 
 
-@pytest.mark.parametrize("n", NOGO_SIZES)
-def test_build_system(benchmark, n):
-    benchmark(_build_system, n, 0.25, 0.0)
-
-
 @pytest.mark.parametrize("n", CERTIFICATE_SIZES)
 def test_infeasibility_certificate(benchmark, n):
     assert benchmark(infeasibility_certificate, n).min_violation > 0
 
 
-def test_rotated_basis_residual(benchmark):
-    assert benchmark(rotated_basis_residual, 64, ObjectState(0.8, 0.6)).min_violation > 0
+@pytest.mark.parametrize("n", [16, 914, 10**4])
+def test_rotated_basis_residual(benchmark, n):
+    assert benchmark(rotated_basis_residual, n, ObjectState(0.8, 0.6)).min_violation > 0
+
+
+def test_derive_witness(benchmark):
+    assert len(benchmark(derive_witness, 10**5)) == 4
 
 
 CLI_CASES = {

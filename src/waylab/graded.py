@@ -184,7 +184,7 @@ class GradedVector:
         d = _integer(d, "sector dimension 'd'", 1)
         sectors = sectors or {}
         labels = _integers(list(sectors), "sector label 'nu'")
-        rows = _rows(labels, list(sectors.values()), (d,), partial(np.array, dtype=complex))
+        rows = _rows(labels, list(sectors.values()), (d,), partial(_number_array, dtype=complex))
         self._fill(d, labels, rows)
 
     def _fill(self, d, labels, amps):
@@ -237,6 +237,7 @@ class GradedVector:
 
     def window(self, lo, hi):
         """Sectors ``lo..hi`` as a zero-padded ``(hi - lo + 1, d)`` copy."""
+        lo, hi = _integer(lo, "window start 'lo'"), _integer(hi, "window end 'hi'")
         out = _zeros(lo, hi, self.d)
         a, b = max(lo, self._lo), min(hi, self._hi)
         if a <= b:
@@ -388,12 +389,12 @@ def _json_object(members, indent, depth):
     return "{" + _json_array(members, indent, depth)[1:-1] + "}"
 
 
-def _number_array(value):
-    """``value`` as a float array, or ``ValueError`` unless it is a regular array of numbers."""
+def _number_array(value, dtype=np.float64):
+    """``value`` as a ``dtype`` array; ``ValueError`` unless numbers, complex if ``dtype`` is."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in ("biufc" if np.dtype(dtype).kind == "c" else "biuf"):
         raise ValueError(f"not an array of numbers (dtype {arr.dtype})")
-    return arr.astype(np.float64)
+    return arr.astype(dtype)
 
 
 def _read_fields(data, parsers, kind):

@@ -23,9 +23,8 @@ Data are held as the five rows ``(x, s, t, a, b)``, shape ``(5, n)``.
 two norm balances and the two parts of the image orthogonality, linear in
 the data at ``nu`` and ``nu - 1``; five normalization sums against
 ``_SUM_TARGETS`` complete it.  :func:`exact_constraint_residual` evaluates
-the rows on data, and :func:`_build_system` evaluates them on the five
-unit one-sector data sets to read off the 4x5 stencils of the data at
-``nu`` and ``nu - 1``.
+the rows on data, and the block solve below on unit data to read off
+the stencils of its unknowns at ``nu`` and ``nu - 1``.
 
 The minimal violation is ``min |A w - r|^2`` over the data ``w`` whose
 squared norms ``x, s, t`` are nonnegative.  One unconstrained solve gives
@@ -78,9 +77,32 @@ only the mixing weight ``m = |alpha|^2 |beta|^2`` and the imbalance
 is invariant under phases of ``alpha`` and ``beta``, reduces to the
 standard system at ``m = 1/4``, and becomes exactly feasible in the
 degenerate case ``m = 0`` (measuring the conserved quantity itself).
-Rotated bases keep the dense minimum-norm ``lstsq`` of
-:func:`_build_system`: near ``m = 0`` the reduced normal equations lose
-accuracy, and at ``m = 0`` the system is rank-deficient.
+Every such basis is solved in O(n) by one block QR:
+
+* ``v`` enters only the sums, so ``v[nu] = (x_sum + 2 s_sum)/n``; ``b``
+  enters only ``g (b[nu] - b[nu-1])`` (``g = 2 sqrt(m)``) and ``sum b``,
+  so ``b = 0``.  With ``p = u - t/2`` and ``e[nu] = t[nu] - t[nu-1]``
+  the other rows at ``nu`` are exactly ``p[nu] - delta a[nu] + 2m e[nu]``,
+  ``p[nu-1] + delta a[nu-1] - 2m e[nu]`` and
+  ``g (a[nu] + a[nu-1] + delta e[nu])``.  Three unknowns per sector are
+  left, taken as ``y = (sqrt(4/5) u, t, a)`` so that the sums, those of
+  ``x`` and ``s`` weighted as above, are the three rows on ``sum y``.
+* One Householder QR per block of ``_BLOCK`` sectors factors its edge
+  rows with the 6 rows the sums and earlier edges leave on its first
+  sector.  On later sectors those rows are combinations of the sums of
+  ``y``, held as 3 columns, so the sum rows stay in the factorization.
+  Only those 6 rows are kept; each R is refactored on the way back.
+* For ``m > 0`` the rows have full column rank and one least-squares
+  point, but only the edge rows see the shape of ``t``, through ``e``
+  weighted ``2m`` and ``g delta``, so as ``m -> 0`` it sinks below rounding
+  (undamped, ``|beta| = 1e-15`` at ``n = 64`` gives negative ``x, s, t``).
+  Rows ``lambda t[nu]``, ``lambda = 16 n eps`` (``_DAMPING``), cut it as
+  ``lstsq``'s ``rcond`` would: a direction with singular value
+  ``sigma >> lambda`` moves by ``(lambda/sigma)^2`` of itself, one with
+  ``sigma << lambda`` takes its minimum-norm value (uniform ``t``), and
+  the violation exceeds the minimum by at most ``lambda^2 |t|^2`` at the
+  exact minimizer.  At ``m = 0`` the minimum-norm point
+  ``x = s = t = 1/n``, ``a = b = 0`` zeroes every row and is returned.
 """
 
 from __future__ import annotations
@@ -263,37 +285,65 @@ def exact_constraint_residual(data):
     return ConstraintReport(tuple(entries))
 
 
-def _build_system(n, m, delta):
-    """Linear system ``A w = rhs`` of the (rotated) exact constraints.
-
-    Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``;
-    the per-sector unitarity rows come first, four per ``nu = 1..n+1``,
-    then the five normalization sums.  Row ``4 (nu - 1) + j`` holds
-    ``here[j, k]`` in column ``k n + nu - 1``, ``before[j, k]`` in ``k n + nu - 2``.
-    """
-    # unit data set k: variable k is 1 in sector 1; its rows at nu = 1, 2
-    unit = _unitarity_rows(np.eye(5)[:, :, None], m, delta)
-    here, before = unit[:, :, 0].T, unit[:, :, 1].T
-    a_mat = np.zeros((4 * n + 9, 5 * n))
-    i = np.arange(n)
-    a_mat[: 4 * n].reshape(n, 4, 5, n)[i, :, :, i] = here
-    a_mat[4 : 4 * n + 4].reshape(n, 4, 5, n)[i, :, :, i] = before
-    a_mat[4 * n + 4 :].reshape(5, 5, n)[range(5), range(5)] = 1.0
-    rhs = np.zeros(4 * n + 9)
-    rhs[4 * n + 4 :] = _SUM_TARGETS
-    return a_mat, rhs
+#: Sectors per block of the rotated solve, and its damping of ``t`` in ``n`` float epsilons.
+_BLOCK, _DAMPING = 16, 16.0
 
 
-def _dense_minimizer(n, m, delta):
-    """Minimum-norm least-squares data ``(5, n)`` of ``_build_system`` and its violation."""
+def _support_size(n):
+    """``n`` as an int; refused before any allocation unless ``5 x n`` data fit the window limit."""
     n = _integer(n, "support size 'n'", 1)
-    rows, cols = 4 * n + 9, 5 * n
-    what = "support size n = {} needs a dense {} x {} system,"
-    _require_entries(rows * cols, what, n, rows, cols)
-    a_mat, rhs = _build_system(n, m, delta)
-    w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
-    r = a_mat @ w - rhs
-    return w.reshape(5, n), float(r @ r)
+    _require_entries(5 * n, "support size n = {} needs 5 x {} data,", n, n)
+    return n
+
+
+def _block_minimizer(n, m, delta):
+    """Least-squares data ``(5, n)`` of the system at mixing ``(m, delta)``, in O(n).
+
+    The block solve of the module docstring, for the sum targets in
+    ``_SUM_TARGETS`` (that of ``b`` is zero); at ``m = 0`` the closed form
+    for the targets ``(1, 1, 1, 0, 0)``.
+    """
+    n = _support_size(n)
+    if m == 0.0:
+        return np.concatenate([np.full((3, n), 1.0 / n), np.zeros((2, n))])
+    x_sum, s_sum, t_sum, a_sum, _ = _SUM_TARGETS
+    r = np.sqrt(0.8)  # y = (r u, t, a) as data (x, s, t, a, b) at v = 0
+    unit = np.array([[r, -0.5 * r, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+    stencil = _unitarity_rows(unit[:, :, None], m, delta)[:, :3]
+    here, before = stencil[..., 0].T, stencil[..., 1].T
+    lam = _DAMPING * n * np.finfo(float).eps
+    # rows into a block on its first sector, the sum of y after it and the target
+    carry = np.zeros((6, 7))
+    carry[:3, :3], carry[3:, :3], carry[3:, 3:6] = here, np.eye(3), np.eye(3)
+    carry[3:, 6] = r * (x_sum - 0.5 * s_sum), t_sum, a_sum
+    # per sector its 3 edge rows out and its damped t, on the columns of the
+    # block, the next sector, the sum of y after that and the target
+    size = min(n, _BLOCK)
+    own, i = np.zeros((4 * size, 3 * size + 7)), np.arange(size)
+    per = own[:, : 3 * size + 3].reshape(size, 4, size + 1, 3)
+    per[i, :3, i], per[i, :3, i + 1], per[i, 3, i, 1] = before, here, lam
+
+    def factor(carry, k):
+        top = np.zeros((6, k + 7))
+        top[:, :3], top[:, -1] = carry[:, :3], carry[:, 6]
+        top[:, 3 : k + 6].reshape(6, -1, 3)[:] = carry[:, None, 3:6]
+        # rows 0..k-1 of R do not depend on the later columns, dead at the window's end
+        return np.linalg.qr(np.concatenate([top, own[: 4 * k // 3, : k + 7]]), mode="r")
+
+    # keep only the rows carried into each block; its R is factored again on the way back
+    full, carries = 3 * _BLOCK, [carry]
+    for _ in range((n - 1) // _BLOCK):  # the full blocks before the last
+        carries.append(factor(carries[-1], full)[full : full + 6, full:].copy())
+    y = np.empty((n, 3))
+    later = np.zeros(6)  # y of the next sector, then the sum of y over the sectors after it
+    for j in reversed(range(len(carries))):
+        k = 3 * min(_BLOCK, n - j * _BLOCK)
+        rows = factor(carries[j], k)[:k]
+        block = np.linalg.solve(rows[:, :k], rows[:, -1] - rows[:, k:-1] @ later).reshape(-1, 3)
+        y[j * _BLOCK : j * _BLOCK + len(block)] = block
+        later = np.concatenate([block[0], later[:3] + later[3:] + block[1:].sum(axis=0)])
+    u, v = y[:, 0] / r, (x_sum + 2.0 * s_sum) / n
+    return np.stack([(4.0 * u + v) / 5.0, 2.0 * (v - u) / 5.0, y[:, 1], y[:, 2], np.zeros(n)])
 
 
 def _parity_chain_minimizer(n):
@@ -302,8 +352,7 @@ def _parity_chain_minimizer(n):
     The parity-chain solve of the module docstring, for the sum targets
     of ``x, s, t`` in ``_SUM_TARGETS`` (those of ``a, b`` are zero).
     """
-    n = _integer(n, "support size 'n'", 1)
-    _require_entries(5 * n, "support size n = {} needs 5 x {} data,", n, n)
+    n = _support_size(n)
     x_sum, s_sum, t_sum = _SUM_TARGETS[:3]
     k = np.arange(1.0, n + 1.0)
     f = np.stack([k % 2, 1.0 - k % 2])  # parity indicators, odd k first
@@ -326,8 +375,8 @@ def _parity_chain_minimizer(n):
     return np.stack([(4.0 * u + v) / 5.0, 2.0 * (v - u) / 5.0, t, np.zeros(n), np.zeros(n)])
 
 
-def _certificate(w, value, m, delta):
-    """Certificate of the minimum-norm data ``w`` with violation ``value``.
+def _certificate(w, m, delta):
+    """Certificate of the least-squares data ``w`` at mixing ``(m, delta)``, valued by its own rows.
 
     Its value is the minimum over nonnegative squared norms exactly when
     the check below passes (module docstring).
@@ -341,9 +390,10 @@ def _certificate(w, value, m, delta):
             f"the bounded minimum",
             best=data,
         )
+    sums = w.sum(axis=1) - _SUM_TARGETS
     return InfeasibilityCertificate(
         n=n,
-        min_violation=value,
+        min_violation=float(np.sum(_unitarity_rows(w, m, delta) ** 2) + sums @ sums),
         minimizer=data,
         witness=derive_witness(n, m=m),
         mix=(m, delta),
@@ -375,6 +425,7 @@ def derive_witness(n, m=0.25):
     degenerate basis ``m = 0`` the orthogonality rows vanish and no
     contradiction arises.
     """
+    n = _integer(n, "support size 'n'", 1)
     if m == 0.0:
         return (
             "the object basis is an eigenbasis of the conserved quantity "
@@ -382,35 +433,27 @@ def derive_witness(n, m=0.25):
             "the trivial scheme chi_nu = sqrt(x_nu) e0, chi'_nu = sqrt(x_nu) e1 "
             "satisfies every constraint exactly",
         )
-    steps = []
-    steps.append(
+    classes = (range(1, n + 1, 2), range(2, n + 1, 2))
+    # one %-template per class; its chain is the same text with "] = t[" between entries
+    lists = ["[" + ", ".join(["%d"] * len(c)) % tuple(c) + "]" for c in classes]
+    chains = "; ".join(
+        "t[" + text[1:-1].replace(", ", "] = t[") + f"] = t[{c[-1] + 2}] = 0"
+        for c, text in zip(classes, lists)
+        if c
+    )
+    return (
         "overlap chains: a[nu] + a[nu-1] = 0 with a[0] = 0 outside the window "
         f"forces a[nu] = 0 for nu = 1..{n}; b[nu] - b[nu-1] = 0 with b[0] = 0 "
-        f"forces b[nu] = 0 for nu = 1..{n}"
-    )
-    evens = [nu for nu in range(1, n + 1) if nu % 2 == 0]
-    odds = [nu for nu in range(1, n + 1) if nu % 2 == 1]
-    steps.append(
+        f"forces b[nu] = 0 for nu = 1..{n}",
         "with the overlaps gone, the two norm balances combine to "
         "x[nu+1] - s[nu+1]/2 = t[nu]/2 = x[nu-1] - s[nu-1]/2, so t is constant "
-        f"on each parity class: {odds} and {evens}"
-    )
-    chains = []
-    for cls in (odds, evens):
-        if cls:
-            outside = cls[-1] + 2
-            chain = " = ".join(f"t[{nu}]" for nu in cls)
-            chains.append(f"{chain} = t[{outside}] = 0")
-    steps.append(
+        f"on each parity class: {lists[0]} and {lists[1]}",
         "the recursion extends past the window where t vanishes, pinning each "
-        "parity constant to zero: " + "; ".join(chains)
-    )
-    steps.append(
+        "parity constant to zero: " + chains,
         "normalization requires sum(t) = 1 while the recursion forces "
         "sum(t) = 0: the exact separation of the two superposition states is "
-        "impossible at any finite apparatus size"
+        "impossible at any finite apparatus size",
     )
-    return tuple(steps)
 
 
 def infeasibility_certificate(n):
@@ -422,10 +465,7 @@ def infeasibility_certificate(n):
     (module docstring); sizes whose ``5 x n`` data would pass the graded
     window limit are refused before anything is allocated.
     """
-    w = _parity_chain_minimizer(n)
-    sums = w.sum(axis=1) - _SUM_TARGETS
-    value = float(np.sum(_unitarity_rows(w, 0.25, 0.0) ** 2) + sums @ sums)
-    return _certificate(w, value, 0.25, 0.0)
+    return _certificate(_parity_chain_minimizer(n), 0.25, 0.0)
 
 
 def rotated_basis_residual(n, obj):
@@ -436,14 +476,14 @@ def rotated_basis_residual(n, obj):
     Only ``m = |alpha beta|^2`` and ``delta = |alpha|^2 - |beta|^2``
     enter, so the result is phase covariant, reduces to
     :func:`infeasibility_certificate` at ``|alpha| = |beta|``, and is
-    exactly zero for an eigenbasis of the conserved quantity.  Solved
-    densely by ``lstsq``, so sizes whose ``(4n + 9) x 5n`` system would
-    pass the graded window limit (``n >= 915``) are refused before
-    anything is allocated.
+    zero to rounding for an eigenbasis of the conserved quantity.  Solved
+    in O(n) by the block QR of the module docstring; sizes whose ``5 x n``
+    data would pass the graded window limit are refused before anything
+    is allocated.
     """
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized()
     m = (abs(obj.amp0) * abs(obj.amp1)) ** 2
     delta = abs(obj.amp0) ** 2 - abs(obj.amp1) ** 2
-    return _certificate(*_dense_minimizer(n, m, delta), m, delta)
+    return _certificate(_block_minimizer(n, m, delta), m, delta)

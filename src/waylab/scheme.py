@@ -152,8 +152,7 @@ def canonical_weights(n):
     ``4 n c = 4 (n - 1) c'``; rational arithmetic keeps the headline
     error free of rounding before the float conversion.
     """
-    if n < 1:
-        raise ValueError(f"apparatus size must be >= 1, got {n}")
+    n = _integer(n, "apparatus size 'n'", 1)
     return Fraction(n - 1, n * (2 * n - 1)), Fraction(1, 2 * n - 1)
 
 

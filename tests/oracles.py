@@ -18,7 +18,11 @@ certificate is solved in O(n) along two parity chains; two references
 check it: ``dense_min_norm_solution``, the dense minimum-norm ``lstsq``
 of ``build_system_by_rows`` that it replaced, and
 ``rational_min_violation``, the exact minimum as a rational function of
-``n``.
+``n``.  Every basis is solved in O(n) by a block QR; it is checked
+against ``dense_min_norm_solution`` and, where float ``lstsq`` cannot
+resolve the minimizer (mixing weights ``m <= 1e-6``), against
+``mp_min_norm_solution``, the same minimum-norm solution in 80-digit
+arithmetic.
 
 The scheme local-optimality oracle writes the approximate-scheme
 constraints out equation by equation (no shared code with
@@ -38,6 +42,7 @@ it computed each part's finite sectors once per call.
 import itertools
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear, minimize
 
@@ -92,12 +97,16 @@ def constraint_entries_by_loops(data):
     return tuple(entries)
 
 
-def build_system_by_rows(n, m, delta):
+#: Targets of the five normalization sums of ``(x, s, t, a, b)``.
+SUM_TARGETS = (1.0, 1.0, 1.0, 0.0, 0.0)
+
+
+def build_system_by_rows(n, m, delta, targets=SUM_TARGETS):
     """Linear system ``A w = rhs`` of the (rotated) exact constraints.
 
     Variable layout: ``w = [x(1..n), s(1..n), t(1..n), a(1..n), b(1..n)]``;
     the per-sector unitarity rows come first, four per ``nu = 1..n+1``,
-    then the five normalization sums.
+    then the five normalization sums against ``targets``.
     """
     def ix(k, nu):
         return k * n + (nu - 1)
@@ -140,7 +149,7 @@ def build_system_by_rows(n, m, delta):
         row({(3, nu): g, (3, nu - 1): g, (2, nu): g * delta, (2, nu - 1): -g * delta}, 0.0)
         row({(4, nu): g, (4, nu - 1): -g}, 0.0)
 
-    for k, target in ((0, 1.0), (1, 1.0), (2, 1.0), (3, 0.0), (4, 0.0)):
+    for k, target in enumerate(targets):
         row({(k, nu): 1.0 for nu in range(1, n + 1)}, target)
 
     return np.vstack(rows), np.asarray(rhs)
@@ -164,12 +173,64 @@ def bounded_min_violation(n, m=0.25, delta=0.0):
     return float(r @ r)
 
 
-def dense_min_norm_solution(n, m=0.25, delta=0.0):
+def dense_min_norm_solution(n, m=0.25, delta=0.0, targets=SUM_TARGETS):
     """Minimum-norm least-squares data ``(5, n)`` of ``build_system_by_rows`` and its violation."""
-    a_mat, rhs = build_system_by_rows(n, m, delta)
+    a_mat, rhs = build_system_by_rows(n, m, delta, targets)
     w = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
     r = a_mat @ w - rhs
     return w.reshape(5, n), float(r @ r)
+
+
+def mp_min_norm_solution(n, m, delta, dps=80):
+    """``dense_min_norm_solution`` in ``dps``-digit arithmetic, where float ``lstsq`` is off.
+
+    Near ``m = 0`` the data fix the float minimizer only to about
+    ``eps/sqrt(m)``: at ``m = 1e-12``, ``n = 512`` the ``lstsq`` value is
+    4.5e-10 off in relative terms, and at ``m = 1e-6`` its minimizer is
+    1.7e-11 off.  This solves the damped normal equations
+    ``(A^T A + mu I) w = A^T rhs`` of ``build_system_by_rows`` with
+    ``mu = 10^(-dps/2)``, which tend to the minimum-norm solution as
+    ``mu -> 0``: the unitarity rows give a block-tridiagonal matrix over
+    the sectors (5 x 5 blocks, eliminated by block Thomas sweeps), and the
+    five sum rows enter by Woodbury.  The violation is evaluated at the
+    high-precision point.
+    """
+    a_mat, rhs = build_system_by_rows(n, m, delta)
+    sector_major = np.arange(5 * n).reshape(5, n).T.ravel()
+    with mpmath.workdps(dps):
+        mu = mpmath.mpf(10) ** (-(dps // 2))
+        diag = [mpmath.eye(5) * mu for _ in range(n)]
+        sub = [mpmath.zeros(5, 5) for _ in range(n)]  # sub[i] couples sector i to i - 1
+        for row in a_mat[: 4 * n + 4, sector_major]:
+            cols = np.flatnonzero(row)
+            vals = [mpmath.mpf(float(v)) for v in row[cols]]
+            for ci, vi in zip(cols, vals):
+                for cj, vj in zip(cols, vals):
+                    if ci // 5 == cj // 5:
+                        diag[ci // 5][ci % 5, cj % 5] += vi * vj
+                    elif ci // 5 == cj // 5 + 1:
+                        sub[ci // 5][ci % 5, cj % 5] += vi * vj
+        # K^-1 W^T, where row k of W sums variable k over the sectors
+        inv, rhs_fwd = [mpmath.inverse(diag[0])], [mpmath.eye(5)]
+        for i in range(1, n):
+            step = sub[i] * inv[-1]
+            inv.append(mpmath.inverse(diag[i] - step * sub[i].T))
+            rhs_fwd.append(mpmath.eye(5) - step * rhs_fwd[-1])
+        kw = [inv[-1] * rhs_fwd[-1]]
+        for i in range(n - 2, -1, -1):
+            kw.insert(0, inv[i] * (rhs_fwd[i] - sub[i + 1].T * kw[0]))
+        gram = mpmath.eye(5)
+        for block in kw:
+            gram += block
+        lam = mpmath.lu_solve(gram, mpmath.matrix([float(v) for v in rhs[4 * n + 4 :]]))
+        z = [block * lam for block in kw]
+        flat = [z[nu][k] for k in range(5) for nu in range(n)]
+        total = mpmath.mpf(0)
+        for row, target in zip(a_mat, rhs):
+            cols = np.flatnonzero(row)
+            r = mpmath.fsum(mpmath.mpf(float(row[c])) * flat[c] for c in cols) - float(target)
+            total += r * r
+        return np.array([float(v) for v in flat]).reshape(5, n), float(total)
 
 
 def rational_min_violation(n):

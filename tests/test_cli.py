@@ -402,14 +402,19 @@ class TestNogo:
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_oversized_system_is_domain_error(self):
-        # the standard solve holds 5n entries, the dense rotated system (4n + 9) x 5n
+        # both solves hold 5n data entries: 16777220 at n = 3355444
         for argv in (
             ["nogo", "--n", "3355444"],
-            ["nogo", "--n", "915", "--alpha", "0.8,0", "--beta", "0.6,0"],
+            ["nogo", "--n", "3355444", "--alpha", "0.8,0", "--beta", "0.6,0"],
         ):
             code, summary = run_guarded(argv)
             assert code == "1", argv
             assert "more than 16777216 entries" in summary, argv
+
+    def test_rotated_past_the_old_dense_limit(self):
+        # the dense rotated system refused n >= 915; the block solve is O(n)
+        code, summary = run_guarded(["nogo", "--n", "915", "--alpha", "0.8,0", "--beta", "0.6,0"])
+        assert code == "0", summary
 
 
 class TestUsage:

@@ -23,9 +23,20 @@ from waylab.graded import (
     split_object_components,
     tensor,
 )
-from waylab.nogo import ExactSchemeData, infeasibility_certificate, rotated_basis_residual
+from waylab.nogo import (
+    ExactSchemeData,
+    derive_witness,
+    infeasibility_certificate,
+    rotated_basis_residual,
+)
 from waylab.optimize import optimize_scheme, sweep
-from waylab.scheme import ApproxScheme, build_canonical_scheme, scheme_error, validate_scheme
+from waylab.scheme import (
+    ApproxScheme,
+    build_canonical_scheme,
+    canonical_weights,
+    scheme_error,
+    validate_scheme,
+)
 
 
 def unit(d, nu, k=0):
@@ -340,6 +351,12 @@ _REFUSALS = {
     "vector-label-float-bool": (lambda: GradedVector(2, {1.5: [1, 0], True: [0, 1]}), "'nu'"),
     "vector-sector-float": (lambda: unit(2, 1).sector(1.0), "'nu'"),
     "vector-window-start-float": (lambda: GradedVector.from_window(0.5, [[1, 0]]), "'lo'"),
+    "vector-window-lo-float": (lambda: unit(2, 1).window(1.5, 3), "'lo'"),
+    "vector-window-hi-float": (lambda: unit(2, 1).window(1, 3.0), "'hi'"),
+    "vector-string-amps": (lambda: GradedVector(2, {0: ["1", "2j"]}), "sector 0"),
+    "vector-object-amps": (lambda: GradedVector(2, {0: [1, None]}), "sector 0"),
+    "canonical-weights-float": (lambda: canonical_weights(2.5), "'n'"),
+    "witness-n-float": (lambda: derive_witness(3.0), "'n'"),
     "map-d-float": (lambda: BlockMap(2.0, {0: _PAIR}), "'d'"),
     "map-d-bool": (lambda: BlockMap(True, {}), "'d'"),
     "map-d-string": (lambda: BlockMap("2", {0: _PAIR}), "'d'"),

@@ -1,5 +1,6 @@
 """Tests for the exact-measurement infeasibility analysis."""
 
+import functools
 import itertools
 import json
 import math
@@ -30,6 +31,7 @@ from oracles import (
     build_system_by_rows,
     constraint_entries_by_loops,
     dense_min_norm_solution,
+    mp_min_norm_solution,
     rational_min_violation,
     violation_by_loops,
 )
@@ -52,6 +54,9 @@ ROTATED_BASES = [
     (np.sqrt(1 - 1e-12), 1e-6, {"rel": 1e-12}),
     (1.0, 0.0, {"abs": 1e-12}),
 ]
+
+
+EPS = np.finfo(float).eps
 
 
 def zero_data(n):
@@ -234,16 +239,14 @@ class TestInfeasibilityCertificate:
                 hash(value)
 
     def test_system_size_limit_counts_entries(self, monkeypatch):
-        # the standard solve holds 5n data entries: 170 at n = 34, 175 at n = 35;
-        # the dense rotated system has (4n + 9) x 5n: 170 at n = 2, 315 at n = 3
+        # both solves hold 5n data entries: 170 at n = 34, 175 at n = 35
         monkeypatch.setattr(graded, "_MAX_WINDOW_ENTRIES", 170)
         assert infeasibility_certificate(34).min_violation > 0
-        assert rotated_basis_residual(2, ObjectState(0.8, 0.6)).min_violation > 0
-        monkeypatch.setattr(nogo, "_build_system", None)  # refused before any allocation
-        with pytest.raises(ValueError, match="5 x 35 data, more than 170 entries"):
-            infeasibility_certificate(35)
-        with pytest.raises(ValueError, match="170 entries"):
-            rotated_basis_residual(3, ObjectState(0.8, 0.6))
+        assert rotated_basis_residual(34, ObjectState(0.8, 0.6)).min_violation > 0
+        monkeypatch.setattr(nogo, "_unitarity_rows", None)  # refused before any allocation
+        for solve in (infeasibility_certificate, lambda n: rotated_basis_residual(n, (0.8, 0.6))):
+            with pytest.raises(ValueError, match="5 x 35 data, more than 170 entries"):
+                solve(35)
 
 
 _JSON_INDENTS = [None, 0, 2, "\t"]
@@ -305,11 +308,27 @@ class TestBoundedOracle:
         "mix", [(0.25, 0.0)] + [mixing(alpha, beta) for alpha, beta, _ in ROTATED_BASES]
     )
     def test_system_matches_row_by_row_builder(self, mix):
-        for n in range(1, 65):
-            a_mat, rhs = nogo._build_system(n, *mix)
-            want_a, want_rhs = build_system_by_rows(n, *mix)
-            assert np.array_equal(a_mat, want_a), n
-            assert np.array_equal(rhs, want_rhs), n
+        # the block solve's rows as the module docstring states them, in p = u - t/2, a
+        # and e[nu] = t[nu] - t[nu-1], on data with any v and b = 0; against the rows
+        # as stated once and as the row-by-row builder writes them
+        m, delta = mix
+        g = 2.0 * np.sqrt(m)
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 7, 64):
+            u, v, t, a = rng.uniform(-1.0, 1.0, (4, n))
+            w = np.stack([(4.0 * u + v) / 5.0, 2.0 * (v - u) / 5.0, t, a, np.zeros(n)])
+            p, a, t = (np.pad(q, 1) for q in (u - t / 2.0, a, t))
+            e = t[1:] - t[:-1]
+            reduced = np.stack([
+                p[1:] - delta * a[1:] + 2.0 * m * e,
+                p[:-1] + delta * a[:-1] - 2.0 * m * e,
+                g * (a[1:] + a[:-1] + delta * e),
+                np.zeros(n + 1),
+            ])
+            assert np.max(np.abs(nogo._unitarity_rows(w, m, delta) - reduced)) <= 4 * EPS, n
+            a_mat, _ = build_system_by_rows(n, m, delta)
+            by_rows = (a_mat[: 4 * n + 4] @ w.ravel()).reshape(n + 1, 4).T
+            assert np.max(np.abs(by_rows - reduced)) <= 8 * EPS, n
 
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
     def test_minimizer_is_minimum_norm(self, n):
@@ -336,7 +355,7 @@ class TestParityChainSolve:
     @staticmethod
     def assert_matches_dense(n):
         cert = infeasibility_certificate(n)
-        w, value = dense_min_norm_solution(n)
+        w, value = cached_dense(n, 0.25, 0.0)
         d = cert.minimizer
         got = np.stack([d.x, d.s, d.t, d.a, d.b])
         assert cert.min_violation == pytest.approx(value, rel=1e-12), n
@@ -365,11 +384,93 @@ class TestParityChainSolve:
 
     @pytest.mark.parametrize("targets", [(2.0, 0.5, 3.0), (0.3, 1.0, -1.0)])
     def test_other_sum_targets_match_dense(self, monkeypatch, targets):
-        # the chain solve reads its targets; the dense lstsq of the same system agrees
-        monkeypatch.setattr(nogo, "_SUM_TARGETS", (*targets, 0.0, 0.0))
+        # both solves read their targets; the dense lstsq of the same system agrees
+        targets = (*targets, 0.0, 0.0)
+        monkeypatch.setattr(nogo, "_SUM_TARGETS", targets)
         for n in (1, 2, 7, 16):
-            dense, _ = nogo._dense_minimizer(n, 0.25, 0.0)
+            dense, _ = dense_min_norm_solution(n, targets=targets)
             assert np.max(np.abs(nogo._parity_chain_minimizer(n) - dense)) <= 1e-13, n
+            for mix in ((0.25, 0.0), mixing(0.8, 0.6)):
+                dense, _ = dense_min_norm_solution(n, *mix, targets)
+                assert np.max(np.abs(nogo._block_minimizer(n, *mix) - dense)) <= 1e-13, n
+
+
+#: Bases of the block-solve accuracy checks: ``(alpha, beta, value tolerance)``; the
+#: standard mixing ``(1/4, 0)`` is checked beside them.
+BLOCK_BASES = ROTATED_BASES + [
+    (2**-0.5, 2**-0.5, {"rel": 1e-12}),
+    (0.6, 0.8, {"rel": 1e-12}),
+    (np.sqrt(1 - 1e-6), 1e-3, {"rel": 1e-12}),
+]
+
+#: ``|beta|`` of the grid towards the eigenbasis; ``1e-170`` gives ``m = 0`` exactly.
+NEAR_EIGENBASIS = [1e-4, 1e-8, 1e-10, 1e-11, 1e-13, 1e-15, 1e-20, 1e-160, 1e-170]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dense(n, m, delta):
+    return dense_min_norm_solution(n, m, delta)
+
+
+def block_certificate(n, mix):
+    return nogo._certificate(nogo._block_minimizer(n, *mix), *mix)
+
+
+class TestBlockSolve:
+    """The O(n) solve of every basis against the dense ``lstsq`` and the 80-digit oracle."""
+
+    @pytest.mark.parametrize(
+        "mix, tol",
+        [((0.25, 0.0), {"rel": 1e-12})] + [(mixing(a, b), tol) for a, b, tol in BLOCK_BASES],
+    )
+    def test_matches_dense_oracle(self, mix, tol):
+        for n in range(1, 65):
+            cert = block_certificate(n, mix)
+            w, value = cached_dense(n, *mix)
+            assert cert.min_violation == pytest.approx(value, **tol), n
+            if mix[0] > 1e-7:  # m of beta = 1e-3 is 1e-6 (1 - 1e-6); below it, see the mp oracle
+                d = cert.minimizer
+                got = np.stack([d.x, d.s, d.t, d.a, d.b])
+                assert np.max(np.abs(got - w)) <= 1e-12, n
+
+    # every basis with m >= 1e-6 but that of beta = 1e-3 (below); (0.6, -0.8j) mixes as (0.6, 0.8)
+    @pytest.mark.parametrize(
+        "mix", [(0.25, 0.0), mixing(2**-0.5, 2**-0.5), mixing(0.8, 0.6), mixing(0.6, 0.8)]
+    )
+    def test_matches_dense_oracle_large(self, mix):
+        cert = block_certificate(512, mix)
+        assert cert.min_violation == pytest.approx(cached_dense(512, *mix)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("beta, n", [(1e-6, 16), (1e-6, 512), (1e-3, 512)])
+    def test_matches_mp_oracle(self, beta, n):
+        # where lstsq is off: its value at n = 512, its minimizer at m = 1e-12, which
+        # the data fix only to about eps/sqrt(m)
+        m, delta = mix = mixing(np.sqrt(1 - beta**2), beta)
+        cert = block_certificate(n, mix)
+        w, value = mp_min_norm_solution(n, m, delta)
+        assert cert.min_violation == pytest.approx(value, rel=1e-12)
+        if n <= 64:
+            d = cert.minimizer
+            got = np.stack([d.x, d.s, d.t, d.a, d.b])
+            assert np.max(np.abs(got - w)) <= EPS / np.sqrt(m)
+
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    def test_standard_mixing_matches_rational_formula(self, n):
+        cert = block_certificate(n, (0.25, 0.0))
+        assert cert.min_violation == pytest.approx(float(rational_min_violation(n)), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", NEAR_EIGENBASIS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_towards_the_eigenbasis(self, beta, n):
+        # as m -> 0 the shape of t sinks below rounding; the damped solve stays
+        # finite, nonnegative and at the minimum to within 1e-20
+        cert = rotated_basis_residual(n, ObjectState(np.sqrt(1 - beta**2), beta))
+        d = cert.minimizer
+        got = np.stack([d.x, d.s, d.t, d.a, d.b])
+        assert np.all(np.isfinite(got)) and np.min(got[:3]) >= 0
+        assert violation_of_own_rows(cert) == pytest.approx(cert.min_violation, rel=1e-15)
+        _, value = dense_min_norm_solution(n, *cert.mix)
+        assert abs(cert.min_violation - value) <= 1e-12 * value + 1e-20
 
 
 def test_import_does_not_load_scipy():
