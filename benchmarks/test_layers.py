@@ -9,9 +9,10 @@ run does not collect it, and no performance claim rests on it: the
 benchmark of record is ``perfbench/``.  Each case times one call on
 inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors (two columns in every
-block, or one block of one column among two of two) and one Case 1 pair
-of product branches.  Building, validating and reading out the canonical
-scheme are timed at n = 10^2 to 10^5.  The standard certificate (an
+block, or one block of one column among two of two) and three pairs of
+product branches (Case 1, Case 2, and a mismatched Infeasible pair).
+Building, validating and reading out the canonical scheme are timed at
+n = 10^2 to 10^5.  The standard certificate (an
 O(n) parity-chain solve) is timed at n = 4 to 10^4, a rotated-basis
 certificate (an O(n) block QR) at n = 16, 914 and 10^4, its symbolic
 witness at n = 10^5, and each CLI subcommand once in process on small
@@ -229,14 +230,23 @@ def test_three_sector_apply(benchmark, widths):
     benchmark(m.apply, inputs[0])
 
 
-def test_classify_case1_pair(benchmark):
-    # object spread over charges 0 and 1 with the charge-1 parts cancelling,
-    # apparatus sharp at 0, branches orthogonal
-    app = GradedVector(2, {0: [1.0, 0.0]})
-    plus = BranchSpec(GradedVector(2, {0: [0.8, 0.0], 1: [0.0, 0.6]}), app)
-    minus = BranchSpec(GradedVector(2, {0: [0.45, 0.4375**0.5], 1: [0.0, -0.6]}), app)
-    verdict = benchmark(classify, plus, minus)
-    assert verdict.kind == "Case1" and verdict.branch_overlap < 1e-12
+# one side spread over charges 0 and 1 with the charge-1 parts cancelling,
+# the other sharp at 0, branches orthogonal
+_SHARP = GradedVector(2, {0: [1.0, 0.0]})
+_SPREAD_PLUS = GradedVector(2, {0: [0.8, 0.0], 1: [0.0, 0.6]})
+_SPREAD_MINUS = GradedVector(2, {0: [0.45, 0.4375**0.5], 1: [0.0, -0.6]})
+CLASSIFY_PAIRS = {
+    "Case1": (BranchSpec(_SPREAD_PLUS, _SHARP), BranchSpec(_SPREAD_MINUS, _SHARP)),
+    "Case2": (BranchSpec(_SHARP, _SPREAD_PLUS), BranchSpec(_SHARP, _SPREAD_MINUS)),
+    # a Case 1 branch against a Case 2 branch: no common cancellation
+    "Infeasible": (BranchSpec(_SPREAD_PLUS, _SHARP), BranchSpec(_SHARP, _SPREAD_MINUS)),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLASSIFY_PAIRS))
+def test_classify_pair(benchmark, kind):
+    verdict = benchmark(classify, *CLASSIFY_PAIRS[kind])
+    assert verdict.kind == kind and not verdict.violations
 
 
 @pytest.mark.parametrize("n", CERTIFICATE_SIZES)

@@ -17,11 +17,13 @@ across environments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graded import DEFAULT_TOL, GradedVector, ObjectState, inner, split_object_components, tensor
+from .graded import _integer
 from .scheme import apply_interaction, derived_pointers
 
 #: Label of the appended outcome when the state has weight outside the
@@ -55,8 +57,17 @@ class Observable:
             raise ValueError(
                 f"{len(eigenvalues)} eigenvalues vs {len(spaces)} eigenspaces"
             )
-        if len(set(eigenvalues)) != len(eigenvalues):
-            raise ValueError("eigenvalues must be distinct (merge degenerate families)")
+        labels = {}  # outcome label -> eigenvalue; distinct eigenvalues need distinct labels
+        for q in eigenvalues:
+            label = f"{q or 0.0:g}"  # -0.0 is the eigenvalue 0.0
+            if not math.isfinite(q):
+                raise ValueError(f"eigenvalues must be finite, got {q!r}")
+            if label in labels:
+                raise ValueError(
+                    f"eigenvalues {labels[label]!r} and {q!r} share the outcome label {label!r}"
+                    " (merge degenerate families)"
+                )
+            labels[label] = q
         stacked = np.hstack(spaces)
         with np.errstate(invalid="ignore"):  # non-finite entries fail the check below
             gram = stacked.conj().T @ stacked
@@ -198,8 +209,8 @@ def sample_outcomes(dist, shots, seed):
     (numpy default), and counts over the distribution's labels always
     sum to ``shots``.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer(shots, "shots", 1)
+    seed = _integer(seed, "seed", 0)
     labels = dist.labels()
     probs = np.asarray(dist.probabilities(), dtype=float)
     total = probs.sum()

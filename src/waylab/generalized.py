@@ -97,20 +97,20 @@ def _finite_sectors(vec, tol):
 
 
 def _finite_parts(branches, tol):
-    """Finite sectors ``(object, apparatus)`` of each branch, computed once."""
-    return [
+    """Finite sectors ``(object, apparatus)`` of each branch, computed once, and
+    the sorted distinct ``(nu, mu)`` products at total charge outside {0, 1}."""
+    finite = [
         (_finite_sectors(b.object_part, tol), _finite_sectors(b.apparatus_part, tol))
         for b in branches
     ]
-
-
-def _violations(finite):
-    """Sorted distinct ``(nu, mu)`` product components at total charge outside {0, 1}."""
-    pairs = set()
-    for obj_supp, app_supp in finite:
-        for mu in obj_supp:
-            pairs.update((mu + lam, mu) for lam in app_supp if mu + lam not in (0, 1))
-    return sorted(pairs)
+    violations = {
+        (mu + lam, mu)
+        for obj_supp, app_supp in finite
+        for mu in obj_supp
+        for lam in app_supp
+        if mu + lam not in (0, 1)
+    }
+    return finite, sorted(violations)
 
 
 def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
@@ -121,109 +121,56 @@ def support_check(plus_branch, minus_branch, tol=FINITE_TOL):
     ``psi_mu (x) chi_{nu - mu}`` is nonzero in either branch; an empty
     list means the support constraint holds.
     """
-    return _violations(_finite_parts((plus_branch, minus_branch), tol))
-
-
-def _pattern(obj_supp, app_supp):
-    """Finite-component pattern of one clean branch.
-
-    Returns ``"Case1"`` when the object carries both charges and the
-    apparatus is sharp, ``"Case2"`` for the mirror pattern, or ``None``
-    when neither side carries the charge-1 component.
-    """
-    obj_raised = any(nu != 0 for nu in obj_supp)
-    app_raised = any(nu != 0 for nu in app_supp)
-    if obj_raised and not app_raised:
-        return "Case1"
-    if app_raised and not obj_raised:
-        return "Case2"
-    return None
-
-
-def _component_labels(finite):
-    return tuple(
-        f"{name}:{part_name}:{nu}"
-        for name, parts in zip(("plus", "minus"), finite)
-        for part_name, supp in zip(("object", "apparatus"), parts)
-        for nu in supp
-    )
-
-
-def _outer(obj_vec, app_vec, mu, lam):
-    """Product component psi_mu (x) chi_lam as a flat matrix."""
-    return np.outer(obj_vec.sector(mu), app_vec.sector(lam))
+    return _finite_parts((plus_branch, minus_branch), tol)[1]
 
 
 def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     """Two-case classification of a pair of product branches.
 
-    Runs the support check; on clean support, matches the finite
-    components against the two admissible patterns and evaluates the
-    applicable charge-1 cross condition as a residual.  Orthogonality of
-    the two full branch outputs (a unitarity necessary condition) is
-    verified alongside and reported in ``branch_overlap`` without
-    affecting the verdict.
+    The verdict rule, on the sectors of each part above ``tol``: a product
+    at total charge outside {0, 1} (a support violation) makes the pair
+    ``Infeasible`` with residual 0.  Otherwise each branch is flagged
+    ``(object raised, apparatus raised)``, raised meaning a sector off
+    charge 0.  ``(True, False)`` in both branches is Case 1 with residual
+    ``|sum psi_1 (x) chi_0|`` over the branches, ``(False, True)`` in both
+    is Case 2 with ``|sum psi_0 (x) chi_1|``, and either stands only if the
+    residual is at most ``sqrt(tol)``.  Other flags are ``Infeasible`` with
+    the norm of all charge-1 products ``psi_mu (x) chi_{1 - mu}`` (1.0 if
+    none).  The overlap of the two branch outputs (a unitarity necessary
+    condition) is reported in ``branch_overlap``, not in the verdict.
     """
-    for name, branch in (("plus", plus_branch), ("minus", minus_branch)):
+    branches = (plus_branch, minus_branch)
+    for name, branch in zip(("plus", "minus"), branches):
         if not branch.is_normalized(1e-8):
             raise ValueError(f"{name} branch is not normalized: |.| = {branch.norm()!r}")
 
-    branches = (plus_branch, minus_branch)
-    finite = _finite_parts(branches, tol)
-    violations = tuple(_violations(finite))
-    labels = _component_labels(finite)
-    overlap = abs(plus_branch.overlap(minus_branch))
+    finite, violations = _finite_parts(branches, tol)
+    flags = {tuple(any(nu != 0 for nu in supp) for supp in parts) for parts in finite}
     if violations:
-        return CaseVerdict(
-            kind="Infeasible",
-            finite_components=labels,
-            cross_condition_residual=0.0,
-            violations=violations,
-            branch_overlap=overlap,
-        )
-
-    pat_plus, pat_minus = (_pattern(*parts) for parts in finite)
-
-    if pat_plus is None or pat_minus is None or pat_plus != pat_minus:
-        # No consistent charge-1 cancellation exists across the branches:
-        # leftover charge-1 components sit in orthogonal object-charge
-        # subspaces (or are missing entirely) and cannot cancel.
-        residual = sum(
+        kind, residual = "Infeasible", 0.0
+    elif flags in ({(True, False)}, {(False, True)}):
+        kind, mu = ("Case1", 1) if flags == {(True, False)} else ("Case2", 0)
+        cross = sum(np.outer(b.object_part.sector(mu), b.apparatus_part.sector(1 - mu))
+                    for b in branches)
+        residual = float(np.linalg.norm(cross))
+        kind = kind if residual <= np.sqrt(tol) else "Infeasible"
+    else:
+        # charge-1 leftovers in orthogonal object-charge subspaces cannot cancel
+        squares = sum(
             float(np.vdot(m, m).real)
-            for branch, parts in zip(branches, finite)
-            for m in _charge_one_products(branch, *parts)
+            for b, (obj_supp, app_supp) in zip(branches, finite)
+            for m in [np.outer(b.object_part.sector(mu), b.apparatus_part.sector(1 - mu))
+                      for mu in obj_supp if 1 - mu in app_supp]
         )
-        residual = float(np.sqrt(residual)) if residual > 0 else 1.0
-        return CaseVerdict(
-            kind="Infeasible",
-            finite_components=labels,
-            cross_condition_residual=residual,
-            violations=(),
-            branch_overlap=overlap,
-        )
-
-    mu, lam = (1, 0) if pat_plus == "Case1" else (0, 1)
-    cross = sum(
-        _outer(b.object_part, b.apparatus_part, mu, lam)
-        for b in branches
+        kind, residual = "Infeasible", float(np.sqrt(squares)) if squares > 0 else 1.0
+    labels = tuple(
+        f"{name}:{part}:{nu}"
+        for name, parts in zip(("plus", "minus"), finite)
+        for part, supp in zip(("object", "apparatus"), parts)
+        for nu in supp
     )
-    residual = float(np.linalg.norm(cross))
-    kind = pat_plus if residual <= np.sqrt(tol) else "Infeasible"
-    return CaseVerdict(
-        kind=kind,
-        finite_components=labels,
-        cross_condition_residual=residual,
-        violations=(),
-        branch_overlap=overlap,
-    )
-
-
-def _charge_one_products(branch, obj_supp, app_supp):
-    return [
-        _outer(branch.object_part, branch.apparatus_part, mu, 1 - mu)
-        for mu in obj_supp
-        if 1 - mu in app_supp
-    ]
+    overlap = abs(plus_branch.overlap(minus_branch))
+    return CaseVerdict(kind, labels, residual, tuple(violations), overlap)
 
 
 def exchange_form(verdict, plus_branch, minus_branch, tol=1e-10):

@@ -312,13 +312,10 @@ class GradedVector:
 
         ``indent`` is ``None`` (compact) or the indent string.  One %-template
         per sector is repeated and filled from flat lists of labels and
-        floats, so no per-sector container is built.
+        float texts, so no per-sector container is built.
         """
         rows = np.flatnonzero(_nonzero_rows(self._amps))
-        amps = self._amps[rows].view(np.float64)
-        values = amps.ravel().tolist()
-        if not np.isfinite(amps).all():
-            values = [v if math.isfinite(v) else _JSON_CONSTANTS[str(v)] for v in values]
+        values = _json_floats(self._amps[rows].view(np.float64).ravel())
         # '%' in the indent string must not read as a conversion
         ind = None if indent is None else indent.replace("%", "%%")
         pair = _json_array(["%s", "%s"], ind, depth + 4)

@@ -82,6 +82,27 @@ class TestBornDistribution:
         with pytest.raises(ValueError, match="orthonormal"):
             Observable(eigenvalues=[1.0, 2.0], eigenspaces=[[value, 0.0], basis(2, 1)])
 
+    @pytest.mark.parametrize(
+        "eigenvalues", [[1.0000001, 1.0000002], [2.0, 2.0], [3, 3.0], [-0.0, 0.0]]
+    )
+    def test_rejects_eigenvalues_sharing_a_label(self, eigenvalues):
+        # outcomes are keyed by the f"{q:g}" label; two outcomes labelled "1"
+        # would lose the first one's counts in sample_outcomes
+        first, second = (repr(float(q)) for q in eigenvalues)
+        with pytest.raises(ValueError, match=f"{first} and {second} share the outcome label"):
+            Observable(eigenvalues=eigenvalues, eigenspaces=[basis(2, 0), basis(2, 1)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_eigenvalues(self, value):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            Observable(eigenvalues=[value, value], eigenspaces=[basis(2, 0), basis(2, 1)])
+
+    def test_close_eigenvalues_keep_every_shot(self):
+        obs = Observable(eigenvalues=[1.0, 1.0001], eigenspaces=[basis(2, 0), basis(2, 1)])
+        dist = born_distribution(obs, (basis(2, 0) + basis(2, 1)) / np.sqrt(2))
+        assert dist.labels() == ("1", "1.0001")
+        assert sum(sample_outcomes(dist, 1000, 7).values()) == 1000
+
     @pytest.mark.parametrize("seed", range(5))
     def test_probabilities_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
@@ -179,6 +200,23 @@ class TestSampling:
         dist = three_outcome_stats(s, ObjectState(2**-0.5, 2**-0.5))
         with pytest.raises(ValueError, match="shots"):
             sample_outcomes(dist, 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "shots, seed, field",
+        [(10.0, 1, "shots"), (True, 1, "shots"), (-3, 1, "shots"), (10, 1.5, "seed"),
+         (10, "7", "seed"), (10, True, "seed"), (10, -1, "seed")],
+    )
+    def test_refuses_non_integer_shots_and_seed(self, shots, seed, field):
+        s = build_canonical_scheme(2)
+        dist = three_outcome_stats(s, ObjectState(2**-0.5, 2**-0.5))
+        with pytest.raises(ValueError, match=field):
+            sample_outcomes(dist, shots, seed)
+
+    def test_numpy_integer_shots_and_seed(self):
+        s = build_canonical_scheme(2)
+        dist = three_outcome_stats(s, ObjectState(2**-0.5, 2**-0.5))
+        counts = sample_outcomes(dist, np.int64(1000), np.uint32(99))
+        assert counts == sample_outcomes(dist, 1000, 99)
 
     def test_counts_csv_shape(self):
         s = build_canonical_scheme(2)

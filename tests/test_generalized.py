@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_classify
-from waylab.generalized import BranchSpec, classify, exchange_form, support_check
+from waylab.generalized import FINITE_TOL, BranchSpec, classify, exchange_form, support_check
 from waylab.graded import GradedVector, inner
 
 
@@ -192,13 +192,14 @@ class TestDichotomyProperty:
             assert verdict.branch_overlap < 1e-10
 
 
-def random_branch_pair(rng):
+def random_branch_pair(rng, tol=FINITE_TOL):
     """Seeded branch pair of a random kind, and that kind's name.
 
     Kinds: a clean Case 1 or Case 2 instance; one whose charge-1 parts do
     not cancel; a Case 1 branch paired with a Case 2 branch; one part
     spread over random labels in -3..4 with some exactly zero and some
-    near ``FINITE_TOL`` (support violations, zero interior rows).
+    near the finite-sector cutoff ``tol`` (support violations, zero
+    interior rows).
     """
     kind = ["clean", "uncancelled", "mismatched", "scattered"][int(rng.integers(4))]
     plus, minus, case = random_clean_instance(rng)
@@ -218,6 +219,8 @@ def random_branch_pair(rng):
         sectors = {}
         for nu in rng.choice(np.arange(-3, 5), size=int(rng.integers(1, 5)), replace=False):
             scale = [0.0, 1e-5, 3e-5, 1.0][int(rng.integers(4))]
+            if scale < 1.0:
+                scale *= np.sqrt(tol / FINITE_TOL)
             sectors[int(nu)] = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         vec = GradedVector(d, sectors)
         if vec.is_zero():
@@ -229,17 +232,28 @@ def random_branch_pair(rng):
     return plus, minus, kind
 
 
+TOLS = [1e-12, 1e-9, 1e-6, 1e-3]
+
+
 class TestReferenceClassify:
     def test_verdicts_match_reference(self):
         # classify computes each part's finite sectors once; the reference
         # recomputes them for every question it asks
-        rng = np.random.default_rng(20261018)
+        self.check_against_reference(np.random.default_rng(20261018), {})
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_verdicts_match_reference_at_tol(self, tol):
+        # the finite-sector cutoff and the sqrt(tol) threshold away from the default
+        self.check_against_reference(np.random.default_rng(20261019), {"tol": tol})
+
+    @staticmethod
+    def check_against_reference(rng, kw):
         seen = set()
         for _ in range(600):
-            plus, minus, kind = random_branch_pair(rng)
-            verdict = classify(plus, minus)
-            assert verdict == reference_classify(plus, minus)
-            assert support_check(plus, minus) == list(verdict.violations)
+            plus, minus, kind = random_branch_pair(rng, **kw)
+            verdict = classify(plus, minus, **kw)
+            assert verdict == reference_classify(plus, minus, **kw)
+            assert support_check(plus, minus, **kw) == list(verdict.violations)
             if verdict.violations:
                 seen.add("violation")
             elif verdict.kind == "Infeasible":
@@ -249,6 +263,27 @@ class TestReferenceClassify:
         assert seen >= {
             "Case1", "Case2", "violation", "infeasible-uncancelled", "infeasible-mismatched",
         }
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_cross_condition_threshold(self, tol, factor):
+        # the charge-1 parts miss cancelling by eps = factor * sqrt(tol), at right
+        # angles to what they cancel, so renormalizing moves the residual by eps**2
+        rng = np.random.default_rng(20261020)
+        for _ in range(20):
+            plus, minus, case = random_clean_instance(rng)
+            part = "object_part" if case == 1 else "apparatus_part"
+            vec = getattr(minus, part)
+            one = vec.sector(1)
+            miss = factor * np.sqrt(tol) * 1j * one / np.linalg.norm(one)
+            nudged = GradedVector(vec.d, {0: vec.sector(0), 1: one + miss})
+            minus = BranchSpec(**{**vars(minus), part: (1.0 / nudged.norm()) * nudged})
+            verdict = classify(plus, minus, tol)
+            assert verdict == reference_classify(plus, minus, tol)
+            assert verdict.cross_condition_residual == pytest.approx(
+                factor * np.sqrt(tol), rel=factor**2 * tol
+            )
+            assert verdict.kind == (f"Case{case}" if factor < 1 else "Infeasible")
 
 
 class TestExchangeForm:
