@@ -12,7 +12,9 @@ a conserving isometry on three scattered sectors (two columns in every
 block, or one block of one column among two of two) and three pairs of
 product branches (Case 1, Case 2, and a mismatched Infeasible pair).
 Building, validating and reading out the canonical scheme are timed at
-n = 10^2 to 10^5.  The standard certificate (an
+n = 10^2 to 10^5; validation also at n = 4 (a report's fixed cost) and
+n = 10^6 (three rounds), and the exact system's residual report with its
+sum of squares at n = 16 and 10^4.  The standard certificate (an
 O(n) parity-chain solve) is timed at n = 4 to 10^4, a rotated-basis
 certificate (an O(n) block QR) at n = 16, 914 and 10^4, its symbolic
 witness at n = 10^5, and each CLI subcommand once in process on small
@@ -42,6 +44,7 @@ from waylab.graded import (
 from waylab.nogo import (
     ExactSchemeData,
     derive_witness,
+    exact_constraint_residual,
     infeasibility_certificate,
     rotated_basis_residual,
 )
@@ -153,6 +156,23 @@ def test_build_canonical_scheme(benchmark, n):
 def test_validate_scheme(benchmark, n):
     s = build_canonical_scheme(n)
     assert benchmark(validate_scheme, s).passed()
+
+
+def test_validate_scheme_small(benchmark):
+    # a report's fixed cost: 3 (n + 2) + 7 residuals at n = 4
+    s = build_canonical_scheme(4)
+    assert benchmark(lambda: validate_scheme(s).passed())
+
+
+def test_validate_scheme_million(benchmark):
+    s = build_canonical_scheme(10**6)
+    assert benchmark.pedantic(lambda: validate_scheme(s).passed(), rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("n", [16, 10**4])
+def test_exact_constraint_sum_squares(benchmark, n):
+    data = infeasibility_certificate(n).minimizer
+    assert benchmark(lambda: exact_constraint_residual(data).sum_squares) > 0
 
 
 @pytest.mark.parametrize("n", SCALE_SIZES)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded import DEFAULT_TOL, GradedVector, ObjectState, inner, split_object_components, tensor
-from .graded import _integer
+from .graded import _integer, _number_array
 from .scheme import apply_interaction, derived_pointers
 
 #: Label of the appended outcome when the state has weight outside the
@@ -44,10 +44,10 @@ class Observable:
     eigenspaces: tuple
 
     def __init__(self, eigenvalues, eigenspaces, tol=1e-10):
-        eigenvalues = tuple(float(q) for q in eigenvalues)
+        eigenvalues = tuple(_number_array(list(eigenvalues)).tolist())
         spaces = []
         for fam in eigenspaces:
-            arr = np.asarray(fam, dtype=np.complex128)
+            arr = _number_array(fam, complex)
             if arr.ndim == 1:
                 arr = arr[:, None]
             if arr.shape[1] == 0:
@@ -138,7 +138,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     declared eigenspaces (squared norm above ``1e-10``) is reported as an
     explicit ``outside-span`` outcome.
     """
-    phi = np.asarray(phi, dtype=np.complex128)
+    phi = _number_array(phi, complex)
     norm2 = float(np.vdot(phi, phi).real)
     if not abs(norm2 - 1.0) <= tol:
         raise ValueError(f"state must be normalized, got |phi|^2 = {norm2!r}")

@@ -142,14 +142,15 @@ def _cmd_validate(args):
     with open(args.scheme) as handle:
         scheme = ApproxScheme.from_json(handle.read())
     report = validate_scheme(scheme)
-    lines = [f"{cid}: {res:.3e}" for cid, res in report.entries if not res <= args.tol]
+    passed = report.passed(args.tol)
     summary = (
         f"max_residual = {report.max_residual!r} "
-        f"({'PASS' if report.passed(args.tol) else 'FAIL'} at tol {args.tol:g})"
+        f"({'PASS' if passed else 'FAIL'} at tol {args.tol:g})"
     )
-    if lines:
-        summary = "\n".join(lines + [summary])
-    return CommandResult(0 if report.passed(args.tol) else 1, [], summary)
+    # a passing report has no entry above tol, so its ids are never spelled
+    failing = () if passed else report.entries
+    lines = [f"{cid}: {res:.3e}" for cid, res in failing if not res <= args.tol]
+    return CommandResult(0 if passed else 1, [], "\n".join(lines + [summary]))
 
 
 def _cmd_optimize(args):

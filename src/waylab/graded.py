@@ -53,7 +53,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
@@ -204,7 +203,7 @@ class GradedVector:
     @classmethod
     def from_window(cls, lo, amps):
         """Vector whose sectors ``lo, lo + 1, ...`` are the rows of ``amps``, copied."""
-        amps = np.array(amps, dtype=np.complex128)
+        amps = _number_array(amps, complex)
         if amps.ndim != 2 or amps.shape[1] < 1:
             raise ValueError(f"window shape {amps.shape} is not (k, d) with d >= 1")
         vec = object.__new__(cls)
@@ -387,9 +386,9 @@ def _json_object(members, indent, depth):
 
 
 def _number_array(value, dtype=np.float64):
-    """``value`` as a ``dtype`` array; ``ValueError`` unless numbers, complex if ``dtype`` is."""
+    """``value`` as a ``dtype`` array; ValueError unless numbers (complex if dtype is complex)."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in ("biufc" if np.dtype(dtype).kind == "c" else "biuf"):
+    if arr.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
         raise ValueError(f"not an array of numbers (dtype {arr.dtype})")
     return arr.astype(dtype)
 
@@ -445,52 +444,79 @@ class ObjectState:
             raise ValueError(f"object state not normalized: |amp0|^2+|amp1|^2 = {self.norm2()!r}")
 
 
-@dataclass(frozen=True)
 class ConstraintReport:
-    """Named residuals of a constraint system.
+    """Named residuals of a constraint system, held as one read-only float array.
 
     ``entries`` is a tuple of ``(constraint_id, residual)`` with residuals
-    nonnegative; ``max_residual`` is their maximum (0.0 when empty), or
-    NaN when any residual is NaN, so a report with a NaN never passes.
+    nonnegative, spelled out when first read from runs of ids: a plain id,
+    or ``(kinds, labels)`` naming ``kind[nu]`` for each label ``nu`` and
+    each kind within it.  ``max_residual`` is their maximum (0.0 when
+    empty), or NaN when any residual is NaN, so a report with a NaN never
+    passes.  Reports compare and hash by ``entries``.
     """
 
-    entries: tuple
+    __slots__ = ("_runs", "_residuals", "_entries")
+
+    def __init__(self, entries):
+        entries = tuple(entries)
+        self._runs, self._entries = (), entries
+        self._residuals = np.array([r for _, r in entries], dtype=np.float64)
+        self._residuals.flags.writeable = False
+
+    @classmethod
+    def _from_runs(cls, runs, residuals):
+        """Report of the float array ``residuals`` (kept, made read-only), named by ``runs``."""
+        report = object.__new__(cls)
+        report._runs, report._residuals, report._entries = runs, residuals, None
+        residuals.flags.writeable = False
+        return report
+
+    @property
+    def entries(self):
+        if self._entries is None:  # a race spells the same tuple twice
+            ids = []
+            for run in self._runs:
+                if isinstance(run, str):
+                    ids.append(run)
+                else:
+                    kinds, labels = run
+                    ids += [f"{kind}[{nu}]" for nu in labels.tolist() for kind in kinds]
+            self._entries = tuple(zip(ids, self._residuals.tolist()))
+        return self._entries
 
     @property
     def max_residual(self):
-        residuals = [r for _, r in self.entries]
-        # max() skips a NaN unless it comes first; the sum of nonnegative
-        # residuals is NaN exactly when one of them is
-        if math.isnan(sum(residuals)):
-            return math.nan
-        return max(residuals, default=0.0)
+        return float(self._residuals.max()) if len(self._residuals) else 0.0
 
     @property
     def sum_squares(self):
-        """Unweighted sum of squared residuals over all entries."""
-        return float(sum(r * r for _, r in self.entries))
+        """Unweighted sum of squared residuals, added in order: ``0 + r0^2 + r1^2 + ...``."""
+        with np.errstate(over="ignore"):
+            return float(np.cumsum(np.append(0.0, self._residuals**2))[-1])
 
     def passed(self, tol=DEFAULT_TOL):
         return self.max_residual < tol
 
     def entry(self, constraint_id):
-        """Residual of a single named entry."""
-        for cid, r in self.entries:
-            if cid == constraint_id:
-                return r
-        raise KeyError(constraint_id)
+        """Residual of a single named entry (the first, if the id repeats)."""
+        return dict(reversed(self.entries))[constraint_id]
 
     def filter(self, prefix):
         """Sub-report of entries whose id starts with ``prefix``."""
-        return ConstraintReport(
-            tuple((cid, r) for cid, r in self.entries if cid.startswith(prefix))
-        )
+        return ConstraintReport(e for e in self.entries if e[0].startswith(prefix))
 
     def to_dict(self):
-        return {
-            "entries": [[cid, float(r)] for cid, r in self.entries],
-            "max_residual": float(self.max_residual),
-        }
+        entries = [[cid, float(r)] for cid, r in self.entries]
+        return {"entries": entries, "max_residual": self.max_residual}
+
+    def __eq__(self, other):
+        return (self.entries,) == (other.entries,) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"ConstraintReport(entries={self.entries!r})"
 
 
 # -- operations -------------------------------------------------------------
@@ -575,7 +601,10 @@ class BlockMap:
         labels = _integers(list(blocks), "block label 'N'")
         parsed = {}
         for n, (dom, img) in zip(labels.tolist(), blocks.values()):
-            dom, img = np.asarray(dom, dtype=np.complex128), np.asarray(img, dtype=np.complex128)
+            try:
+                dom, img = _number_array(dom, complex), _number_array(img, complex)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"block {n}: {exc}") from None
             if dom.ndim != 2 or dom.shape[0] != d:
                 raise ValueError(f"block {n}: domain shape {dom.shape}")
             if img.shape != dom.shape:
@@ -660,7 +689,7 @@ class BlockMap:
         the whole sector, a deterministic completion.
         Requires the map to be an isometry on its declared domain.
         """
-        worst = _isometry_defects(self).max(initial=0.0)
+        worst = check_conserving(self).max_residual
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
@@ -723,30 +752,20 @@ def _gram(a):
     return np.einsum("kdi,kdj->kij", a.conj(), a)
 
 
-def _isometry_defects(m):
-    """Isometry defects of the blocks of ``m``, in label order.
-
-    The defect of a block is the max-norm difference between the Gram
-    matrices of its image and its domain columns (0 without columns);
-    the padding columns add zero Gram entries only.
-    """
-    defects = [np.zeros(0)]
-    for i in range(0, len(m._labels), _SLICE):
-        dom, img = m._dom[i : i + _SLICE], m._img[i : i + _SLICE]
-        defects.append(np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0))
-    return np.concatenate(defects)
-
-
 def check_conserving(m):
     """Structural report for a :class:`BlockMap`.
 
     Off-grading leakage is zero by construction and asserted anyway; the
     isometry defect of block ``N`` is the max-norm difference between the
     Gram matrix of the image columns and the Gram matrix of the domain
-    columns.
+    columns (0 without columns; padding columns add zero Gram entries).
     """
-    ids = map("isometry[{}]".format, m._labels.tolist())
-    return ConstraintReport((("grading", 0.0), *zip(ids, _isometry_defects(m).tolist())))
+    residuals = [np.zeros(1)]  # the grading entry
+    for i in range(0, len(m._labels), _SLICE):
+        dom, img = m._dom[i : i + _SLICE], m._img[i : i + _SLICE]
+        residuals.append(np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0))
+    runs = ("grading", (("isometry",), m._labels))
+    return ConstraintReport._from_runs(runs, np.concatenate(residuals))
 
 
 def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):

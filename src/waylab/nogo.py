@@ -150,7 +150,10 @@ class ExactSchemeData:
 
     def __post_init__(self):
         for name in _ROWS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            try:
+                arr = _number_array(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             if arr.shape != (self.n,):
                 raise ValueError(f"{name}: expected shape ({self.n},), got {arr.shape}")
             object.__setattr__(self, name, arr)
@@ -271,18 +274,13 @@ def exact_constraint_residual(data):
                 f"must be nonnegative"
             )
     w = np.stack([data.x, data.s, data.t, data.a, data.b])
-    # a non-finite entry gives NaN rows (0 * inf), which report FAIL without warning
-    with np.errstate(invalid="ignore"):
+    # a non-finite entry gives NaN rows (0 * inf) and sums, which report FAIL without warning
+    with np.errstate(invalid="ignore", over="ignore"):
         rows = np.abs(_unitarity_rows(w, 0.25, 0.0))
-    ids = [
-        f"{kind}[{nu}]"
-        for nu in range(1, data.n + 2)
-        for kind in ("unitary-norm0", "unitary-norm1", "unitary-ortho-re", "unitary-ortho-im")
-    ]
-    entries = list(zip(ids, rows.T.ravel().tolist()))
-    for k, target in zip(_ROWS, _SUM_TARGETS):
-        entries.append((f"sum-{k}", abs(float(np.sum(getattr(data, k))) - target)))
-    return ConstraintReport(tuple(entries))
+        sums = [abs(float(np.sum(getattr(data, k))) - t) for k, t in zip(_ROWS, _SUM_TARGETS)]
+    kinds = ("unitary-norm0", "unitary-norm1", "unitary-ortho-re", "unitary-ortho-im")
+    runs = ((kinds, np.arange(1, data.n + 2)), *(f"sum-{k}" for k in _ROWS))
+    return ConstraintReport._from_runs(runs, np.concatenate([rows.T.ravel(), sums]))
 
 
 #: Sectors per block of the rotated solve, and its damping of ``t`` in ``n`` float epsilons.
@@ -398,22 +396,6 @@ def _certificate(w, m, delta):
         witness=derive_witness(n, m=m),
         mix=(m, delta),
     )
-
-
-def project_to_unitarity(data):
-    """Nearest nonnegative data with every unitarity row of the standard system zero.
-
-    The norm-balance and orthogonality chains alone (the normalization
-    sums released) force ``a = b = t = 0`` and ``s = 2x``, as in the
-    witness derivation.  The nearest such point to ``data`` therefore
-    solves, sector by sector, ``min (x - x0)^2 + (2x - s0)^2`` over
-    ``x >= 0``: ``x = max(0, (x0 + 2 s0) / 5)`` and ``s = 2x``.  On the
-    result the overlaps vanish and ``t`` is identically zero, so it is
-    constant on each parity class, which is what makes the conflict with
-    ``sum t = 1`` checkable.
-    """
-    x = np.maximum(0.0, (data.x + 2.0 * data.s) / 5.0)
-    return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))
 
 
 def derive_witness(n, m=0.25):

@@ -302,35 +302,32 @@ def validate_scheme(s):
     """
     n = _integer(s.n, "apparatus size 'n'", 1)
     lo, (xi, sg, tu, rh) = _windows(s)
-    mid = slice(1, -1)
+    mid, k = slice(1, -1), len(xi) - 2  # the checked sectors are window rows 1..k
     # overflowing amplitudes give inf/NaN residuals, which report FAIL without warning
     with np.errstate(over="ignore", invalid="ignore"):
         x, sn = _row_dots(xi, xi).real, _row_dots(sg, sg).real
         r, t = _row_dots(rh, rh).real, _row_dots(tu, tu).real
-        ortho = np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]))
-        w_rho = np.abs(x[mid] - sn[mid] - r[:-2])
-        w_tau = np.abs(x[mid] - sn[mid] - t[2:])
         pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
         diff = tu - rh
         nu = np.arange(lo - 1, lo - 1 + len(x))  # the sector of each window row
         outside = x[(nu < 1) | (nu > n)]
-        totals = [
-            ("norm-xi", abs(_fsum(x) - 1.0)),
-            ("overlap-pointers", abs(_fsum(pointers))),
-            ("overlap-eta-sigma", abs(_fsum(_row_dots(sg, diff)))),
-            ("overlap-eta-pointer", abs(_fsum(_row_dots(tu + rh, diff)))),
-            ("header-n", abs(_fsum(outside))),
-            ("header-c", abs(s.c - _fsum(sn) / n)),
-            ("header-cprime", abs(s.cprime - 0.25 * _fsum(_row_dots(diff, diff).real))),
-        ]
-
-    labels = range(lo, lo + len(ortho))
-    entries = [(f"orthogonality[{nu}]", v) for nu, v in zip(labels, ortho.tolist())]
-    for nu, wr, wt in zip(labels, w_rho.tolist(), w_tau.tolist()):
-        entries.append((f"weights-rho[{nu}]", wr))
-        entries.append((f"weights-tau[{nu}]", wt))
-    entries += totals
-    return ConstraintReport(tuple(entries))
+        totals = {
+            "norm-xi": abs(_fsum(x) - 1.0),
+            "overlap-pointers": abs(_fsum(pointers)),
+            "overlap-eta-sigma": abs(_fsum(_row_dots(sg, diff))),
+            "overlap-eta-pointer": abs(_fsum(_row_dots(tu + rh, diff))),
+            "header-n": abs(_fsum(outside)),
+            "header-c": abs(s.c - _fsum(sn) / n),
+            "header-cprime": abs(s.cprime - 0.25 * _fsum(_row_dots(diff, diff).real)),
+        }
+        # one array in report order: orthogonality, then weights-rho and weights-tau by sector
+        residuals = np.empty(3 * k + len(totals))
+        np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]), out=residuals[:k])
+        np.abs(x[mid] - sn[mid] - r[:-2], out=residuals[k : 3 * k : 2])
+        np.abs(x[mid] - sn[mid] - t[2:], out=residuals[k + 1 : 3 * k : 2])
+    residuals[3 * k :] = list(totals.values())
+    runs = ((("orthogonality",), nu[mid]), (("weights-rho", "weights-tau"), nu[mid]), *totals)
+    return ConstraintReport._from_runs(runs, residuals)
 
 
 def apply_interaction(s, obj, tol=DEFAULT_TOL):

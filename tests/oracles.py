@@ -37,9 +37,16 @@ arrays, looped over sector by sector, that ``BlockMap`` used before it
 stored stacked groups; property tests compare each pair.
 ``reference_classify`` is the product-branch classifier as it was before
 it computed each part's finite sectors once per call.
+
+``TupleConstraintReport`` is ``ConstraintReport`` as it was before it held
+one residual array: a tuple of ``(id, residual)`` pairs, reduced by loops
+over the pairs.  ``project_to_unitarity`` is the closed-form projection
+onto the unitarity rows that criterion 3 checks the parity argument on.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -644,3 +651,69 @@ def reference_classify(plus_branch, minus_branch, tol=1e-9):
     residual = float(np.linalg.norm(cross))
     kind = pat_plus if residual <= np.sqrt(tol) else "Infeasible"
     return CaseVerdict(kind, labels, residual, (), overlap)
+
+
+@dataclass(frozen=True)
+class TupleConstraintReport:
+    """Named residuals of a constraint system.
+
+    ``entries`` is a tuple of ``(constraint_id, residual)`` with residuals
+    nonnegative; ``max_residual`` is their maximum (0.0 when empty), or
+    NaN when any residual is NaN, so a report with a NaN never passes.
+    """
+
+    entries: tuple
+
+    @property
+    def max_residual(self):
+        residuals = [r for _, r in self.entries]
+        # max() skips a NaN unless it comes first; the sum of nonnegative
+        # residuals is NaN exactly when one of them is
+        if math.isnan(sum(residuals)):
+            return math.nan
+        return max(residuals, default=0.0)
+
+    @property
+    def sum_squares(self):
+        """Unweighted sum of squared residuals over all entries."""
+        return float(sum(r * r for _, r in self.entries))
+
+    def passed(self, tol=1e-10):
+        return self.max_residual < tol
+
+    def entry(self, constraint_id):
+        """Residual of a single named entry."""
+        for cid, r in self.entries:
+            if cid == constraint_id:
+                return r
+        raise KeyError(constraint_id)
+
+    def filter(self, prefix):
+        """Sub-report of entries whose id starts with ``prefix``."""
+        return TupleConstraintReport(
+            tuple((cid, r) for cid, r in self.entries if cid.startswith(prefix))
+        )
+
+    def to_dict(self):
+        return {
+            "entries": [[cid, float(r)] for cid, r in self.entries],
+            "max_residual": float(self.max_residual),
+        }
+
+
+def project_to_unitarity(data):
+    """Nearest nonnegative data with every unitarity row of the standard system zero.
+
+    The norm-balance and orthogonality chains alone (the normalization
+    sums released) force ``a = b = t = 0`` and ``s = 2x``, as in the
+    witness derivation.  The nearest such point to ``data`` therefore
+    solves, sector by sector, ``min (x - x0)^2 + (2x - s0)^2`` over
+    ``x >= 0``: ``x = max(0, (x0 + 2 s0) / 5)`` and ``s = 2x``.  On the
+    result the overlaps vanish and ``t`` is identically zero, so it is
+    constant on each parity class, which is what makes the conflict with
+    ``sum t = 1`` checkable.
+    """
+    from waylab.nogo import ExactSchemeData
+
+    x = np.maximum(0.0, (data.x + 2.0 * data.s) / 5.0)
+    return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))

@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 import waylab as w
-from waylab.nogo import project_to_unitarity
-from oracles import brute_force_min_violation
+from oracles import brute_force_min_violation, project_to_unitarity
 
 from test_generalized import exchange_branches, random_clean_instance
 

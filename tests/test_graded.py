@@ -1,7 +1,10 @@
 """Tests for the charge-graded vector algebra."""
 
+import hashlib
 import json
 import math
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DictGraded, LoopBlockMap
+from oracles import DictGraded, LoopBlockMap, TupleConstraintReport
 from waylab import graded
+from waylab.born import Observable, born_distribution
 from waylab.graded import (
     BlockMap,
     ConstraintReport,
@@ -26,6 +30,7 @@ from waylab.graded import (
 from waylab.nogo import (
     ExactSchemeData,
     derive_witness,
+    exact_constraint_residual,
     infeasibility_certificate,
     rotated_basis_residual,
 )
@@ -339,6 +344,8 @@ def _edited(data, **changes):
     return {k: v for k, v in out.items() if v is not None}
 
 
+_STRINGS = [["1", "0"], ["0", "1j"]]
+
 # Every integer from outside (a label, d or n) is an int or a numpy integer: a
 # float, bool or string is refused by name, never rounded or cast.
 _REFUSALS = {
@@ -399,6 +406,19 @@ _REFUSALS = {
     "nogo-rotated-n-float": (lambda: rotated_basis_residual(4.0, (0.8, 0.6)), "'n'"),
     "validate-n-float": (lambda: validate_scheme(replace(build_canonical_scheme(3), n=3.0)), "'n'"),
     "validate-n-zero": (lambda: validate_scheme(replace(build_canonical_scheme(3), n=0)), "'n'"),
+    # arrays from outside follow the number rule of ``graded._number_array``: strings
+    # and other objects are refused, never parsed or cast
+    "map-string-domain": (lambda: BlockMap(2, {0: (_STRINGS, np.eye(2))}), "block 0"),
+    "map-string-image": (lambda: BlockMap(2, {3: (np.eye(2), _STRINGS)}), "block 3"),
+    "map-object-domain": (lambda: BlockMap(2, {0: ([[1, None], [0, 1]], np.eye(2))}), "block 0"),
+    "window-string-amps": (lambda: GradedVector.from_window(0, [["1", "0"]]), "numbers"),
+    "observable-string-family": (lambda: Observable([0, 1], [["1", "0"], ["0", "1"]]), "numbers"),
+    "observable-string-value": (lambda: Observable(["0", "1"], [[1, 0], [0, 1]]), "numbers"),
+    "born-string-state": (
+        lambda: born_distribution(Observable([0, 1], [[1, 0], [0, 1]]), ["1", "0"]),
+        "numbers",
+    ),
+    "exact-data-strings": (lambda: ExactSchemeData(2, ["1", "0"], *np.zeros((4, 2))), "x: "),
 }
 
 
@@ -704,6 +724,57 @@ class TestLoopReference:
             assert got == want
 
 
+def _conserving_pin():
+    rng = np.random.default_rng(3)
+
+    def orth(m):
+        return np.linalg.qr(rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)))[0]
+
+    m = BlockMap(4, {nu: (orth(k), orth(k)) for nu, k in zip((7, -4, 1), (2, 1, 2))})
+    return check_conserving(m)
+
+
+def _exact_pin(n):
+    return exact_constraint_residual(infeasibility_certificate(n).minimizer)
+
+
+#: sha256 of ``json.dumps(report.to_dict())`` as the tuple-based reports wrote it.
+_PINNED_REPORTS = {
+    "validate-1": (
+        lambda: validate_scheme(build_canonical_scheme(1)),
+        "ec685a65e92272dc44d75320f6181c8294ffd9ae594685eb0fe804063c1558dc",
+    ),
+    "validate-4": (
+        lambda: validate_scheme(build_canonical_scheme(4)),
+        "0f953ef6482ad9fcba8d45a37ed6c07dcc12819d4337800d58a7b1bce4550ab6",
+    ),
+    "validate-64": (
+        lambda: validate_scheme(build_canonical_scheme(64)),
+        "5bf87ce05c505231d902f42af6a5f1815d507667621bd6c8d0d7f439d9b7477d",
+    ),
+    "validate-1000": (
+        lambda: validate_scheme(build_canonical_scheme(1000)),
+        "8fe4da1a52933397bcc1370516ddc7ea4cc0c716160ec1d3c043d3cca6aa7d89",
+    ),
+    "exact-1": (
+        lambda: _exact_pin(1),
+        "d5bd4b4c865adb33e1b89e530be41c466874e9adc13950914faf2ad240a56179",
+    ),
+    "exact-4": (
+        lambda: _exact_pin(4),
+        "9e67614baaa2109bd683da067cb677237d303e89c08732b44542d1f1c283b147",
+    ),
+    "exact-64": (
+        lambda: _exact_pin(64),
+        "4192acd95a9171d8ebfab245bbc5eda770e5d9669b4d661a93157b7f4b2c7cb4",
+    ),
+    "conserving": (
+        _conserving_pin,
+        "d974ab633009e94e50ef0048d639c12b34f3f14b42c4e7dd76c2d6ad42bbbf0f",
+    ),
+}
+
+
 class TestConstraintReport:
     def test_nan_residual_never_passes(self):
         # a NaN after the first entry: built-in max() would skip it
@@ -713,6 +784,118 @@ class TestConstraintReport:
         assert not report.passed(np.inf)
         assert ConstraintReport((("a", 0.0), ("b", np.inf))).max_residual == np.inf
         assert ConstraintReport(()).passed()
+
+    def test_residuals_are_one_read_only_array(self):
+        report = validate_scheme(build_canonical_scheme(5))
+        assert report._residuals.dtype == np.float64
+        assert len(report._residuals) == len(report.entries)
+        with pytest.raises(ValueError, match="read-only"):
+            report._residuals[0] = 1.0
+
+    @pytest.mark.parametrize("make, digest", _PINNED_REPORTS.values(), ids=_PINNED_REPORTS.keys())
+    def test_report_bytes_pinned(self, make, digest):
+        text = json.dumps(make().to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _float_bits(value):
+    return struct.pack("<d", value)
+
+
+def _entry_bits(report):
+    return [(cid, _float_bits(r)) for cid, r in report.entries]
+
+
+#: Tolerances at which ``passed`` is compared, from below the smallest residual to inf.
+_TOLS = [0.0, 5e-324, 1e-300, 1e-12, graded.DEFAULT_TOL, 1e-3, 1.0, 1e300, math.inf]
+
+
+def _assert_same_report(report, ref):
+    """``report`` reads as the tuple reference ``ref`` in every public view, to the bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _entry_bits(report) == _entry_bits(ref)
+        assert _float_bits(report.max_residual) == _float_bits(ref.max_residual)
+        assert _float_bits(report.sum_squares) == _float_bits(ref.sum_squares)
+        assert [report.passed(tol) for tol in _TOLS] == [ref.passed(tol) for tol in _TOLS]
+        ids = list(dict.fromkeys(cid for cid, _ in ref.entries))
+        for cid in ids:
+            assert _float_bits(report.entry(cid)) == _float_bits(ref.entry(cid)), cid
+        with pytest.raises(KeyError, match="absent"):
+            report.entry("absent")
+        for prefix in {"", "absent", *(cid[:k] for cid in ids[:4] for k in (1, 4, len(cid)))}:
+            assert _entry_bits(report.filter(prefix)) == _entry_bits(ref.filter(prefix))
+        assert json.dumps(report.to_dict()) == json.dumps(ref.to_dict())
+    twin = ConstraintReport(ref.entries)
+    assert report == twin and hash(report) == hash(twin)
+    if ref.entries:
+        changed = ConstraintReport(ref.entries[:-1] + ((ref.entries[-1][0], -1.0),))
+        assert report != changed
+
+
+_RESIDUALS = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, 5e-324, 1e300]), st.floats(0.0, 1e3)
+)
+_IDS = st.sampled_from(["a", "ab", "a[1]", "norm-xi", "isometry[-3]", "weights-rho[10]"])
+_DATA_VALUES = [0.0, 0.125, 0.5, 5e-324, 1e300, math.inf, math.nan]
+
+
+@st.composite
+def _scheme_reports(draw):
+    """Validation of a canonical scheme, or of one with an amplitude scaled by ``1 + 1e-3``."""
+    s = build_canonical_scheme(draw(st.integers(1, 40)))
+    name = draw(st.sampled_from([None, "xi", "sigma", "tau", "rho"]))
+    sectors = dict(getattr(s, name).items()) if name else {}
+    if sectors:
+        nu = draw(st.sampled_from(sorted(sectors)))
+        sectors[nu] = sectors[nu] * (1 + 1e-3)
+        s = replace(s, **{name: GradedVector(s.d, sectors)})
+    return validate_scheme(s)
+
+
+@st.composite
+def _exact_reports(draw):
+    """Exact-system residuals of data with NaN, inf, 5e-324 and 1e300 entries."""
+    n = draw(st.integers(1, 8))
+    squared = st.lists(st.sampled_from(_DATA_VALUES), min_size=n, max_size=n)
+    signed = st.lists(
+        st.sampled_from(_DATA_VALUES + [-v for v in _DATA_VALUES]), min_size=n, max_size=n
+    )
+    rows = [draw(squared) for _ in range(3)] + [draw(signed) for _ in range(2)]
+    return exact_constraint_residual(ExactSchemeData(n, *rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTupleReference:
+    """The array report against ``oracles.TupleConstraintReport``, the tuple form it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_IDS, _RESIDUALS), max_size=12))
+    def test_plain_ids(self, pairs):
+        pairs = tuple(pairs)
+        _assert_same_report(ConstraintReport(pairs), TupleConstraintReport(pairs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scheme_reports())
+    def test_scheme_validation(self, report):
+        _assert_same_report(report, TupleConstraintReport(report.entries))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_exact_reports())
+    def test_exact_system_on_non_finite_data(self, report):
+        _assert_same_report(report, TupleConstraintReport(report.entries))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_certificate_minimizer(self, n):
+        report = exact_constraint_residual(infeasibility_certificate(n).minimizer)
+        _assert_same_report(report, TupleConstraintReport(report.entries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_block_cases())
+    def test_block_maps(self, case):
+        d, blocks, _ = case
+        report = check_conserving(BlockMap(d, blocks))
+        _assert_same_report(report, TupleConstraintReport(report.entries))
 
 
 class TestOrthogonalityTransfer:

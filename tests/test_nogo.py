@@ -20,7 +20,6 @@ from waylab.nogo import (
     derive_witness,
     exact_constraint_residual,
     infeasibility_certificate,
-    project_to_unitarity,
     rotated_basis_residual,
 )
 from waylab.optimize import OptimizationError
@@ -32,6 +31,7 @@ from oracles import (
     constraint_entries_by_loops,
     dense_min_norm_solution,
     mp_min_norm_solution,
+    project_to_unitarity,
     rational_min_violation,
     violation_by_loops,
 )
