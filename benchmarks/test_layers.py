@@ -11,6 +11,11 @@ inputs built once per size, the canonical scheme at n = 10^3 and 10^4,
 a conserving isometry on three scattered sectors (two columns in every
 block, or one block of one column among two of two) and three pairs of
 product branches (Case 1, Case 2, and a mismatched Infeasible pair).
+On the isometry, the whole isometry op of the small-structures workload
+(``orthogonality_transfer_check``, ``check_conserving`` and
+``check_conserving(completed())``) is timed as one case, and
+``born_distribution`` on a degenerate observable (eigenspaces of
+dimension 1, 3 and 2) as another.
 Building, validating and reading out the canonical scheme are timed at
 n = 10^2 to 10^5; validation also at n = 4 (a report's fixed cost) and
 n = 10^6 (three rounds), and the exact system's residual report with its
@@ -33,6 +38,7 @@ import numpy as np
 import pytest
 
 from waylab import ObjectState, build_canonical_scheme, cli, tensor, three_outcome_stats
+from waylab.born import Observable, born_distribution
 from waylab.generalized import BranchSpec, classify
 from waylab.graded import (
     BlockMap,
@@ -248,6 +254,30 @@ def test_three_sector_orthogonality_transfer_check(benchmark, widths):
 def test_three_sector_apply(benchmark, widths):
     m, inputs = three_sector_case(widths)
     benchmark(m.apply, inputs[0])
+
+
+def _isometry_chain(m, inputs):
+    """The isometry op of the small-structures workload: transfer, then both defect reports."""
+    gram = orthogonality_transfer_check(m, inputs)
+    return gram, check_conserving(m).max_residual, check_conserving(m.completed()).max_residual
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_isometry_chain(benchmark, widths):
+    m, inputs = three_sector_case(widths)
+    (pre, post), defect, completed_defect = benchmark(_isometry_chain, m, inputs)
+    np.testing.assert_allclose(post, pre, atol=1e-10)
+    assert defect < 1e-12 and completed_defect < 1e-12
+
+
+def test_born_distribution_degenerate(benchmark):
+    # eigenvalues 0, 1, 2 on eigenspaces of dimension 1, 3 and 2 of a random unitary basis
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    obs = Observable(range(3), np.split(q, [1, 4], axis=1))
+    phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    dist = benchmark(born_distribution, obs, phi / np.linalg.norm(phi))
+    assert sum(dist.probabilities()) == pytest.approx(1.0, abs=1e-12)
 
 
 # one side spread over charges 0 and 1 with the charge-1 parts cancelling,

@@ -25,6 +25,8 @@ pointer pair of Case 2.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -91,18 +93,24 @@ class CaseVerdict:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _finite_sectors(vec, tol):
-    weights = _row_dots(vec._amps, vec._amps).real
-    return [vec._lo + int(i) for i in np.flatnonzero(weights > tol)]
-
-
 def _finite_parts(branches, tol):
     """Finite sectors ``(object, apparatus)`` of each branch, computed once, and
-    the sorted distinct ``(nu, mu)`` products at total charge outside {0, 1}."""
-    finite = [
-        (_finite_sectors(b.object_part, tol), _finite_sectors(b.apparatus_part, tol))
-        for b in branches
-    ]
+    the sorted distinct ``(nu, mu)`` products at total charge outside {0, 1}.
+
+    The rows of all the parts, zero-padded to the widest dimension, are
+    weighed in one pass; a sector is finite when its squared norm exceeds
+    ``tol``.
+    """
+    parts = [p for b in branches for p in (b.object_part, b.apparatus_part)]
+    ends = list(itertools.accumulate(len(p._amps) for p in parts))
+    rows = np.zeros((ends[-1], max(p.d for p in parts)), dtype=np.complex128)
+    for p, end in zip(parts, ends):
+        rows[end - len(p._amps) : end, : p.d] = p._amps
+    sectors = [[] for _ in parts]
+    for i in np.flatnonzero(_row_dots(rows, rows).real > tol).tolist():
+        k = bisect.bisect_right(ends, i)  # the part holding row i
+        sectors[k].append(parts[k]._lo + i - (ends[k] - len(parts[k]._amps)))
+    finite = list(zip(sectors[::2], sectors[1::2]))
     violations = {
         (mu + lam, mu)
         for obj_supp, app_supp in finite

@@ -21,14 +21,17 @@ Conventions
 * ``__init__`` (a sector map) and ``from_dict`` (parsed JSON) read labels
   and rows into two arrays and share one tail, ``_fill``: the last row of
   a repeated label wins, exact-zero rows are dropped, and one window is
-  filled.  ``from_window`` copies and trims a given window.  Every
-  operation that returns a vector ends in ``from_window``.
+  filled.  ``from_window`` copies and trims a given window; an operation
+  that has just built its result window (a sum, a tensor product, a
+  block-map image) hands it over to be trimmed without the copy.
 * One integer rule, :func:`_integer`, reads every sector label, ``d`` and
   ``n`` from outside: an ``int`` or a numpy integer; a bool, float (even
   ``2.0``) or string raises ``ValueError`` naming the field.
 * Arithmetic keeps the float operations of ``a + (-1) b``: ``u - v``
-  multiplies ``v``'s own rows by ``-1.0``, zero-pads them and adds, so
-  its bits equal those of ``u + (-1.0) * v``.  A plain ``a - b`` of the
+  writes ``v``'s own rows times ``-1.0`` into one fresh window and adds
+  ``u``'s rows in place, the rows outside ``u`` getting ``0 + x`` as
+  ``u``'s zero padding would give them, so its bits equal those of
+  ``u + (-1.0) * v``.  A plain ``a - b`` of the
   windows differs: ``(-1.0) * b`` is a full complex multiply, which can
   flip the sign of a zero or turn an infinite part into NaN.
 * A window costs memory in proportion to its label span, so one of more
@@ -39,9 +42,15 @@ Conventions
 * A :class:`BlockMap` stores one stack: sorted labels, the column count
   of each block and ``(K, d, M)`` domain and image stacks, each block
   zero-padded to the widest ``M``.  ``blocks`` maps each label to views
-  into them, and every operation is a few batched array or LAPACK calls
-  over the stack (taken in slices of at most 256 blocks, which bounds
-  their temporaries) rather than a loop over sectors.
+  into them and is built when first read.  Every operation is a few
+  batched array or LAPACK calls over the stack, the same calls at any
+  number of blocks, rather than a loop over sectors.  ``apply`` and
+  ``orthogonality_transfer_check`` lay their inputs over one common
+  label window (refused beyond the entry limit), find the blocks inside
+  it with one ``searchsorted`` and solve only the rows of declared
+  sectors.  The isometry defects are one array that ``check_conserving``
+  reports and ``completed`` reads; both take the stack in slices of at
+  most 256 blocks, which bounds their temporaries.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -64,6 +73,9 @@ DEFAULT_TOL = 1e-10
 
 #: Largest window a graded vector may allocate, in complex entries (256 MiB).
 _MAX_WINDOW_ENTRIES = 2**24
+
+#: Machine epsilon of float64, the scale of ``lstsq``'s default singular-value cut.
+_EPS = np.finfo(np.float64).eps
 
 #: Most blocks per batched call over a :class:`BlockMap`'s stacks, which bounds its temporaries.
 _SLICE = 256
@@ -145,18 +157,31 @@ def _nonzero_rows(amps):
 def _sum_window(u, v, scale=None):
     """Untrimmed window of ``u + v``, or of ``u + scale * v``, as ``(lo, amps)``.
 
-    ``scale`` multiplies ``v``'s own rows before they are zero-padded and
-    added: the float operations of building the vector ``scale * v`` and
-    adding it, down to signed zeros and NaN (see the module Conventions).
+    One fresh window receives ``v``'s rows, multiplied by ``scale``, and
+    then ``u``'s rows are added in place.  The rows outside ``u`` get
+    ``0 + x``, which turns ``-0.0`` into ``0.0`` as adding ``u``'s zero
+    padding would: these are the float operations of building the vector
+    ``scale * v`` and adding it, down to signed zeros and NaN (see the
+    module Conventions).
     """
     if u.d != v.d:
         raise ValueError(f"sector dimension mismatch: {u.d} vs {v.d}")
     lo, hi = _bounds(u, v)
-    out = v.window(lo, hi)
-    if scale is not None and len(v._amps):
-        rows = out[v._lo - lo : v._hi - lo + 1]
-        np.multiply(scale, rows, out=rows)
-    return lo, np.add(u.window(lo, hi), out, out=out)
+    out = _zeros(lo, hi, u.d)
+    if len(v._amps):
+        a, b = v._lo - lo, v._hi - lo + 1
+        if scale is None:
+            out[a:b] = v._amps
+        else:
+            np.multiply(scale, v._amps, out=out[a:b])
+        # v's rows before and after u's (all of them when u is zero)
+        c, e = (u._lo - lo, u._hi - lo + 1) if len(u._amps) else (b, b)
+        for rest in out[a : min(b, c)], out[max(a, e) : b]:
+            np.add(0.0, rest, out=rest)
+    if len(u._amps):
+        rows = out[u._lo - lo : u._hi - lo + 1]
+        np.add(u._amps, rows, out=rows)
+    return lo, out
 
 
 def _row_dots(a, b):
@@ -206,9 +231,17 @@ class GradedVector:
         amps = _number_array(amps, complex)
         if amps.ndim != 2 or amps.shape[1] < 1:
             raise ValueError(f"window shape {amps.shape} is not (k, d) with d >= 1")
+        return cls._own(_integer(lo, "window start 'lo'"), amps)
+
+    @classmethod
+    def _own(cls, lo, amps):
+        """Vector over a ``(k, d)`` complex window the caller has just built and gives up.
+
+        The window is trimmed as a view and made read-only, not copied.
+        """
         vec = object.__new__(cls)
         vec.d = amps.shape[1]
-        vec._lo, vec._amps = _trimmed(_integer(lo, "window start 'lo'"), amps)
+        vec._lo, vec._amps = _trimmed(lo, amps)
         vec._amps.setflags(write=False)
         return vec
 
@@ -258,12 +291,12 @@ class GradedVector:
     def __add__(self, other):
         if not isinstance(other, GradedVector):
             return NotImplemented
-        return GradedVector.from_window(*_sum_window(self, other))
+        return GradedVector._own(*_sum_window(self, other))
 
     def __sub__(self, other):
         if not isinstance(other, GradedVector):
             return NotImplemented
-        return GradedVector.from_window(*_sum_window(self, other, -1.0))
+        return GradedVector._own(*_sum_window(self, other, -1.0))
 
     def __mul__(self, scalar):
         return GradedVector.from_window(self._lo, scalar * self._amps)
@@ -548,7 +581,7 @@ def tensor(obj, app):
         joint[:-1, :d] += obj.amp0 * amps
     if obj.amp1 != 0:
         joint[1:, d:] += obj.amp1 * amps
-    return GradedVector.from_window(app._lo, joint)
+    return GradedVector._own(app._lo, joint)
 
 
 def split_object_components(joint, d):
@@ -591,10 +624,10 @@ class BlockMap:
     column changes no Gram matrix, singular value or image, so each
     operation is a few batched calls over the stack.  ``blocks`` is a
     read-only mapping, in the order the blocks were given, whose values
-    are views into the stacks.
+    are views into the stacks; it is built when first read.
     """
 
-    __slots__ = ("d", "blocks", "_labels", "_cols", "_dom", "_img")
+    __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks")
 
     def __init__(self, d, blocks):
         d = _integer(d, "sector dimension 'd'", 1)
@@ -616,7 +649,7 @@ class BlockMap:
         img = np.zeros_like(dom)
         for k, n in enumerate(labels.tolist()):
             dom[k, :, : cols[k]], img[k, :, : cols[k]] = parsed[n]
-        self._set(d, labels, cols, dom, img, parsed)
+        self._set(d, labels, cols, dom, img, tuple(parsed))
 
     @classmethod
     def _from_stack(cls, d, labels, cols, dom, img, order=None):
@@ -626,59 +659,100 @@ class BlockMap:
         return m
 
     def _set(self, d, labels, cols, dom, img, order):
-        """Keep the stacks; ``blocks`` lists their labels in ``order`` (default ascending)."""
+        """Keep the stacks; ``blocks`` will list their labels in ``order`` (default ascending)."""
         self.d, self._labels, self._cols, self._dom, self._img = d, labels, cols, dom, img
-        views = list(zip(dom, img))
-        for k in np.flatnonzero(cols < dom.shape[2]).tolist():
-            views[k] = dom[k, :, : cols[k]], img[k, :, : cols[k]]
-        blocks = dict(zip(labels.tolist(), views))
-        if order is not None:
-            blocks = {n: blocks[n] for n in order}
-        self.blocks = MappingProxyType(blocks)
+        self._order, self._blocks = order, None
+
+    @property
+    def blocks(self):
+        """Read-only ``{N: (domain, image)}`` of views into the stacks, in the given order."""
+        if self._blocks is None:  # a race builds the same mapping twice
+            dom, img, cols = self._dom, self._img, self._cols
+            views = list(zip(dom, img))
+            for k in np.flatnonzero(cols < dom.shape[2]).tolist():
+                views[k] = dom[k, :, : cols[k]], img[k, :, : cols[k]]
+            blocks = dict(zip(self._labels.tolist(), views))
+            if self._order is not None:
+                blocks = {n: blocks[n] for n in self._order}
+            self._blocks = MappingProxyType(blocks)
+        return self._blocks
 
     def sectors(self):
-        return tuple(sorted(self.blocks))
+        return tuple(self._labels.tolist())
 
     def apply(self, v, tol=DEFAULT_TOL):
         """Image of a graded vector lying in the declared domain."""
         if v.d != self.d:
             raise ValueError(f"sector dimension mismatch: {v.d} vs {self.d}")
-        _, labels, amps = _sector_rows([v], self.d)
-        out = np.zeros_like(v._amps)
-        out[labels - v._lo] = self._images(labels, amps, tol)
-        return GradedVector.from_window(v._lo, out)
+        lo, rows, span, pair = self._images([v], tol)
+        out = np.zeros((span, self.d), dtype=np.complex128)
+        out[rows] = pair[1, :, :, 0]
+        return GradedVector._own(lo, out)
 
-    def _images(self, labels, amps, tol):
-        """Images of the sector rows ``amps`` (sectors ``labels``).
+    def _images(self, vectors, tol):
+        """Inputs and images of ``vectors`` (all of dimension ``d``) over their label window.
 
-        Each row is solved by least squares against its block's domain,
-        through pseudo-inverses from one stacked SVD of the blocks hit
-        (cutoff as in ``lstsq(rcond=None)``).  The first row outside the
-        declared domain raises ``ValueError``.
+        The inputs are laid as the columns of one ``(span, d, k)`` window
+        over sectors ``lo..lo+span-1``.  One ``searchsorted`` on the sorted
+        labels finds the blocks inside the window, a contiguous run of the
+        stacks, and only the window rows of those declared sectors are
+        solved: by least squares against each block's domain, with the
+        pseudo-inverse applied from one stacked SVD of the run as
+        ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
+        unpadded block).  The first nonzero row, in vector-then-label
+        order, that lies in an undeclared sector or off its block's domain
+        raises ``ValueError``.
+
+        Returns ``(lo, rows, span, pair)``: the window rows of the declared
+        sectors (sectors ``lo + rows``) and the ``(2, len(rows), d, k)``
+        stack of the inputs there and of their images.  Every other window
+        row is zero in every input.
         """
-        images = np.zeros_like(amps)
-        residual = np.zeros(len(labels))
-        pos = np.searchsorted(self._labels, labels)
-        found = pos < len(self._labels)
-        found[found] = self._labels[pos[found]] == labels[found]
-        rows = np.flatnonzero(found)
-        pos = pos[rows]
-        # invert only the blocks the rows hit, each once
-        used, at = np.unique(pos, return_inverse=True)
-        coeff = np.einsum("tmd,td->tm", _pinv(self._dom[used], self._cols[used])[at], amps[rows])
-        fitted = np.einsum("tdm,tm->td", self._dom[pos], coeff)
-        residual[rows] = np.linalg.norm(fitted - amps[rows], axis=1)
-        images[rows] = np.einsum("tdm,tm->td", self._img[pos], coeff)
-        outside = ~found | (residual > tol * (1.0 + np.linalg.norm(amps, axis=1)))
+        k, d = len(vectors), self.d
+        lo, hi = _bounds(*vectors)
+        span = hi - lo + 1
+        _require_entries(span * d * k, "{} inputs over sector labels {}..{} at dimension {} span",
+                         k, lo, hi, d)
+        window = np.zeros((span, d, k), dtype=np.complex128)
+        for j, v in enumerate(vectors):
+            window[v._lo - lo : v._hi - lo + 1, :, j] = v._amps
+        a, b = np.searchsorted(self._labels, (lo, hi + 1)).tolist()
+        rows = self._labels[a:b] - lo
+        # out holds the misses of the fit, the inputs and their images; one norm takes the first two
+        dom, out = self._dom[a:b], np.empty((3, b - a, d, k), dtype=np.complex128)
+        out[1] = amps = window[rows]
+        u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+        keep = sv > _EPS * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+        coeff = vh.conj().swapaxes(1, 2) @ (inv[:, :, None] * (u.conj().swapaxes(1, 2) @ amps))
+        np.matmul(self._img[a:b], coeff, out=out[2])
+        np.subtract(dom @ coeff, amps, out=out[0])
+        residual, size = np.linalg.norm(out[:2], axis=2)
+        # a nonzero row offends unless declared; a declared row offends by its residual
+        outside = window.astype(bool).any(axis=1)
+        outside[rows] = residual > tol * (1.0 + size)
         if outside.any():
-            i = int(np.argmax(outside))
-            if not found[i]:
-                raise ValueError(f"sector {labels[i]} outside the declared domain")
+            j, i = divmod(int(outside.T.argmax()), span)
+            if i not in rows:
+                raise ValueError(f"sector {lo + i} outside the declared domain")
+            r = residual[np.searchsorted(rows, i), j]
             raise ValueError(
-                f"sector {labels[i]}: component outside the declared domain "
-                f"(projection residual {residual[i]:.3e})"
+                f"sector {lo + i}: component outside the declared domain "
+                f"(projection residual {r:.3e})"
             )
-        return images
+        return lo, rows, span, out[1:]
+
+    def _defects(self, out):
+        """Isometry defect of each block, in label order, written into ``out``.
+
+        The defect is the max-norm difference of the block's image and
+        domain Gram matrices (0 without columns; padding columns add zero
+        Gram entries).
+        """
+        for i in range(0, len(out), _SLICE):
+            dom, img = self._dom[i : i + _SLICE], self._img[i : i + _SLICE]
+            np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0, out=out[i : i + _SLICE])
+        return out
 
     def completed(self, tol=1e-8):
         """Deterministic extension of each block to a full unitary.
@@ -689,13 +763,12 @@ class BlockMap:
         the whole sector, a deterministic completion.
         Requires the map to be an isometry on its declared domain.
         """
-        worst = check_conserving(self).max_residual
+        worst = self._defects(np.empty(len(self._labels))).max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
         k, d = len(self._labels), self.d
-        doms = np.empty((k, d, d), dtype=np.complex128)
-        imgs = np.empty_like(doms)
+        full = np.empty((2, k, d, d), dtype=np.complex128)  # domains, then images
         # the SVD runs on unpadded blocks, one column count at a time: on a
         # padded block its singular vectors can come out with other phases
         for c in sorted(set(self._cols.tolist())):
@@ -703,47 +776,29 @@ class BlockMap:
             for i in range(0, len(same), _SLICE):
                 at = same[i : i + _SLICE]
                 u, sv, vh = np.linalg.svd(self._dom[at, :, :c], full_matrices=False)
-                rank = np.count_nonzero(sv > 1e-12, axis=1)
+                rank = (sv > 1e-12).sum(axis=1)
                 for r in set(rank.tolist()):
-                    sel = rank == r
+                    sel = np.flatnonzero(rank == r)
                     basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
-                    q_img = self._img[at[sel], :, :c] @ basis
                     # domain and image bases share one stacked QR
-                    full = _extend_basis(np.concatenate([u[sel, :, :r], q_img]))
-                    doms[at[sel]] = full[: len(q_img)]
-                    imgs[at[sel]] = full[len(q_img) :]
-        return BlockMap._from_stack(d, self._labels, np.full(k, d), doms, imgs, self.blocks)
+                    q = np.empty((2, len(sel), d, d), dtype=np.complex128)
+                    q[0, :, :, :r] = u[sel, :, :r]
+                    q[1, :, :, :r] = self._img[at[sel], :, :c] @ basis
+                    full[:, at[sel]] = _extend_basis(q, r)
+        return BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
 
 
-def _sector_rows(vectors, d):
-    """Nonzero sector rows of ``vectors``, by vector then label: ``(owner, labels, amps)``."""
-    rows = [np.flatnonzero(_nonzero_rows(v._amps)) for v in vectors]
-    owner = np.repeat(np.arange(len(vectors)), [len(r) for r in rows])
-    labels = [np.zeros(0, dtype=np.int64)] + [r + v._lo for r, v in zip(rows, vectors)]
-    amps = [np.zeros((0, d), dtype=np.complex128)] + [v._amps[r] for r, v in zip(rows, vectors)]
-    return owner, np.concatenate(labels), np.concatenate(amps)
+def _extend_basis(q, r):
+    """Stack ``q`` whose first ``r`` columns are orthonormal, completed in place to unitaries.
 
-
-def _pinv(dom, cols):
-    """Pseudo-inverses of a padded stack, cut as ``lstsq(rcond=None)`` cuts each unpadded block."""
-    u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-    keep = sv > np.finfo(np.float64).eps * np.maximum(dom.shape[1], cols)[:, None] * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-    return (vh.conj().swapaxes(1, 2) * inv[:, None, :]) @ u.conj().swapaxes(1, 2)
-
-
-def _extend_basis(q):
-    """Orthonormal columns ``q`` (stacked), then their complement from the QR of ``[q | I]``.
-
-    The ``Q`` factor of ``[q | I]`` is fixed by its first ``dim`` columns
-    alone, so only those are factored.
+    The columns after the first ``r`` are taken from the QR of ``[q_r | I]``,
+    whose ``Q`` factor is fixed by its first ``dim`` columns alone, so only
+    those are factored.
     """
-    k, dim, r = q.shape
-    stacked = np.zeros((k, dim, dim), dtype=np.complex128)
-    stacked[:, :, :r] = q
-    stacked[:, :, r:] = np.eye(dim)[:, : dim - r]
-    full, _ = np.linalg.qr(stacked)
-    full[:, :, :r] = q
+    dim = q.shape[-1]
+    q[..., r:] = np.eye(dim)[:, : dim - r]
+    full, _ = np.linalg.qr(q)
+    full[..., :r] = q[..., :r]
     return full
 
 
@@ -760,12 +815,10 @@ def check_conserving(m):
     Gram matrix of the image columns and the Gram matrix of the domain
     columns (0 without columns; padding columns add zero Gram entries).
     """
-    residuals = [np.zeros(1)]  # the grading entry
-    for i in range(0, len(m._labels), _SLICE):
-        dom, img = m._dom[i : i + _SLICE], m._img[i : i + _SLICE]
-        residuals.append(np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0))
+    residuals = np.zeros(len(m._labels) + 1)  # the grading entry, then the blocks
+    m._defects(residuals[1:])
     runs = ("grading", (("isometry",), m._labels))
-    return ConstraintReport._from_runs(runs, np.concatenate(residuals))
+    return ConstraintReport._from_runs(runs, residuals)
 
 
 def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):
@@ -773,22 +826,18 @@ def orthogonality_transfer_check(m, inputs, tol=DEFAULT_TOL):
 
     A unitary interaction transfers orthogonality of the pointer states
     back to the measured states, so for any conserving isometry the two
-    matrices agree within tolerance.  All inputs are mapped at once, and
-    each Gram matrix is one product of the inputs (or images) laid out
-    over the union of their sectors.
+    matrices agree within tolerance.  All inputs are mapped at once over
+    their common label window, and each Gram matrix is one product of the
+    inputs (or images) in the declared sectors, where every nonzero row
+    lies.
     """
     k = len(inputs)
     # inputs before one of the wrong dimension are mapped first, so their
     # domain errors are reported before the dimension mismatch
     bad = next((j for j, v in enumerate(inputs) if v.d != m.d), k)
-    owner, labels, amps = _sector_rows(inputs[:bad], m.d)
-    images = m._images(labels, amps, tol)
+    pair = m._images(inputs[:bad], tol)[3]
     if bad < k:
         raise ValueError(f"sector dimension mismatch: {inputs[bad].d} vs {m.d}")
-    union, slot = np.unique(labels, return_inverse=True)
-    stacked = np.zeros((2, k, len(union), m.d), dtype=np.complex128)
-    stacked[0, owner, slot] = amps
-    stacked[1, owner, slot] = images
-    flat = stacked.reshape(2, k, len(union) * m.d)
-    g_pre, g_post = flat.conj() @ flat.swapaxes(1, 2)
+    flat = pair.reshape(2, pair.shape[1] * m.d, k)
+    g_pre, g_post = flat.conj().swapaxes(1, 2) @ flat
     return g_pre, g_post

@@ -307,19 +307,8 @@ def validate_scheme(s):
     with np.errstate(over="ignore", invalid="ignore"):
         x, sn = _row_dots(xi, xi).real, _row_dots(sg, sg).real
         r, t = _row_dots(rh, rh).real, _row_dots(tu, tu).real
-        pointers = np.concatenate([4.0 * sn, -_row_dots(rh + tu, rh + tu).real])
-        diff = tu - rh
         nu = np.arange(lo - 1, lo - 1 + len(x))  # the sector of each window row
-        outside = x[(nu < 1) | (nu > n)]
-        totals = {
-            "norm-xi": abs(_fsum(x) - 1.0),
-            "overlap-pointers": abs(_fsum(pointers)),
-            "overlap-eta-sigma": abs(_fsum(_row_dots(sg, diff))),
-            "overlap-eta-pointer": abs(_fsum(_row_dots(tu + rh, diff))),
-            "header-n": abs(_fsum(outside)),
-            "header-c": abs(s.c - _fsum(sn) / n),
-            "header-cprime": abs(s.cprime - 0.25 * _fsum(_row_dots(diff, diff).real)),
-        }
+        totals = _totals(s, n, nu, x, sn, sg, tu, rh)
         # one array in report order: orthogonality, then weights-rho and weights-tau by sector
         residuals = np.empty(3 * k + len(totals))
         np.abs(_row_dots(sg[mid], tu[mid]) + _row_dots(rh[:-2], sg[:-2]), out=residuals[:k])
@@ -328,6 +317,31 @@ def validate_scheme(s):
     residuals[3 * k :] = list(totals.values())
     runs = ((("orthogonality",), nu[mid]), (("weights-rho", "weights-tau"), nu[mid]), *totals)
     return ConstraintReport._from_runs(runs, residuals)
+
+
+def _totals(s, n, nu, x, sn, sg, tu, rh):
+    """The global entries of :func:`validate_scheme` from its windows and row weights.
+
+    ``rh + tu`` is built once (IEEE addition commutes, so it serves as
+    ``tu + rh`` too; only the payload of a NaN could differ) and freed
+    with ``tu - rh`` when this returns, before the caller's per-sector
+    residuals; each global sum is taken while few of its window-sized
+    temporaries are alive.
+    """
+    both = rh + tu
+    pointers = _fsum(np.concatenate([4.0 * sn, -_row_dots(both, both).real]))
+    diff = tu - rh
+    eta_pointer = _fsum(_row_dots(both, diff))
+    del both
+    return {
+        "norm-xi": abs(_fsum(x) - 1.0),
+        "overlap-pointers": abs(pointers),
+        "overlap-eta-sigma": abs(_fsum(_row_dots(sg, diff))),
+        "overlap-eta-pointer": abs(eta_pointer),
+        "header-n": abs(_fsum(x[(nu < 1) | (nu > n)])),
+        "header-c": abs(s.c - _fsum(sn) / n),
+        "header-cprime": abs(s.cprime - 0.25 * _fsum(_row_dots(diff, diff).real)),
+    }
 
 
 def apply_interaction(s, obj, tol=DEFAULT_TOL):

@@ -724,6 +724,126 @@ class TestLoopReference:
             assert got == want
 
 
+def _error_order_map():
+    """Map on sectors 0, 3 and 6 (d = 2), each block one column along ``e0``."""
+    e0 = np.array([[1.0], [0.0]])
+    return BlockMap(2, {nu: (e0, 1j * e0) for nu in (0, 3, 6)})
+
+
+def _vec(sectors):
+    return GradedVector(2, sectors)
+
+
+#: Rows along ``e1``, off every block's domain, and along ``e0``, in it.
+_OFF, _ON = [0.0, 1.0], [1.0, 0.0]
+_OFF_AT_3 = "sector 3: component outside the declared domain"
+_UNDECLARED = "sector {} outside the declared domain"
+
+
+class TestBlockMapErrorOrder:
+    """Which row a block map names when inputs leave its domain, and what it accepts."""
+
+    def test_domain_error_of_an_earlier_input_comes_before_a_dimension_mismatch(self):
+        m = _error_order_map()
+        early = _vec({0: _ON, 3: _OFF})
+        wrong_d = GradedVector(3, {0: [1.0, 0.0, 0.0]})
+        with pytest.raises(ValueError, match=_OFF_AT_3):
+            orthogonality_transfer_check(m, [early, wrong_d])
+        with pytest.raises(ValueError, match=_OFF_AT_3):
+            m.apply(early)
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            orthogonality_transfer_check(m, [_vec({0: _ON}), wrong_d])
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            m.apply(wrong_d)
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            # within one vector the lowest label is named, off-domain or undeclared
+            ([_vec({3: _OFF, 5: _ON, 6: _OFF})], _OFF_AT_3),
+            ([_vec({-2: _ON, 3: _OFF})], _UNDECLARED.format(-2)),
+            ([_vec({0: _ON, 4: _ON, 6: _OFF})], _UNDECLARED.format(4)),
+            # across vectors the first vector is named, though a later one has a lower label
+            ([_vec({0: _ON}), _vec({3: _OFF}), _vec({-5: _ON})], _OFF_AT_3),
+            ([_vec({9: _ON}), _vec({3: _OFF})], _UNDECLARED.format(9)),
+        ],
+    )
+    def test_first_offending_row_by_vector_then_label(self, inputs, message):
+        m, ref = _error_order_map(), LoopBlockMap(2, _error_order_map().blocks)
+        with pytest.raises(ValueError, match=message):
+            orthogonality_transfer_check(m, inputs)
+        with pytest.raises(ValueError, match=message):
+            ref.gram_matrices(inputs)
+        bad = next(v for v in inputs if _outcome(ref.apply, v)[0] == "error")
+        with pytest.raises(ValueError, match=message):
+            m.apply(bad)
+
+    def test_interior_zero_rows_at_undeclared_labels_are_accepted(self):
+        m = _error_order_map()
+        # rows 1..5 are zero (only 3 is declared), and row 2 holds -0.0 entries
+        window = np.zeros((7, 2), dtype=complex)
+        window[[0, 3, 6], 0] = [0.6, 0.0, -0.8]
+        window[2] = complex(-0.0, -0.0)
+        u = GradedVector.from_window(0, window)
+        v = _vec({3: [2.0, 0.0]})
+        assert u.support() == (0, 6)
+        image = m.apply(u)
+        assert image.support() == (0, 6)
+        np.testing.assert_array_equal(image.sector(0), [0.6j, 0.0])
+        np.testing.assert_array_equal(image.sector(6), [-0.8j, 0.0])
+        pre, post = orthogonality_transfer_check(m, [u, v])
+        np.testing.assert_allclose(pre, [[1.0, 0.0], [0.0, 4.0]], atol=1e-15)
+        np.testing.assert_allclose(post, pre, atol=1e-15)
+
+    def test_inputs_spanning_too_wide_a_window_are_refused(self):
+        e0 = np.array([[1.0], [0.0]])
+        m = BlockMap(2, {-(2**40): (e0, e0), 2**40: (e0, e0)})
+        far = [_vec({nu: _ON}) for nu in (-(2**40), 2**40)]
+        with pytest.raises(ValueError, match="2 inputs over sector labels .* span more than"):
+            orthogonality_transfer_check(m, far)
+
+
+def _completed_pin(widths):
+    """Bytes of ``completed()`` blocks of a seeded isometry with ``widths`` columns per block.
+
+    The blocks are ``Q R`` in domain and image with one ``R``, so the map
+    is isometric without orthonormal columns; a block of three columns
+    repeats its first, which makes it rank deficient, and a block of none
+    is completed from the identity alone.
+    """
+    rng = np.random.default_rng(11)
+    blocks = {}
+    for nu, m in zip((5, -3, 0, 2), widths):
+        def orthonormal():
+            return np.linalg.qr(rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)))[0]
+
+        r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        dom, img = orthonormal() @ r, orthonormal() @ r
+        if m == 3:
+            dom[:, 2], img[:, 2] = dom[:, 0], img[:, 0]
+        blocks[nu] = (dom, img)
+    full = BlockMap(4, blocks).completed()
+    assert list(full.blocks) == [5, -3, 0, 2]
+    return b"".join(np.ascontiguousarray(a).tobytes() for pair in full.blocks.values() for a in pair)
+
+
+#: sha256 of the completed blocks as the per-column-count SVD and stacked QR wrote them.
+_PINNED_COMPLETIONS = {
+    "uniform": ((2, 2, 2, 2), "e9722bdac91d879a6927e01e5cae33cc8a15b411a880cfa8244686e32f1703a6"),
+    "mixed-rank-deficient": (
+        (2, 1, 3, 0),
+        "0cd9d31b276a2dcc63b568edfcdcb00ef3d8f9ff51f910e7b5688d4101e7ba2f",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "widths, digest", _PINNED_COMPLETIONS.values(), ids=_PINNED_COMPLETIONS.keys()
+)
+def test_completed_bytes_pinned(widths, digest):
+    assert hashlib.sha256(_completed_pin(widths)).hexdigest() == digest
+
+
 def _conserving_pin():
     rng = np.random.default_rng(3)
 
