@@ -17,7 +17,8 @@ On the isometry, the whole isometry op of the small-structures workload
 ``born_distribution`` on a degenerate observable (eigenspaces of
 dimension 1, 3 and 2) as another.
 Building, validating and reading out the canonical scheme are timed at
-n = 10^2 to 10^5; validation also at n = 4 (a report's fixed cost) and
+n = 10^2 to 10^5 (readout also at 3 * 10^3, the largest size of the
+benchmark's readout workload); validation also at n = 4 (a report's fixed cost) and
 n = 10^6 (three rounds), and the exact system's residual report with its
 sum of squares at n = 16 and 10^4.  The standard certificate (an
 O(n) parity-chain solve) is timed at n = 4 to 10^4, a rotated-basis
@@ -26,6 +27,10 @@ witness at n = 10^5, and each CLI subcommand once in process on small
 inputs.  Vector construction (``from_window``), ``u - v`` and
 ``scheme_error``, whose fixed cost per vector dominates at small n, are
 timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
+``norm2`` and ``inner`` are timed at both ends of their cost: on one
+input of the three-sector isometry (12 entries, one ``np.vdot``) and on
+the joint object+apparatus vectors of the canonical scheme at n = 10^4
+(40 004 entries, summed in chunks).
 The constructors that read labels from outside are timed on sector maps
 of 10^3 and 10^4 sectors (``GradedVector(d, sectors)``), parsed JSON of
 3 * 10^3 sectors (``GradedVector.from_dict``) and certificate data at
@@ -63,6 +68,7 @@ VECTOR_SIZES = [10**2, 10**4]
 CERTIFICATE_SIZES = [4, 16, 64, 256, 10**3, 10**4]
 SECTOR_MAP_SIZES = [10**3, 10**4]
 PLUS = ObjectState(2**-0.5, 2**-0.5)
+MINUS = ObjectState(2**-0.5, -(2**-0.5))
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,6 +159,34 @@ def test_graded_norm2(benchmark, n):
     assert benchmark(s.xi.norm2) == pytest.approx(1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def joint_case(n):
+    """Joint vectors of the objects ``PLUS`` and ``MINUS`` with the canonical pointer ``xi``."""
+    xi = scheme_case(n)[0].xi
+    return tensor(PLUS, xi), tensor(MINUS, xi)
+
+
+def test_joint_norm2(benchmark):
+    # 40 004 entries, summed in chunks below the size at which BLAS threads a dot product
+    plus = joint_case(10**4)[0]
+    assert plus._amps.size == 40004
+    assert benchmark(plus.norm2) == pytest.approx(1.0)
+
+
+def test_joint_inner(benchmark):
+    assert abs(benchmark(inner, *joint_case(10**4))) < 1e-12
+
+
+def test_three_sector_norm2(benchmark):
+    v = three_sector_case(WIDTHS["uniform"])[1][0]
+    assert benchmark(v.norm2) > 0
+
+
+def test_three_sector_inner(benchmark):
+    u, v = three_sector_case(WIDTHS["uniform"])[1]
+    benchmark(inner, u, v)
+
+
 @pytest.mark.parametrize("n", SCALE_SIZES)
 def test_build_canonical_scheme(benchmark, n):
     benchmark(build_canonical_scheme, n)
@@ -181,7 +215,7 @@ def test_exact_constraint_sum_squares(benchmark, n):
     assert benchmark(lambda: exact_constraint_residual(data).sum_squares) > 0
 
 
-@pytest.mark.parametrize("n", SCALE_SIZES)
+@pytest.mark.parametrize("n", sorted(SCALE_SIZES + [3 * 10**3]))
 def test_three_outcome_stats(benchmark, n):
     s = build_canonical_scheme(n)
     benchmark(three_outcome_stats, s, PLUS)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded import DEFAULT_TOL, GradedVector, ObjectState, inner, split_object_components, tensor
-from .graded import _integer, _number_array
+from .graded import _dot, _integer, _number_array
 from .scheme import apply_interaction, derived_pointers
 
 #: Label of the appended outcome when the state has weight outside the
@@ -139,14 +139,14 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     explicit ``outside-span`` outcome.
     """
     phi = _number_array(phi, complex)
-    norm2 = float(np.vdot(phi, phi).real)
+    norm2 = float(_dot(phi, phi).real)
     if not abs(norm2 - 1.0) <= tol:
         raise ValueError(f"state must be normalized, got |phi|^2 = {norm2!r}")
     outcomes = []
     projected = np.zeros_like(phi)
     for q, fam in zip(obs.eigenvalues, obs.eigenspaces):
         coeff = fam.conj().T @ phi
-        w = float(np.vdot(coeff, coeff).real)
+        w = float(_dot(coeff, coeff).real)
         if w > 0.0:
             part = fam @ coeff
             post = part / np.sqrt(w)
@@ -155,7 +155,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
             post = None
         outcomes.append(Outcome(label=f"{q:g}", probability=w, post_state=post))
     rest = phi - projected
-    w_rest = float(np.vdot(rest, rest).real)
+    w_rest = float(_dot(rest, rest).real)
     if w_rest > 1e-10:
         outcomes.append(
             Outcome(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded import GradedVector, _row_dots, inner
+from .graded import GradedVector, _dot, _row_dots, inner
 
 #: Squared-amplitude threshold deciding "finite" (nonzero) components,
 #: applied after branch normalization.
@@ -165,7 +165,7 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     else:
         # charge-1 leftovers in orthogonal object-charge subspaces cannot cancel
         squares = sum(
-            float(np.vdot(m, m).real)
+            float(_dot(m, m).real)
             for b, (obj_supp, app_supp) in zip(branches, finite)
             for m in [np.outer(b.object_part.sector(mu), b.apparatus_part.sector(1 - mu))
                       for mu in obj_supp if 1 - mu in app_supp]

@@ -39,6 +39,13 @@ Conventions
   with ``ValueError`` before it is allocated.  :func:`_require_entries`,
   the one check of that limit, also bounds scheme sizes and no-go solves.
 * ``inner`` is conjugate-linear in its *first* argument.
+* Every hermitian product of whole windows or arrays in the package
+  (``norm2``, ``inner``, ``charge_expectation``, ``scheme_error``, the
+  Born weights) goes through :func:`_dot`: up to ``_DOT_CHUNK`` entries
+  it is one ``np.vdot``, and a longer one is summed in fixed chunks of
+  that size, each below the length at which OpenBLAS splits a dot
+  product over threads, so results do not depend on the BLAS thread
+  count.
 * A :class:`BlockMap` stores one stack: sorted labels, the column count
   of each block and ``(K, d, M)`` domain and image stacks, each block
   zero-padded to the widest ``M``.  ``blocks`` maps each label to views
@@ -79,6 +86,10 @@ _EPS = np.finfo(np.float64).eps
 
 #: Most blocks per batched call over a :class:`BlockMap`'s stacks, which bounds its temporaries.
 _SLICE = 256
+
+#: Most entries per BLAS dot product: OpenBLAS threads ``zdotc`` and ``ddot`` above
+#: 10 000 entries, and a threaded sum's bits depend on the thread count.
+_DOT_CHUNK = 8192
 
 
 def _require_entries(entries, what, *args):
@@ -184,6 +195,22 @@ def _sum_window(u, v, scale=None):
     return lo, out
 
 
+def _dot(a, b):
+    """``np.vdot(a, b)`` of two same-size arrays, summed on one BLAS thread.
+
+    Up to ``_DOT_CHUNK`` entries this is one ``np.vdot`` call; a longer
+    product adds, first to last, the ``np.vdot`` of each run of
+    ``_DOT_CHUNK`` consecutive entries of the flattened arrays.
+    """
+    if a.size <= _DOT_CHUNK:
+        return np.vdot(a, b)
+    a, b = a.ravel(), b.ravel()
+    total = np.vdot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += np.vdot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK])
+    return total
+
+
 def _row_dots(a, b):
     """Per-row hermitian products ``<a_i, b_i>`` of two windows."""
     return np.einsum("ij,ij->i", a.conj(), b)
@@ -278,7 +305,7 @@ class GradedVector:
 
     def norm2(self):
         """Squared norm, the sum of squared sector norms."""
-        return float(np.vdot(self._amps, self._amps).real)
+        return float(_dot(self._amps, self._amps).real)
 
     def norm(self):
         return float(np.sqrt(self.norm2()))
@@ -299,7 +326,11 @@ class GradedVector:
         return GradedVector._own(*_sum_window(self, other, -1.0))
 
     def __mul__(self, scalar):
-        return GradedVector.from_window(self._lo, scalar * self._amps)
+        amps = scalar * self._amps
+        # a fresh complex window is kept; anything else is read (or refused) by from_window
+        if type(amps) is np.ndarray and amps.dtype == complex and amps.ndim == 2 and amps.shape[1]:
+            return GradedVector._own(self._lo, amps)
+        return GradedVector.from_window(self._lo, amps)
 
     __rmul__ = __mul__
 
@@ -565,7 +596,9 @@ def inner(u, v):
     if u.d != v.d:
         raise ValueError(f"sector dimension mismatch: {u.d} vs {v.d}")
     lo, hi = max(u._lo, v._lo), min(u._hi, v._hi)
-    return complex(np.vdot(u.window(lo, hi), v.window(lo, hi)))
+    if lo > hi:
+        return 0j
+    return complex(_dot(u._amps[lo - u._lo : hi - u._lo + 1], v._amps[lo - v._lo : hi - v._lo + 1]))
 
 
 def tensor(obj, app):
@@ -605,7 +638,7 @@ def charge_expectation(v):
     if total == 0.0:
         raise ValueError("charge expectation undefined for the zero vector")
     weights = _row_dots(v._amps, v._amps).real
-    return float(np.arange(v._lo, v._hi + 1) @ weights / total)
+    return float(_dot(np.arange(v._lo, v._hi + 1), weights) / total)
 
 
 class BlockMap:
@@ -793,9 +826,12 @@ def _extend_basis(q, r):
 
     The columns after the first ``r`` are taken from the QR of ``[q_r | I]``,
     whose ``Q`` factor is fixed by its first ``dim`` columns alone, so only
-    those are factored.
+    those are factored.  With ``r == dim`` there are none, and ``q`` is
+    returned as it is.
     """
     dim = q.shape[-1]
+    if r == dim:
+        return q
     q[..., r:] = np.eye(dim)[:, : dim - r]
     full, _ = np.linalg.qr(q)
     full[..., :r] = q[..., :r]

@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graded import GradedVector, _integer
+from .graded import GradedVector, _dot, _integer
 from .scheme import (
     ApproxScheme,
     _require_size,
@@ -162,10 +162,10 @@ def _smooth_profile_scheme(n, d):
     length = (n + 1) // 2  # sectors 0, 2, ... of the window 0..n-1
     u = np.zeros(n)
     u[0::2] = np.sin(np.pi * np.arange(1, length + 1) / (length + 1))
-    r0 = float(u @ u)
+    r0 = float(_dot(u, u))
     u_pad = np.concatenate([u, [0.0, 0.0]])
     diffs = u_pad - np.concatenate([[0.0, 0.0], u])
-    obj0 = 0.25 * float(diffs @ diffs)
+    obj0 = 0.25 * float(_dot(diffs, diffs))
     # With transfer weight R = g^2 r0 and error E = g^2 obj0, the pointer
     # overlap fixes S = R - E and normalization fixes S + R = 1.
     g2 = 1.0 / (2.0 * r0 - obj0)

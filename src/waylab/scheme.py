@@ -40,6 +40,7 @@ from .graded import (
     GradedVector,
     ObjectState,
     _bounds,
+    _dot,
     _integer,
     _json_indent,
     _json_object,
@@ -217,7 +218,7 @@ def scheme_error(s):
     (trimmed as a vector would be) without building the vector.
     """
     _, diff = _trimmed(*_sum_window(s.tau, s.rho, -1.0))
-    return 0.25 * float(np.vdot(diff, diff).real)
+    return 0.25 * float(_dot(diff, diff).real)
 
 
 def derived_pointers(s):

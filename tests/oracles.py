@@ -40,12 +40,16 @@ it computed each part's finite sectors once per call.
 
 ``TupleConstraintReport`` is ``ConstraintReport`` as it was before it held
 one residual array: a tuple of ``(id, residual)`` pairs, reduced by loops
-over the pairs.  ``project_to_unitarity`` is the closed-form projection
+over the pairs.  ``chunked_vdot`` is the fixed-order sum of chunk products
+that ``graded._dot`` promises for long arrays, written as a list of
+partials folded left to right.  ``project_to_unitarity`` is the closed-form projection
 onto the unitarity rows that criterion 3 checks the parity argument on.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -717,3 +721,10 @@ def project_to_unitarity(data):
 
     x = np.maximum(0.0, (data.x + 2.0 * data.s) / 5.0)
     return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))
+
+
+def chunked_vdot(a, b, chunk):
+    """``np.vdot`` of each run of ``chunk`` consecutive entries, added first to last."""
+    a, b = np.ravel(a), np.ravel(b)
+    partials = [np.vdot(a[i : i + chunk], b[i : i + chunk]) for i in range(0, len(a), chunk)]
+    return functools.reduce(operator.add, partials)

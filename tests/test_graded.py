@@ -6,13 +6,14 @@ import math
 import struct
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DictGraded, LoopBlockMap, TupleConstraintReport
+from oracles import DictGraded, LoopBlockMap, TupleConstraintReport, chunked_vdot
 from waylab import graded
 from waylab.born import Observable, born_distribution
 from waylab.graded import (
@@ -117,6 +118,22 @@ class TestWindow:
         for nu in (0, 1, 2):
             with pytest.raises(ValueError):
                 v.sector(nu)[0] = 3.0
+
+    def test_scalar_product_keeps_its_window_and_refuses_non_numbers(self):
+        v = GradedVector.from_window(-1, [[0.0, 0.0], [1.0, -0.0], [2j, 0.0]])
+        half = 0.5 * v
+        assert _bits(half) == _bits(GradedVector.from_window(v._lo, 0.5 * v._amps))
+        assert not half._amps.flags.writeable
+        assert _bits(v * np.float32(3)) == _bits(GradedVector.from_window(v._lo, 3 * v._amps))
+        # a broadcast factor keeps from_window's reading of the product
+        assert (v * np.array([1.0, 2.0])).sector(v._lo + 1)[1] == 0.0
+        assert (GradedVector(1, {0: [1.0]}) * np.ones(3)).d == 3
+        with pytest.raises(ValueError, match="not an array of numbers"):
+            Fraction(1, 2) * v
+        with pytest.raises(ValueError, match="window shape"):
+            v * np.ones((2, 1, 1))
+        with pytest.raises(ValueError, match="window shape"):
+            GradedVector(1, {0: [1.0]}) * np.ones(0)
 
     def test_wide_label_span_rejected_before_allocation(self):
         with pytest.raises(ValueError, match="span"):
@@ -259,6 +276,73 @@ class TestBitwise:
             expected = 0.25 * (s.tau + (-1.0) * s.rho).norm2()
             got = scheme_error(s)
         assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+
+_dot_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.floats(),
+)
+
+
+@st.composite
+def _dot_operands(draw, sizes):
+    """Two same-shape real or complex arrays of ``sizes`` entries, flat or ``(k, d)``.
+
+    Each operand repeats a short drawn pattern (special values included) and
+    overwrites a few drawn entries, so long arrays stay cheap to draw.
+    """
+    kind = draw(st.sampled_from([np.float64, np.complex128]))
+    size = draw(sizes)
+    width = draw(st.sampled_from([0, 1, 2, 4]).filter(lambda w: w == 0 or size % w == 0))
+    parts = 2 if kind is np.complex128 else 1
+    operands = []
+    for _ in range(2):
+        pattern = draw(st.lists(_dot_parts, min_size=1, max_size=12))
+        flat = np.resize(np.array(pattern), size * parts)
+        spikes = st.tuples(st.integers(0, max(size * parts - 1, 0)), _dot_parts)
+        for i, value in draw(st.lists(spikes, max_size=4 if size else 0)):
+            flat[i] = value
+        arr = flat.view(kind)
+        operands.append(arr.reshape(-1, width) if width else arr)
+    return operands
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestDot:
+    """``graded._dot``: one ``np.vdot`` up to the chunk size, fixed-order chunk sums above it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dot_operands(st.integers(0, graded._DOT_CHUNK)))
+    @example([np.array([-0.0]), np.array([0.0])])
+    @example([np.array([complex(5e-324, math.nan)]), np.array([complex(-0.0, math.inf)])])
+    @example([np.full(graded._DOT_CHUNK, 1e-3 + 1j), np.full(graded._DOT_CHUNK, 3.0 - 0.0j)])
+    def test_short_products_are_one_vdot(self, operands):
+        a, b = operands
+        with np.errstate(all="ignore"):
+            got = graded._dot(a, b)
+            assert _same_bits(got, np.vdot(a, b))
+            if a.dtype == np.float64 and a.ndim == 1:
+                # the 1-D ``@`` that real call sites used before
+                assert _same_bits(got, a @ b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_dot_operands(st.integers(graded._DOT_CHUNK + 1, 4 * graded._DOT_CHUNK)))
+    @example([np.full(graded._DOT_CHUNK + 1, -0.0), np.full(graded._DOT_CHUNK + 1, 0.0)])
+    def test_long_products_are_fixed_order_chunk_sums(self, operands):
+        a, b = operands
+        with np.errstate(all="ignore"):
+            assert _same_bits(graded._dot(a, b), chunked_vdot(a, b, graded._DOT_CHUNK))
+
+    def test_mixed_integer_weights_keep_the_bits_of_matmul(self):
+        # charge_expectation's weighted label sum, up to the chunk size
+        rng = np.random.default_rng(17)
+        for k in (5, graded._DOT_CHUNK):
+            labels, weights = np.arange(-3, k - 3), rng.random(k)
+            assert _same_bits(graded._dot(labels, weights), labels @ weights)
 
 
 def _legacy_from_dict(data):
@@ -610,6 +694,15 @@ class TestBlockMap:
             BlockMap(2, {0: (np.eye(3), np.eye(3))})
         with pytest.raises(ValueError, match="block 1: image shape"):
             BlockMap(2, {1: (np.eye(2), np.eye(2)[:, :1])})
+
+    def test_full_rank_bases_are_complete_as_given(self):
+        # the QR of a full stack would be overwritten column for column
+        rng = np.random.default_rng(4)
+        shape = (2, 3, 3, 3)
+        q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        expected = q.copy()
+        assert graded._extend_basis(q, 3) is q
+        np.testing.assert_array_equal(q, expected)
 
     def test_nan_image_is_not_completed(self):
         eye = np.eye(2, dtype=complex)
