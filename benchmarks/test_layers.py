@@ -16,6 +16,14 @@ On the isometry, the whole isometry op of the small-structures workload
 ``check_conserving(completed())``) is timed as one case, and
 ``born_distribution`` on a degenerate observable (eigenspaces of
 dimension 1, 3 and 2) as another.
+A block map keeps its SVD factors and isometry defects once computed, so
+the cases on those cached maps time warm calls after the first round.
+The cases named ``fresh`` build a new map in each round's untimed setup
+and time what a first call pays: the isometry op on the three-sector
+maps, the chain ``check_conserving`` -> ``completed`` -> transfer check of
+the readout workload on the canonical map at n = 10^3 and 10^4, and the
+first ``apply`` of a one-sector vector on the map at n = 10^4, which
+factors one run of 256 blocks.
 Building, validating and reading out the canonical scheme are timed at
 n = 10^2 to 10^5 (readout also at 3 * 10^3, the largest size of the
 benchmark's readout workload); validation also at n = 4 (a report's fixed cost) and
@@ -61,6 +69,9 @@ from waylab.nogo import (
 )
 from waylab.optimize import sweep
 from waylab.scheme import ApproxScheme, interaction_blocks, scheme_error, validate_scheme
+
+#: Rounds of a ``fresh`` case on a three-sector map and on the canonical map at n = 10^3, 10^4.
+FRESH_ROUNDS = {3: 2000, 10**3: 50, 10**4: 10}
 
 SIZES = [10**3, 10**4]
 SCALE_SIZES = [10**2, 10**3, 10**4, 10**5]
@@ -302,6 +313,46 @@ def test_three_sector_isometry_chain(benchmark, widths):
     (pre, post), defect, completed_defect = benchmark(_isometry_chain, m, inputs)
     np.testing.assert_allclose(post, pre, atol=1e-10)
     assert defect < 1e-12 and completed_defect < 1e-12
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_isometry_chain_fresh(benchmark, widths):
+    m, inputs = three_sector_case(widths)
+    blocks = dict(m.blocks)
+    (pre, post), defect, completed_defect = benchmark.pedantic(
+        _isometry_chain,
+        setup=lambda: ((BlockMap(4, blocks), inputs), {}),
+        rounds=FRESH_ROUNDS[3],
+    )
+    np.testing.assert_allclose(post, pre, atol=1e-10)
+    assert defect < 1e-12 and completed_defect < 1e-12
+
+
+def _readout_chain(m, inputs):
+    """The graded op of the readout workload: both defect reports, then the transfer check."""
+    defect = check_conserving(m).max_residual
+    return defect, check_conserving(m.completed()).max_residual, orthogonality_transfer_check(m, inputs)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_readout_chain_fresh(benchmark, n):
+    s, _, inputs, _ = scheme_case(n)
+    defect, completed_defect, (pre, post) = benchmark.pedantic(
+        _readout_chain, setup=lambda: ((interaction_blocks(s), inputs), {}), rounds=FRESH_ROUNDS[n]
+    )
+    np.testing.assert_allclose(post, pre, atol=1e-10)
+    assert defect < 1e-12 and completed_defect < 1e-12
+
+
+def test_first_one_sector_apply_fresh(benchmark):
+    s, m, _, _ = scheme_case(10**4)
+    nu = m.sectors()[len(m.sectors()) // 2]
+    dom = m.blocks[nu][0]
+    v = GradedVector(m.d, {nu: dom @ np.ones(dom.shape[1])})
+    image = benchmark.pedantic(
+        lambda fresh: fresh.apply(v), setup=lambda: ((interaction_blocks(s),), {}), rounds=50
+    )
+    assert image.support() == (nu,)
 
 
 def test_born_distribution_degenerate(benchmark):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded import DEFAULT_TOL, GradedVector, ObjectState, inner, split_object_components, tensor
-from .graded import _dot, _integer, _number_array
+from .graded import _column_dots, _dot, _integer, _number_array
 from .scheme import apply_interaction, derived_pointers
 
 #: Label of the appended outcome when the state has weight outside the
@@ -145,7 +145,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     outcomes = []
     projected = np.zeros_like(phi)
     for q, fam in zip(obs.eigenvalues, obs.eigenspaces):
-        coeff = fam.conj().T @ phi
+        coeff = _column_dots(fam, phi)
         w = float(_dot(coeff, coeff).real)
         if w > 0.0:
             part = fam @ coeff

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -81,7 +82,9 @@ def _parse_amplitude(text):
     return complex(*_parse_pair(text, float))
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="waylab",
         description="Measurement models constrained by an additive conservation law.",

@@ -45,7 +45,9 @@ Conventions
   it is one ``np.vdot``, and a longer one is summed in fixed chunks of
   that size, each below the length at which OpenBLAS splits a dot
   product over threads, so results do not depend on the BLAS thread
-  count.
+  count.  The products of an eigenvector family with a state go through
+  :func:`_column_dots`, which cuts the same way by matrix entries, in
+  runs of whole rows.
 * A :class:`BlockMap` stores one stack: sorted labels, the column count
   of each block and ``(K, d, M)`` domain and image stacks, each block
   zero-padded to the widest ``M``.  ``blocks`` maps each label to views
@@ -55,16 +57,23 @@ Conventions
   ``orthogonality_transfer_check`` lay their inputs over one common
   label window (refused beyond the entry limit), find the blocks inside
   it with one ``searchsorted`` and solve only the rows of declared
-  sectors.  The isometry defects are one array that ``check_conserving``
-  reports and ``completed`` reads; both take the stack in slices of at
-  most 256 blocks, which bounds their temporaries.
+  sectors.  The stacks are read-only, and a map keeps what it derives
+  from them once first computed: the isometry defects, one array that
+  ``check_conserving`` reports and ``completed`` reads, and the SVD of
+  each run of 256 consecutive blocks (each block factored on its own
+  columns), made when a call first reads one of the run's blocks, from
+  which ``apply`` and ``orthogonality_transfer_check`` take their
+  pseudo-inverses and ``completed`` its bases.  Work over the stack goes
+  in slices of at most 256 blocks, which bounds its temporaries.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
   ``N``) and the last ``d`` slots the object-charge-1 component
   (apparatus sector ``N - 1``).
 * All values are immutable after construction and all operations are
-  pure functions, so everything here is safe to share across threads.
+  pure functions, so everything here is safe to share across threads; a
+  block map's kept factors and defects are filled on first use, and a
+  race fills the same values twice.
 """
 
 from __future__ import annotations
@@ -208,6 +217,23 @@ def _dot(a, b):
     total = np.vdot(a[:_DOT_CHUNK], b[:_DOT_CHUNK])
     for i in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
         total += np.vdot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK])
+    return total
+
+
+def _column_dots(a, b):
+    """``a.conj().T @ b``, the products ``<a_j, b>`` of the columns of ``a`` with ``b``, on one BLAS thread.
+
+    OpenBLAS threads a matrix-vector product of 9216 entries or more, so up
+    to ``_DOT_CHUNK`` entries of the ``(n, k)`` matrix ``a`` this is that
+    one product; a larger one adds, first to last, the products of each run
+    of ``max(1, _DOT_CHUNK // k)`` consecutive rows.
+    """
+    if a.size <= _DOT_CHUNK:
+        return a.conj().T @ b
+    rows = max(1, _DOT_CHUNK // a.shape[1])
+    total = a[:rows].conj().T @ b[:rows]
+    for i in range(rows, len(a), rows):
+        total += a[i : i + rows].conj().T @ b[i : i + rows]
     return total
 
 
@@ -658,9 +684,18 @@ class BlockMap:
     operation is a few batched calls over the stack.  ``blocks`` is a
     read-only mapping, in the order the blocks were given, whose values
     are views into the stacks; it is built when first read.
+
+    The stacks are read-only, so what the map derives from them is kept
+    once first computed: the isometry defects of all blocks, and the SVD
+    factors of each run of 256 consecutive blocks, made when a call first
+    reads one of the run's blocks.  Every later call reads them, and
+    returns the bits a fresh map would.  The factors, zero-padded to the
+    stack, take ``(d * r + r * M) * 16 + r * 8`` bytes per block, with
+    ``r = min(d, M)``; a run of blocks of several column counts also
+    keeps the unpadded factors of each count.
     """
 
-    __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks")
+    __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect")
 
     def __init__(self, d, blocks):
         d = _integer(d, "sector dimension 'd'", 1)
@@ -692,9 +727,11 @@ class BlockMap:
         return m
 
     def _set(self, d, labels, cols, dom, img, order):
-        """Keep the stacks; ``blocks`` will list their labels in ``order`` (default ascending)."""
+        """Keep the stacks, read-only; ``blocks`` will list their labels in ``order`` (default ascending)."""
+        for a in labels, cols, dom, img:
+            a.setflags(write=False)
         self.d, self._labels, self._cols, self._dom, self._img = d, labels, cols, dom, img
-        self._order, self._blocks = order, None
+        self._order, self._blocks, self._svd, self._defect = order, None, None, None
 
     @property
     def blocks(self):
@@ -722,6 +759,52 @@ class BlockMap:
         out[rows] = pair[1, :, :, 0]
         return GradedVector._own(lo, out)
 
+    def _factor(self, i, j):
+        """SVD of blocks ``i..j-1``, each of its own columns: ``(u, sv, vh, groups)``.
+
+        The blocks are factored unpadded, one column count at a time (on a
+        padded block the singular vectors can come out with other phases),
+        one ``svd`` call when every block has the stack's width.  ``groups``
+        lists, per column count ``c``, ``(c, at, u_c, sv_c, vh_c)``: the
+        stack indices of those blocks and their factors as ``svd``
+        returned them.  ``u, sv, vh`` hold every block's factors
+        zero-padded to ``min(d, M)`` singular values and ``M`` columns.
+        """
+        dom, cols = self._dom[i:j], self._cols[i:j]
+        k, d, m = dom.shape
+        widths = set(cols.tolist())
+        if widths <= {m}:
+            u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+            return u, sv, vh, [(m, np.arange(i, i + k), u, sv, vh)]
+        r = min(d, m)
+        u, vh = np.zeros((k, d, r), dtype=np.complex128), np.zeros((k, r, m), dtype=np.complex128)
+        sv, groups = np.zeros((k, r)), []
+        for c in sorted(widths):
+            at, w = np.flatnonzero(cols == c), min(d, c)
+            factors = np.linalg.svd(dom[at, :, :c], full_matrices=False)
+            u[at, :, :w], sv[at, :w], vh[at, :w, :c] = factors
+            groups.append((c, at + i if i else at, *factors))
+        return u, sv, vh, groups
+
+    def _run(self, j):
+        """:meth:`_factor` of the ``j``-th run of ``_SLICE`` consecutive blocks, kept on first use."""
+        runs = self._svd
+        if runs is None:  # a race factors the same runs twice
+            runs = self._svd = [None] * -(-len(self._labels) // _SLICE)
+        if runs[j] is None:
+            runs[j] = self._factor(j * _SLICE, (j + 1) * _SLICE)
+        return runs[j]
+
+    def _factors(self, a, b):
+        """The kept padded SVD factors ``(u, sv, vh)`` of blocks ``a..b-1``."""
+        if a == b:
+            return self._factor(a, b)[:3]
+        first = a // _SLICE
+        runs = [self._run(j)[:3] for j in range(first, (b - 1) // _SLICE + 1)]
+        u, sv, vh = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+        i = a - first * _SLICE
+        return u[i : i + b - a], sv[i : i + b - a], vh[i : i + b - a]
+
     def _images(self, vectors, tol):
         """Inputs and images of ``vectors`` (all of dimension ``d``) over their label window.
 
@@ -730,7 +813,7 @@ class BlockMap:
         labels finds the blocks inside the window, a contiguous run of the
         stacks, and only the window rows of those declared sectors are
         solved: by least squares against each block's domain, with the
-        pseudo-inverse applied from one stacked SVD of the run as
+        pseudo-inverse applied from the kept SVD factors of the run as
         ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
         unpadded block).  The first nonzero row, in vector-then-label
         order, that lies in an undeclared sector or off its block's domain
@@ -754,7 +837,7 @@ class BlockMap:
         # out holds the misses of the fit, the inputs and their images; one norm takes the first two
         dom, out = self._dom[a:b], np.empty((3, b - a, d, k), dtype=np.complex128)
         out[1] = amps = window[rows]
-        u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+        u, sv, vh = self._factors(a, b)
         keep = sv > _EPS * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
         coeff = vh.conj().swapaxes(1, 2) @ (inv[:, :, None] * (u.conj().swapaxes(1, 2) @ amps))
@@ -775,40 +858,42 @@ class BlockMap:
             )
         return lo, rows, span, out[1:]
 
-    def _defects(self, out):
-        """Isometry defect of each block, in label order, written into ``out``.
+    def _defects(self):
+        """Isometry defect of each block, in label order: one read-only array, kept.
 
         The defect is the max-norm difference of the block's image and
         domain Gram matrices (0 without columns; padding columns add zero
-        Gram entries).
+        Gram entries), taken ``_SLICE`` blocks at a time.
         """
-        for i in range(0, len(out), _SLICE):
-            dom, img = self._dom[i : i + _SLICE], self._img[i : i + _SLICE]
-            np.abs(_gram(img) - _gram(dom)).max(axis=(1, 2), initial=0.0, out=out[i : i + _SLICE])
-        return out
+        defects = self._defect
+        if defects is None:  # a race computes the same defects twice
+            defects = np.empty(len(self._labels))
+            for i in range(0, len(defects), _SLICE):
+                dom, img = self._dom[i : i + _SLICE], self._img[i : i + _SLICE]
+                np.abs(_gram(img) - _gram(dom)).max(
+                    axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
+                )
+            defects.setflags(write=False)
+            self._defect = defects
+        return defects
 
     def completed(self, tol=1e-8):
         """Deterministic extension of each block to a full unitary.
 
-        A stacked SVD gives orthonormal bases of the domain spans (rank
-        tolerance ``1e-12``) and, through their coefficients, the matching
-        image bases; per rank, one stacked Householder QR extends both to
-        the whole sector, a deterministic completion.
+        The kept SVD factors give orthonormal bases of the domain spans
+        (rank tolerance ``1e-12``) and, through their coefficients, the
+        matching image bases; per rank, one stacked Householder QR extends
+        both to the whole sector, a deterministic completion.
         Requires the map to be an isometry on its declared domain.
         """
-        worst = self._defects(np.empty(len(self._labels))).max(initial=0.0)
+        worst = self._defects().max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
         k, d = len(self._labels), self.d
         full = np.empty((2, k, d, d), dtype=np.complex128)  # domains, then images
-        # the SVD runs on unpadded blocks, one column count at a time: on a
-        # padded block its singular vectors can come out with other phases
-        for c in sorted(set(self._cols.tolist())):
-            same = np.flatnonzero(self._cols == c)
-            for i in range(0, len(same), _SLICE):
-                at = same[i : i + _SLICE]
-                u, sv, vh = np.linalg.svd(self._dom[at, :, :c], full_matrices=False)
+        for run in range(-(-k // _SLICE)):
+            for c, at, u, sv, vh in self._run(run)[3]:
                 rank = (sv > 1e-12).sum(axis=1)
                 for r in set(rank.tolist()):
                     sel = np.flatnonzero(rank == r)
@@ -851,8 +936,8 @@ def check_conserving(m):
     Gram matrix of the image columns and the Gram matrix of the domain
     columns (0 without columns; padding columns add zero Gram entries).
     """
-    residuals = np.zeros(len(m._labels) + 1)  # the grading entry, then the blocks
-    m._defects(residuals[1:])
+    residuals = np.empty(len(m._labels) + 1)  # the grading entry, then the blocks
+    residuals[0], residuals[1:] = 0.0, m._defects()
     runs = ("grading", (("isometry",), m._labels))
     return ConstraintReport._from_runs(runs, residuals)
 

@@ -723,6 +723,13 @@ def project_to_unitarity(data):
     return ExactSchemeData(data.n, x, 2.0 * x, *np.zeros((3, data.n)))
 
 
+def chunked_column_dots(a, b, chunk):
+    """``a.conj().T @ b`` of each run of ``max(1, chunk // k)`` consecutive rows, added first to last."""
+    rows = max(1, chunk // a.shape[1])
+    partials = [a[i : i + rows].conj().T @ b[i : i + rows] for i in range(0, len(a), rows)]
+    return functools.reduce(operator.add, partials)
+
+
 def chunked_vdot(a, b, chunk):
     """``np.vdot`` of each run of ``chunk`` consecutive entries, added first to last."""
     a, b = np.ravel(a), np.ravel(b)

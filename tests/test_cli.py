@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import waylab
+from waylab import cli
 from waylab.cli import run
 from waylab.optimize import SweepTable
 from waylab.scheme import ApproxScheme, build_canonical_scheme
@@ -442,3 +443,24 @@ class TestUsage:
              "--shots", "10", "--seed", "1"]
         )
         assert result.exit_code == 1
+
+    def test_one_parser_serves_every_call_as_fresh_ones_would(self, tmp_path, capsys):
+        # a bad argument between good calls of other subcommands
+        path = str(tmp_path / "s.json")
+        calls = [
+            ["build", "--n", "3", "--out", path],
+            ["validate", "--scheme", path, "--frobnicate"],
+            ["sample", "--scheme", path, "--state", "1,x", "--shots", "10"],
+            ["nogo", "--n", "4"],
+            ["validate", "--scheme", path, "--tol", "1e-9"],
+            [],
+            ["sample", "--scheme", path, "--state", "plus", "--shots", "10"],
+        ]
+        shared = [(run(argv), capsys.readouterr()) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append((run(argv), capsys.readouterr()))
+        assert shared == fresh
+        assert [result.exit_code for result, _ in shared] == [0, 2, 2, 0, 0, 2, 0]

@@ -7,13 +7,20 @@ import struct
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import DictGraded, LoopBlockMap, TupleConstraintReport, chunked_vdot
+from oracles import (
+    DictGraded,
+    LoopBlockMap,
+    TupleConstraintReport,
+    chunked_column_dots,
+    chunked_vdot,
+)
 from waylab import graded
 from waylab.born import Observable, born_distribution
 from waylab.graded import (
@@ -40,6 +47,7 @@ from waylab.scheme import (
     ApproxScheme,
     build_canonical_scheme,
     canonical_weights,
+    interaction_blocks,
     scheme_error,
     validate_scheme,
 )
@@ -343,6 +351,34 @@ class TestDot:
         for k in (5, graded._DOT_CHUNK):
             labels, weights = np.arange(-3, k - 3), rng.random(k)
             assert _same_bits(graded._dot(labels, weights), labels @ weights)
+
+
+@st.composite
+def _column_dot_operands(draw, entries):
+    """A complex ``(n, k)`` matrix of ``entries[0]..entries[1]`` entries and a length-``n`` vector."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(-(-entries[0] // k), entries[1] // k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, n, k + 1))
+    z = parts[0] + 1j * parts[1]
+    return z[:, :k], z[:, k]
+
+
+class TestColumnDots:
+    """``graded._column_dots``: one product up to the chunk size, fixed-order row-run sums above it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_column_dot_operands((1, graded._DOT_CHUNK)))
+    def test_short_products_are_one_product(self, operands):
+        a, b = operands
+        assert _same_bits(graded._column_dots(a, b), a.conj().T @ b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_column_dot_operands((graded._DOT_CHUNK + 1, 4 * graded._DOT_CHUNK)))
+    def test_long_products_are_fixed_order_row_run_sums(self, operands):
+        a, b = operands
+        got = graded._column_dots(a, b)
+        assert _same_bits(got, chunked_column_dots(a, b, graded._DOT_CHUNK))
 
 
 def _legacy_from_dict(data):
@@ -815,6 +851,57 @@ class TestLoopReference:
                 np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-9)
         else:
             assert got == want
+
+
+_CALLS = ("apply", "transfer", "conserving", "completed")
+
+
+def _call(m, call, inputs):
+    """Bytes of one block-map call (``(name, j)``: input ``j``, or the first ``j``), or its error."""
+    name, j = call
+    try:
+        if name == "apply":
+            image = m.apply(inputs[j % len(inputs)])
+            return image._lo, image._amps.shape, image._amps.tobytes()
+        if name == "transfer":
+            return [g.tobytes() for g in orthogonality_transfer_check(m, inputs[:j])]
+        if name == "conserving":
+            report = check_conserving(m)
+            return [cid for cid, _ in report.entries], report._residuals.tobytes()
+        full = m.completed()
+        return list(full.blocks), full._dom.tobytes(), full._img.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestKeptState:
+    """A block map keeps its SVD factors and defects; every call returns what a fresh map would."""
+
+    def test_stacks_are_read_only(self):
+        m = random_isometry_blocks(np.random.default_rng(2), 3, [0, 2], 2)
+        for built in m, m.completed(), interaction_blocks(build_canonical_scheme(3)):
+            n = built.sectors()[0]
+            for stack in built.blocks[n]:
+                with pytest.raises(ValueError, match="read-only"):
+                    stack[0, 0] = 1.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _block_cases(),
+        st.lists(st.tuples(st.sampled_from(_CALLS), st.integers(0, 3)), min_size=1, max_size=8),
+        st.sampled_from([1, 2, 256]),
+    )
+    def test_each_call_matches_a_fresh_map(self, case, calls, run):
+        # runs of one or two blocks make a map of up to five factor runs on first use
+        d, blocks, inputs = case
+        calls = [c for c in calls if c[0] != "apply" or inputs]
+        with mock.patch.object(graded, "_SLICE", run):
+            kept = BlockMap(d, blocks)
+            got = [_call(kept, c, inputs) for c in calls]
+            fresh = [_call(BlockMap(d, blocks), c, inputs) for c in calls]
+        assert got == fresh
+        # the factors of one block do not depend on the run it is factored in
+        assert fresh == [_call(BlockMap(d, blocks), c, inputs) for c in calls]
 
 
 def _error_order_map():

@@ -33,18 +33,35 @@ print(json.dumps(out))
 """
 
 
-def test_long_products_do_not_depend_on_the_blas_thread_count():
-    """One child runs BLAS on one thread, the other on two; every printed bit must agree.
+#: Prints the bits of ``born_distribution`` on a 2 * 10^4-dimensional state and a 2-column family.
+_BORN_PROBE = """
+import hashlib, json
+import numpy as np
+from waylab.born import Observable, born_distribution
 
-    The joint vectors have 12 004 and 40 004 entries, above the 10 000 at
-    which OpenBLAS splits a dot product over threads.  On a machine with
-    one core OpenBLAS runs one thread in both children, so there this test
-    cannot fail.
-    """
+dim = 20000
+rng = np.random.default_rng(5)
+# orthonormal columns on the even and the odd rows, normalized without BLAS
+fam = np.zeros((dim, 2), dtype=complex)
+fam[0::2, 0] = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
+fam[1::2, 1] = rng.standard_normal(dim // 2) + 1j * rng.standard_normal(dim // 2)
+fam /= np.sqrt(np.sum(np.abs(fam) ** 2, axis=0))
+phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+phi /= np.sqrt(np.sum(np.abs(phi) ** 2))
+dist = born_distribution(Observable([0.0], [fam]), phi)
+print(json.dumps({
+    "probabilities": [p.hex() for p in dist.probabilities()],
+    "post_states": [hashlib.sha256(o.post_state.tobytes()).hexdigest() for o in dist.outcomes],
+}))
+"""
+
+
+def _outputs_at_one_and_two_threads(probe, *args):
+    """The JSON printed by ``probe`` in one child with BLAS on one thread and one with two."""
     src = Path(waylab.__file__).resolve().parents[1]
     children = [
         subprocess.Popen(
-            [sys.executable, "-c", _PROBE, "3000", "10000"],
+            [sys.executable, "-c", probe, *args],
             env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)},
             stdout=subprocess.PIPE,
             text=True,
@@ -53,5 +70,26 @@ def test_long_products_do_not_depend_on_the_blas_thread_count():
     ]
     outputs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    one, two = map(json.loads, outputs)
+    return [json.loads(out) for out in outputs]
+
+
+def test_long_products_do_not_depend_on_the_blas_thread_count():
+    """One child runs BLAS on one thread, the other on two; every printed bit must agree.
+
+    The joint vectors have 12 004 and 40 004 entries, above the 10 000 at
+    which OpenBLAS splits a dot product over threads.  On a machine with
+    one core OpenBLAS runs one thread in both children, so there this test
+    cannot fail.
+    """
+    one, two = _outputs_at_one_and_two_threads(_PROBE, "3000", "10000")
+    assert one == two
+
+
+def test_born_distribution_does_not_depend_on_the_blas_thread_count():
+    """The family's product with the state spans 40 000 matrix entries.
+
+    OpenBLAS threads a matrix-vector product from 9216 entries; as above,
+    on one core this test cannot fail.
+    """
+    one, two = _outputs_at_one_and_two_threads(_BORN_PROBE)
     assert one == two
