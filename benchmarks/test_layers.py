@@ -39,6 +39,10 @@ timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
 input of the three-sector isometry (12 entries, one ``np.vdot``) and on
 the joint object+apparatus vectors of the canonical scheme at n = 10^4
 (40 004 entries, summed in chunks).
+``ApproxScheme.from_json`` reads the texts ``to_json`` writes, compact and
+at ``indent=2`` (the file ``waylab build`` writes), at n = 10^3 and
+3 * 10^3, and a scheme of the canonical shape at n = 10^3 whose every
+amplitude is a different value, so no number text repeats.
 The constructors that read labels from outside are timed on sector maps
 of 10^3 and 10^4 sectors (``GradedVector(d, sectors)``), parsed JSON of
 3 * 10^3 sectors (``GradedVector.from_dict``) and certificate data at
@@ -273,6 +277,35 @@ def test_to_json_indent2(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_from_json(benchmark, n):
     s, _, _, text = scheme_case(n)
+    assert benchmark(ApproxScheme.from_json, text) == s
+
+
+@functools.lru_cache(maxsize=None)
+def distinct_scheme(n):
+    """The canonical scheme's supports and weights, every amplitude a different seeded value."""
+    s = build_canonical_scheme(n)
+    rng = np.random.default_rng(n)
+    vectors = {}
+    for name in ("xi", "sigma", "tau", "rho"):
+        v = getattr(s, name)
+        shape = (len(v.support()), s.d)
+        amps = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        vectors[name] = GradedVector.from_window(v.support()[0], amps)
+    return ApproxScheme(n=s.n, d=s.d, c=s.c, cprime=s.cprime, **vectors)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+@pytest.mark.parametrize("n", [10**3, 3 * 10**3])
+def test_from_json_text(benchmark, n, indent):
+    s = build_canonical_scheme(n)
+    text = s.to_json(indent=indent)
+    assert benchmark(ApproxScheme.from_json, text) == s
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+def test_from_json_distinct_values(benchmark, indent):
+    s = distinct_scheme(10**3)
+    text = s.to_json(indent=indent)
     assert benchmark(ApproxScheme.from_json, text) == s
 
 

@@ -24,6 +24,7 @@ from .nogo import infeasibility_certificate, rotated_basis_residual
 from .optimize import fit_scaling, optimize_scheme, sweep
 from .scheme import (
     ApproxScheme,
+    _finite_windows,
     _require_size,
     build_canonical_scheme,
     scheme_error,
@@ -141,19 +142,28 @@ def _cmd_build(args):
     return CommandResult(0, [args.out], f"error = {scheme.cprime!r}")
 
 
-def _cmd_validate(args):
-    with open(args.scheme) as handle:
-        scheme = ApproxScheme.from_json(handle.read())
+def _read_scheme(path):
+    with open(path) as handle:
+        return ApproxScheme.from_json(handle.read())
+
+
+def _validation(scheme, tol):
+    """``(passed, text)``: whether ``scheme`` passes at ``tol``, and what ``validate`` prints."""
     report = validate_scheme(scheme)
-    passed = report.passed(args.tol)
+    passed = report.passed(tol)
     summary = (
         f"max_residual = {report.max_residual!r} "
-        f"({'PASS' if passed else 'FAIL'} at tol {args.tol:g})"
+        f"({'PASS' if passed else 'FAIL'} at tol {tol:g})"
     )
     # a passing report has no entry above tol, so its ids are never spelled
     failing = () if passed else report.entries
-    lines = [f"{cid}: {res:.3e}" for cid, res in failing if not res <= args.tol]
-    return CommandResult(0 if passed else 1, [], "\n".join(lines + [summary]))
+    lines = [f"{cid}: {res:.3e}" for cid, res in failing if not res <= tol]
+    return passed, "\n".join(lines + [summary])
+
+
+def _cmd_validate(args):
+    passed, text = _validation(_read_scheme(args.scheme), args.tol)
+    return CommandResult(0 if passed else 1, [], text)
 
 
 def _cmd_optimize(args):
@@ -194,8 +204,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_sample(args):
-    with open(args.scheme) as handle:
-        scheme = ApproxScheme.from_json(handle.read())
+    scheme = _read_scheme(args.scheme)
+    _finite_windows(scheme)  # a non-finite amplitude is refused by name, before the report
+    passed, text = _validation(scheme, DEFAULT_TOL)
+    if not passed:  # no counts from a scheme that validate rejects
+        return CommandResult(1, [], text)
     dist = three_outcome_stats(scheme, args.state)
     counts = sample_outcomes(dist, args.shots, args.seed)
     return CommandResult(0, [], counts_to_csv(counts, dist).rstrip("\n"))

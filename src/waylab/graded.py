@@ -21,7 +21,11 @@ Conventions
 * ``__init__`` (a sector map) and ``from_dict`` (parsed JSON) read labels
   and rows into two arrays and share one tail, ``_fill``: the last row of
   a repeated label wins, exact-zero rows are dropped, and one window is
-  filled.  ``from_window`` copies and trims a given window; an operation
+  filled.  The strict reader behind ``ApproxScheme.from_json``,
+  :func:`_read_vectors`, ends in the same tail: it checks each sector
+  array against the template ``_json`` writes (:func:`_sector_template`)
+  and parses all its numbers with one ``json.loads`` of a flat array.
+  ``from_window`` copies and trims a given window; an operation
   that has just built its result window (a sum, a tensor product, a
   block-map image) hands it over to be trimmed without the copy.
 * One integer rule, :func:`_integer`, reads every sector label, ``d`` and
@@ -78,8 +82,9 @@ Conventions
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -407,9 +412,7 @@ class GradedVector:
         values = _json_floats(self._amps[rows].view(np.float64).ravel())
         # '%' in the indent string must not read as a conversion
         ind = None if indent is None else indent.replace("%", "%%")
-        pair = _json_array(["%s", "%s"], ind, depth + 4)
-        amp = _json_array([pair] * self.d, ind, depth + 3)
-        row = _json_object(['"nu": %d', '"amp": ' + amp], ind, depth + 2)
+        row = _sector_template(self.d, ind, depth)
         width = 2 * self.d + 1
         args = [None] * (len(rows) * width)
         args[::width] = (rows + self._lo).tolist()
@@ -433,9 +436,198 @@ class GradedVector:
             raise ValueError("every sector needs 'nu' and 'amp'")
         labels = _integers([e.get("nu") for e in entries], "sector label 'nu'")
         amps = _rows(labels, [e["amp"] for e in entries], (d, 2), _number_array)
+        return cls._from_pairs(d, labels, amps)
+
+    @classmethod
+    def _from_pairs(cls, d, labels, amps):
+        """Vector of sectors ``labels`` (int64) whose rows are ``amps``, ``(k, d, 2)`` floats."""
         vec = object.__new__(cls)
         vec._fill(d, labels, amps.view(np.complex128)[..., 0])
         return vec
+
+
+def _sector_template(d, ind, depth):
+    """%-template of one sector as :meth:`GradedVector._json` writes it at ``depth``.
+
+    ``ind`` is ``None`` or the indent string with ``%`` doubled; the label
+    and the ``2 d`` floats are ``%s`` slots, in the order of ``to_dict``.
+    """
+    pair = _json_array(["%s", "%s"], ind, depth + 4)
+    amp = _json_array([pair] * d, ind, depth + 3)
+    return _json_object(['"nu": %s', '"amp": ' + amp], ind, depth + 2)
+
+
+#: The bytes a JSON number is spelled with.
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+#: Most bytes the strict reader scans in one array operation, which bounds its temporaries.
+_SCAN = 2**20
+
+
+@lru_cache(maxsize=32)
+def _sector_layout(d, indent, depth):
+    """Fixed bytes between the numbers of a ``sectors`` array that ``_json`` writes at ``depth``.
+
+    Returns ``(head, tail, marks, period, last)``: the bytes before the
+    first number and after the last; the ``(separator, mark)`` pairs to
+    replace, longest first; the separators (marked) of one sector, after
+    each of its ``2 d + 1`` numbers; and the last of them, which the final
+    sector does not write.  Indented layouts are given without spaces.
+    A separator that is a comma and whitespace is kept as it is; any other
+    is marked by a comma and tabs and carriage returns, which the layout
+    never holds and JSON reads as whitespace.  A mark is as long as its
+    separator, so it is replaced in place, and the count of its carriage
+    returns tells marks of one length apart.
+    """
+    row = _sector_template(d, indent, depth)
+    pieces = [p.encode() for p in _json_array([row, row], indent, depth + 1).split("%s")]
+    if indent is not None:
+        pieces = [p.replace(b" ", b"") for p in pieces]
+    seps = pieces[1 : 2 * d + 2]
+    marked = {s for s in seps if s[1:].strip(b" \n") or s[:1] != b","}
+    marked = sorted(marked, key=lambda s: (-len(s), s))
+    marks = {s: b"," + b"\r" * i + b"\t" * (len(s) - 1 - i) for i, s in enumerate(marked)}
+    period = [marks.get(s, s) for s in seps]
+    return pieces[0], pieces[-1], tuple(marks.items()), b"".join(period), period[-1]
+
+
+def _spaces_follow_indents(piece):
+    """Whether each space in ``piece`` follows a newline, a colon or a space, as when indented.
+
+    The bytes are scanned in runs of ``_SCAN``, which bounds the temporaries.
+    """
+    codes = np.frombuffer(piece, np.uint8)
+    for i in range(0, len(codes), _SCAN):
+        run = codes[i : i + _SCAN + 1]
+        space = run == ord(" ")
+        if np.any(space[1:] > (space | (run == ord("\n")) | (run == ord(":")))[:-1]):
+            return False
+    return True
+
+
+def _sector_numbers(piece, d, indent, depth):
+    """``(k, numbers)`` for the bytes of a ``sectors`` array in the layout of ``_json``.
+
+    ``numbers`` is the array's ``k (2 d + 1)`` number texts in order, with
+    a comma and JSON whitespace between them, for ``json.loads`` to read
+    in one call.  ``None`` unless ``piece`` is exactly that layout, but for
+    the whitespace around a number of an indented one.
+    """
+    if piece == b"[]":
+        return 0, b""
+    if 4 * d * (1 + len(indent or "")) > len(piece):
+        return None  # shorter than one sector's 2d numbers and their separators
+    if indent is not None:
+        if not _spaces_follow_indents(piece):
+            return None  # a space inside a key or a number, or after one
+        piece = piece.translate(None, b" ")
+    head, tail, marks, period, last = _sector_layout(d, indent, depth)
+    if not (piece.startswith(head) and piece.endswith(tail)):
+        return None
+    body = piece[len(head) : len(piece) - len(tail)]
+    for sep, mark in marks:
+        body = body.replace(sep, mark)
+    skeleton = body.translate(None, _NUMBER_BYTES) + last
+    k = len(skeleton) // len(period)
+    return (k, body) if skeleton == period * k else None
+
+
+def _read_vectors(text, names):
+    """Read a JSON object whose last members ``names`` are graded vectors laid out by ``_json``.
+
+    Returns ``(header, vectors)``: ``header`` is the parsed object with each
+    vector's ``sectors`` emptied, and ``vectors`` maps each name to the
+    :class:`GradedVector` that :meth:`GradedVector.from_dict` reads from
+    ``json.loads(text)``.  The text must be a ``str`` that ``json.dumps``
+    writes for such an object, compact or indented by spaces, with the
+    members in order and each ``sectors`` array in the layout of ``_json``
+    (any JSON numbers in its slots), then optional spaces and newlines;
+    otherwise, or if a vector cannot be read, the result is ``None``.
+
+    The header is parsed by ``json.loads`` with the arrays cut out and
+    must be what ``json.dumps`` writes for it.  Each array must be its
+    layout's fixed bytes with a run of number bytes in each slot (see
+    :func:`_sector_numbers`); all the numbers are then parsed by one
+    ``json.loads`` of a flat array, so json's own scanner applies the JSON
+    number grammar and float rounding.  Labels and rows go through
+    ``_integers``, ``_number_array`` and ``_fill`` as in ``from_dict``.
+    """
+    if not isinstance(text, str):
+        return None
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b"\t" in raw or b"\r" in raw:  # the bytes of the marks
+        return None
+    if raw.startswith(b'{"'):
+        indent, nl = None, ""
+    elif raw.startswith(b"{\n"):
+        indent = raw[2 : raw.find(b'"')].decode()
+        if indent.strip(" "):
+            return None
+        nl = "\n" + indent
+    else:
+        return None
+    # each array runs from its key to the close of its vector and the next key,
+    # the last one to the closes of its vector and of the object
+    close = f"{nl}}}"
+    ends = [f'{close},{nl or " "}"{name}": '.encode() for name in names[1:]]
+    end = len(raw)
+    while raw.endswith((b" ", b"\n"), 0, end):
+        end -= 1
+    cuts, pos = [], 0
+    for after in ends + [None]:
+        a = raw.find(b'"sectors": ', pos) + 11
+        b = raw.find(after, a) if after else end - len(close) - len(nl and "\n") - 1
+        if a < 11 or b < a:
+            return None
+        cuts.append((a, b))
+        pos = b
+    spans = [0, *(x for cut in cuts for x in cut), end]
+    outline = b"[]".join(raw[spans[j] : spans[j + 1]] for j in range(0, len(spans), 2))
+    try:
+        header = json.loads(outline)
+    except (ValueError, RecursionError):
+        return None
+    if type(header) is not dict or json.dumps(header, indent=indent).encode() != outline:
+        return None
+    shapes, texts = [], []
+    for name, (a, b) in zip(names, cuts):
+        member = header.get(name)
+        if type(member) is not dict or list(member) != ["d", "sectors"] or member["sectors"]:
+            return None
+        d = member["d"]
+        if type(d) is not int or d < 1:
+            return None
+        found = _sector_numbers(raw[a:b], d, indent, 1)
+        if found is None:
+            return None
+        shapes.append((name, d, found[0]))
+        if found[0]:
+            texts.append(found[1])
+    numbers = b",".join(texts)
+    del raw, texts  # the numbers are all that is left to read
+    try:
+        values = json.loads(b"[" + numbers + b"]")
+    except ValueError:
+        return None
+    if len(values) != sum(k * (2 * d + 1) for _, d, k in shapes):
+        return None
+    vectors, pos = {}, 0
+    for name, d, k in shapes:
+        width = 2 * d + 1
+        chunk = values[pos : pos + k * width]
+        pos += k * width
+        labels = chunk[::width]
+        del chunk[::width]
+        try:
+            labels = _integers(labels, "sector label 'nu'")
+            amps = _number_array(chunk).reshape(k, d, 2)
+            vectors[name] = GradedVector._from_pairs(d, labels, amps)
+        except (ValueError, OverflowError):
+            return None
+    return header, vectors
 
 
 #: ``json``'s spelling of the non-finite floats, keyed by ``str(value)``.

@@ -46,6 +46,7 @@ from .graded import (
     _json_object,
     _nonzero_rows,
     _read_fields,
+    _read_vectors,
     _require_entries,
     _row_dots,
     _sum_window,
@@ -86,7 +87,10 @@ class ApproxScheme:
         Malformed data raise ``ValueError`` naming the field, and so does a
         vector whose sector dimension is not the scheme's ``d``.
         """
-        fields = _read_fields(data, _FIELDS, "scheme")
+        return cls._from_fields(_read_fields(data, _FIELDS, "scheme"))
+
+    @classmethod
+    def _from_fields(cls, fields):
         for name in _VECTORS:
             if fields[name].d != fields["d"]:
                 what = f"sector dimension {fields[name].d} != scheme d {fields['d']}"
@@ -100,18 +104,39 @@ class ApproxScheme:
         ``k`` indents by ``k`` spaces and a string is used as is.
         """
         indent = _json_indent(indent)
-        members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in ("n", "d", "c", "cprime")]
+        members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in _HEADER]
         for k in _VECTORS:
             members.append(f'"{k}": {getattr(self, k)._json(indent, 1)}')
         return _json_object(members, indent, 0)
 
     @classmethod
     def from_json(cls, text):
+        """``from_dict(json.loads(text))``, read directly from the layout :meth:`to_json` writes.
+
+        A ``str`` in that layout, compact or indented by any number of
+        spaces and followed by optional spaces and newlines, is read
+        without building its object tree: ``n``, ``d``, ``c``, ``cprime``
+        and each vector's ``d`` are parsed by ``json.loads`` with the
+        sector arrays cut out, and all sector numbers by one more
+        ``json.loads`` of a flat array (see ``graded._read_vectors``).
+        Every other text, ``bytes``, and any text that reads as a malformed
+        scheme go to ``from_dict(json.loads(text))``, the one general
+        parser and the source of every error message, so both ways give
+        the same scheme, bit for bit, or the same ``ValueError``.  JSON
+        nested too deeply for ``json`` raises ``ValueError`` too.
+        """
         # the parsed lists and dicts hold no cycles, so a collection finds nothing
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return cls.from_dict(json.loads(text))
+            fields = _strict_fields(text)
+            if fields is not None:
+                return cls._from_fields(fields)
+            try:
+                data = json.loads(text)
+            except RecursionError:
+                raise ValueError("scheme JSON is nested too deeply to read") from None
+            return cls.from_dict(data)
         finally:
             if enabled:
                 gc.enable()
@@ -124,6 +149,9 @@ def _weight(value):
     return float(value)
 
 
+#: The scalar fields of a scheme, in the order of its JSON form, before the vectors.
+_HEADER = ("n", "d", "c", "cprime")
+
 #: Parser of each field of the JSON form of a scheme.
 _FIELDS = {
     "n": lambda value: _integer(value, "apparatus size", 1),
@@ -131,6 +159,21 @@ _FIELDS = {
     **dict.fromkeys(_VECTORS, GradedVector.from_dict),
     **dict.fromkeys(("c", "cprime"), _weight),
 }
+
+
+def _strict_fields(text):
+    """The fields of a scheme text in the layout of ``to_json``, or ``None`` to parse it in full."""
+    parsed = _read_vectors(text, _VECTORS)
+    if parsed is None:
+        return None
+    header, vectors = parsed
+    if list(header) != [*_HEADER, *_VECTORS]:
+        return None
+    try:
+        fields = _read_fields(header, {k: _FIELDS[k] for k in _HEADER}, "scheme")
+    except ValueError:
+        return None
+    return fields | vectors
 
 
 @dataclass(frozen=True)
@@ -345,6 +388,15 @@ def _totals(s, n, nu, x, sn, sg, tu, rh):
     }
 
 
+def _finite_windows(s):
+    """``_windows(s)``; ``ValueError`` naming a vector with a non-finite amplitude."""
+    lo, windows = _windows(s)
+    for name, win in zip(_VECTORS, windows):
+        if not np.isfinite(win).all():
+            raise ValueError(f"scheme vector {name} has non-finite amplitudes")
+    return lo, windows
+
+
 def apply_interaction(s, obj, tol=DEFAULT_TOL):
     """Joint output state of the interaction for a normalized object.
 
@@ -357,11 +409,7 @@ def apply_interaction(s, obj, tol=DEFAULT_TOL):
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized(tol)
-    lo, windows = _windows(s)
-    for name, win in zip(_VECTORS, windows):
-        if not np.isfinite(win).all():
-            raise ValueError(f"scheme vector {name} has non-finite amplitudes")
-    _, sg, tu, rh = windows
+    lo, (_, sg, tu, rh) = _finite_windows(s)
     # total charge lo + i: head from rows i + 1, tail from rows i
     head = obj.amp0 * sg[1:] + obj.amp1 * tu[1:]
     tail = obj.amp0 * rh[:-1] + obj.amp1 * sg[:-1]

@@ -226,6 +226,38 @@ class TestSample:
         assert run(args).summary == run(args).summary
 
 
+class TestSampleValidatesFirst:
+    # sample's output on a valid scheme, as it was before sample ran the report
+    _PINNED = {
+        "plus": "label,count,probability\nplus,894,0.888888888888889\n"
+        "minus,0,9.378425768774957e-33\nundetermined,106,0.1111111111111111",
+        "minus": "label,count,probability\nplus,0,9.378425768774957e-33\n"
+        "minus,884,0.888888888888889\nundetermined,116,0.1111111111111111",
+        "0.6,0.8": "label,count,probability\nplus,876,0.8711111111111108\n"
+        "minus,18,0.01777777777777778\nundetermined,106,0.1111111111111111",
+    }
+
+    @pytest.mark.parametrize("state", sorted(_PINNED))
+    def test_valid_scheme_output_unchanged(self, tmp_path, state):
+        path = tmp_path / "s.json"
+        run(["build", "--n", "5", "--out", str(path)])
+        result = run(["sample", "--scheme", str(path), "--state", state,
+                      "--shots", "1000", "--seed", "11"])
+        assert (result.exit_code, result.summary) == (0, self._PINNED[state])
+
+    def test_sample_refuses_a_scheme_that_validate_rejects(self, tmp_path):
+        # one tau amplitude of the canonical n = 5 scheme scaled by 1 + 1e-6
+        payload = build_canonical_scheme(5).to_dict()
+        payload["tau"]["sectors"][0]["amp"][1][0] *= 1 + 1e-6
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(payload, indent=2))
+        validate = run(["validate", "--scheme", str(path)])
+        assert validate.exit_code == 1
+        assert "overlap-pointers: 4.444e-07" in validate.summary
+        sample = run(["sample", "--scheme", str(path), "--state", "plus", "--shots", "1000"])
+        assert (sample.exit_code, sample.summary) == (1, validate.summary)
+
+
 def _sample_argv(path):
     return ["sample", "--scheme", str(path), "--state", "plus", "--shots", "100", "--seed", "3"]
 
@@ -285,6 +317,15 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert "PASS" not in result.summary
         assert f"{entry}: " in result.summary
+
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    def test_deeply_nested_json_is_domain_error(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        result = run(_argv(command, path))
+        assert (result.exit_code, result.summary) == (
+            1, "error: scheme JSON is nested too deeply to read"
+        )
 
     @pytest.mark.parametrize("name, value", [("xi", math.nan), ("sigma", math.inf)])
     def test_sample_refuses_non_finite_amplitude(self, tmp_path, name, value):

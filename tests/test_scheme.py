@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -358,15 +359,22 @@ _JSON_FLOATS = st.one_of(
 )
 
 
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, 0.5, -1.0]),
+)
+
+
 @st.composite
-def json_schemes(draw):
-    """Schemes of any sector dimension, with empty vectors and non-finite amplitudes."""
+def json_schemes(draw, finite=False):
+    """Schemes of any sector dimension, with empty vectors and non-finite amplitudes unless ``finite``."""
     d = draw(st.integers(1, 4))
+    floats = _FINITE_FLOATS if finite else _JSON_FLOATS
 
     def vector():
         lo = draw(st.integers(-50, 50) | st.integers(-(2**40), 2**40))
         k = draw(st.integers(0, 4))
-        values = draw(st.lists(_JSON_FLOATS, min_size=2 * k * d, max_size=2 * k * d))
+        values = draw(st.lists(floats, min_size=2 * k * d, max_size=2 * k * d))
         amps = np.array(values, dtype=np.float64).reshape(k, 2 * d).view(np.complex128)
         return GradedVector.from_window(lo, amps)
 
@@ -393,6 +401,74 @@ _CANONICAL_JSON_SHA256 = {
 }
 
 
+#: Texts a mutation puts in place of one number: not JSON numbers, and JSON numbers
+#: that ``to_json`` does not write (integers, ``-0``, exponents, huge integers).
+_NUMBER_EDITS = ["01", "1.", "+1", ".5", "1e", "-0", "NaN", "1", "-7", "1E+2", "2e-400", "1" * 25]
+
+#: A JSON number, ``NaN`` or an infinity as ``json.dumps`` writes them.
+_NUMBER = re.compile(r"-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated_texts(draw, text, indent):
+    """``text`` (a scheme's ``to_json(indent)``) as written, or with one edit."""
+    kind = draw(st.sampled_from(
+        ["none", "delete", "duplicate", "swap", "reorder", "space", "number", "newline"]
+    ))
+    if kind == "delete":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + text[i + 1 :]
+    if kind == "space":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + draw(st.sampled_from([" ", "\n", "\t", "\r", "  "])) + text[i:]
+    if kind == "number":
+        spots = list(_NUMBER.finditer(text))
+        if not spots:
+            return text
+        m = draw(st.sampled_from(spots))
+        return text[: m.start()] + draw(st.sampled_from(_NUMBER_EDITS)) + text[m.end() :]
+    if kind == "newline":
+        return text + "\n"
+    if kind == "swap":  # every occurrence of two keys, traded
+        a, b = draw(st.sampled_from(
+            [("nu", "amp"), ("c", "cprime"), ("xi", "sigma"), ("n", "d"), ("d", "sectors")]
+        ))
+        return text.replace(f'"{a}"', "\0").replace(f'"{b}"', f'"{a}"').replace("\0", f'"{b}"')
+    try:
+        payload = json.loads(text)
+    except ValueError:  # an indent that is not JSON whitespace
+        return text
+    if kind == "duplicate":  # a repeated label, not in order: its last row wins
+        sectors = payload[draw(st.sampled_from(scheme._VECTORS))]["sectors"]
+        if sectors:
+            sectors.insert(draw(st.integers(0, len(sectors))), draw(st.sampled_from(sectors)))
+    elif kind == "reorder":  # the same members in another order
+        if draw(st.booleans()):
+            payload = dict(reversed(payload.items()))
+        else:
+            for sector in payload[draw(st.sampled_from(scheme._VECTORS))]["sectors"]:
+                sector["nu"] = sector.pop("nu")
+    return json.dumps(payload, indent=indent)
+
+
+def _assert_same_reading(text):
+    """``from_json(text)`` reads as ``from_dict(json.loads(text))``, bit for bit or by ValueError."""
+    try:
+        expected = ApproxScheme.from_dict(json.loads(text))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ApproxScheme.from_json(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert _bits(ApproxScheme.from_json(text)) == _bits(expected)
+
+
+def _bits(s):
+    """Every field of a scheme as exact bits: NaN equals NaN, -0.0 differs from 0.0."""
+    vectors = [(v.d, v._lo, v._amps.tobytes()) for v in (getattr(s, k) for k in scheme._VECTORS)]
+    return s.n, s.d, np.float64(s.c).tobytes(), np.float64(s.cprime).tobytes(), vectors
+
+
 class TestJson:
     @settings(max_examples=150, deadline=None)
     @given(json_schemes(), st.sampled_from([None, 0, 2, 4, "\t", " %s"]))
@@ -415,8 +491,11 @@ class TestJson:
             assert again.to_json(indent=indent) == text
 
     def test_from_json_pauses_and_restores_gc(self, monkeypatch):
+        # every json.loads inside from_json runs with gc paused, and gc comes back as it
+        # was, on the strict path (the layout to_json writes) and on the full parse
         s = build_canonical_scheme(3)
         text = s.to_json()
+        assert scheme._strict_fields(text) is not None
         seen = []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda t: seen.append(gc.isenabled()) or loads(t))
@@ -424,15 +503,66 @@ class TestJson:
         try:
             for enabled in (True, False):
                 gc.enable() if enabled else gc.disable()
-                assert ApproxScheme.from_json(text) == s
-                assert gc.isenabled() is enabled
-                for malformed in (text[:-1], json.dumps([1])):  # bad JSON, bad scheme
+                for good in (text, " " + text, text.encode()):  # strict, then two full parses
+                    seen.clear()
+                    assert ApproxScheme.from_json(good) == s
+                    assert seen and not any(seen)
+                    assert gc.isenabled() is enabled
+                # bad JSON, a bad scheme, a bad scheme in the layout, JSON too deep
+                bad = text.replace('"n": 3', '"n": 0')
+                for malformed in (text[:-1], json.dumps([1]), bad, "[" * 100000):
+                    seen.clear()
                     with pytest.raises(ValueError):
                         ApproxScheme.from_json(malformed)
+                    assert seen and not any(seen)
                     assert gc.isenabled() is enabled
         finally:
             gc.enable() if was_enabled else gc.disable()
-        assert seen == [False] * 6
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.data(),
+        json_schemes() | json_schemes(finite=True),
+        st.sampled_from([None, 0, 1, 2, 4, "\t", " %s"]),
+    )
+    def test_strict_path_reads_as_json_loads_does(self, data, s, indent):
+        text = s.to_json(indent=indent)
+        finite = all(np.isfinite(getattr(s, k)._amps).all() for k in scheme._VECTORS)
+        if indent in (None, 0, 1, 2, 4) and finite and s.n >= 1:
+            assert scheme._strict_fields(text) is not None  # the layout is read strictly
+        _assert_same_reading(data.draw(mutated_texts(text, indent)))
+
+    @pytest.mark.parametrize(
+        "indent, old, new",
+        [
+            # the bytes left after deleting number bytes are as written in each of these
+            (None, '"nu": 1, ', '"n1u": , '),  # a number moved into a key
+            (None, "[[0.7071067811865476, ", "[0.7071067811865476[, "),  # between brackets
+            (None, '"nu": 1, ', '"nu": 1 , '),  # a space out of place
+            (None, "0.7071067811865476, 0.0]", "0.7071067811865476, 0.0 ]"),
+            # an indent space moved into a number, into a key, after a number
+            (2, "            0.7071067811865476,", "           0.70710 67811865476,"),
+            (2, '        "nu": 1,', '       " nu": 1,'),
+            (2, '        "nu": 1,', '        "nu":1 ,'),
+            (2, '        "nu": 1,', '        "nu": 1 ,'),
+            (2, "            0.7071067811865476,", "           0.7071067811865476 ,"),
+            (2, "            0.7071067811865476,", "\t           0.7071067811865476,"),
+        ],
+    )
+    def test_edits_that_keep_the_skeleton(self, indent, old, new):
+        text = build_canonical_scheme(2).to_json(indent=indent)
+        assert old in text
+        _assert_same_reading(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
+    def test_written_layouts_are_read_strictly(self, n, indent):
+        s = build_canonical_scheme(n)
+        for text in (s.to_json(indent=indent), s.to_json(indent=indent) + "\n"):
+            fields = scheme._strict_fields(text)
+            assert fields is not None
+            assert _bits(ApproxScheme(**fields)) == _bits(s)
+            assert _bits(ApproxScheme.from_json(text)) == _bits(s)
 
     @pytest.mark.parametrize(
         "edit, match",
