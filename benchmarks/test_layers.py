@@ -23,7 +23,7 @@ and time what a first call pays: the isometry op on the three-sector
 maps, the chain ``check_conserving`` -> ``completed`` -> transfer check of
 the readout workload on the canonical map at n = 10^3 and 10^4, and the
 first ``apply`` of a one-sector vector on the map at n = 10^4, which
-factors one run of 256 blocks.
+factors every block of the map.
 Building, validating and reading out the canonical scheme are timed at
 n = 10^2 to 10^5 (readout also at 3 * 10^3, the largest size of the
 benchmark's readout workload); validation also at n = 4 (a report's fixed cost) and

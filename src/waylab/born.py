@@ -31,6 +31,11 @@ from .scheme import apply_interaction, derived_pointers
 OUTSIDE_SPAN = "outside-span"
 
 
+def _label(q):
+    """Outcome label of eigenvalue ``q``; -0.0 is the eigenvalue 0.0."""
+    return f"{q or 0.0:g}"
+
+
 @dataclass(frozen=True)
 class Observable:
     """Eigenvalues with orthonormal eigenvector families.
@@ -59,7 +64,7 @@ class Observable:
             )
         labels = {}  # outcome label -> eigenvalue; distinct eigenvalues need distinct labels
         for q in eigenvalues:
-            label = f"{q or 0.0:g}"  # -0.0 is the eigenvalue 0.0
+            label = _label(q)
             if not math.isfinite(q):
                 raise ValueError(f"eigenvalues must be finite, got {q!r}")
             if label in labels:
@@ -153,7 +158,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
             projected += part
         else:
             post = None
-        outcomes.append(Outcome(label=f"{q:g}", probability=w, post_state=post))
+        outcomes.append(Outcome(label=_label(q), probability=w, post_state=post))
     rest = phi - projected
     w_rest = float(_dot(rest, rest).real)
     if w_rest > 1e-10:

@@ -24,7 +24,7 @@ from .nogo import infeasibility_certificate, rotated_basis_residual
 from .optimize import fit_scaling, optimize_scheme, sweep
 from .scheme import (
     ApproxScheme,
-    _finite_windows,
+    _require_finite,
     _require_size,
     build_canonical_scheme,
     scheme_error,
@@ -205,7 +205,7 @@ def _cmd_sweep(args):
 
 def _cmd_sample(args):
     scheme = _read_scheme(args.scheme)
-    _finite_windows(scheme)  # a non-finite amplitude is refused by name, before the report
+    _require_finite(scheme)  # a non-finite amplitude is refused by name, before the report
     passed, text = _validation(scheme, DEFAULT_TOL)
     if not passed:  # no counts from a scheme that validate rejects
         return CommandResult(1, [], text)

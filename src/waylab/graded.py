@@ -64,11 +64,10 @@ Conventions
   sectors.  The stacks are read-only, and a map keeps what it derives
   from them once first computed: the isometry defects, one array that
   ``check_conserving`` reports and ``completed`` reads, and the SVD of
-  each run of 256 consecutive blocks (each block factored on its own
-  columns), made when a call first reads one of the run's blocks, from
-  which ``apply`` and ``orthogonality_transfer_check`` take their
-  pseudo-inverses and ``completed`` its bases.  Work over the stack goes
-  in slices of at most 256 blocks, which bounds its temporaries.
+  every block on its own columns, from which ``apply`` and
+  ``orthogonality_transfer_check`` take their pseudo-inverses and
+  ``completed`` its bases.  The defects, and the SVD of a stack of
+  several widths, go in slices of at most 256 blocks.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -98,7 +97,7 @@ _MAX_WINDOW_ENTRIES = 2**24
 #: Machine epsilon of float64, the scale of ``lstsq``'s default singular-value cut.
 _EPS = np.finfo(np.float64).eps
 
-#: Most blocks per batched call over a :class:`BlockMap`'s stacks, which bounds its temporaries.
+#: Most blocks per sliced call over a :class:`BlockMap`'s stacks: defects, and SVDs of mixed widths.
 _SLICE = 256
 
 #: Most entries per BLAS dot product: OpenBLAS threads ``zdotc`` and ``ddot`` above
@@ -878,13 +877,12 @@ class BlockMap:
     are views into the stacks; it is built when first read.
 
     The stacks are read-only, so what the map derives from them is kept
-    once first computed: the isometry defects of all blocks, and the SVD
-    factors of each run of 256 consecutive blocks, made when a call first
-    reads one of the run's blocks.  Every later call reads them, and
-    returns the bits a fresh map would.  The factors, zero-padded to the
-    stack, take ``(d * r + r * M) * 16 + r * 8`` bytes per block, with
-    ``r = min(d, M)``; a run of blocks of several column counts also
-    keeps the unpadded factors of each count.
+    once first computed: the isometry defects and the SVD factors of all
+    blocks.  Every later call reads them, and returns the bits a fresh map
+    would.  The factors, zero-padded to the stack, take
+    ``(d * r + r * M) * 16 + r * 8`` bytes per block, with
+    ``r = min(d, M)``; a stack of several column counts also keeps the
+    unpadded factors of each count.
     """
 
     __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect")
@@ -951,51 +949,41 @@ class BlockMap:
         out[rows] = pair[1, :, :, 0]
         return GradedVector._own(lo, out)
 
-    def _factor(self, i, j):
-        """SVD of blocks ``i..j-1``, each of its own columns: ``(u, sv, vh, groups)``.
+    def _factor(self):
+        """SVD of every block, each of its own columns, kept: ``(u, sv, vh, groups)``.
 
-        The blocks are factored unpadded, one column count at a time (on a
-        padded block the singular vectors can come out with other phases),
-        one ``svd`` call when every block has the stack's width.  ``groups``
-        lists, per column count ``c``, ``(c, at, u_c, sv_c, vh_c)``: the
-        stack indices of those blocks and their factors as ``svd``
-        returned them.  ``u, sv, vh`` hold every block's factors
-        zero-padded to ``min(d, M)`` singular values and ``M`` columns.
+        The blocks are factored unpadded (on a padded block the singular
+        vectors can come out with other phases): in one ``svd`` call when
+        every block has the stack's width, else one call per ``_SLICE``
+        blocks and column count.  ``groups`` lists, per ``_SLICE`` blocks
+        and column count, ``(c, at, u_c, sv_c, vh_c)``: the column count,
+        the stack indices of the blocks and their unpadded factors, which
+        bounds the temporaries of ``completed``.  ``u, sv, vh`` hold every
+        block's factors zero-padded to ``min(d, M)`` singular values and
+        ``M`` columns.
         """
-        dom, cols = self._dom[i:j], self._cols[i:j]
-        k, d, m = dom.shape
-        widths = set(cols.tolist())
-        if widths <= {m}:
-            u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-            return u, sv, vh, [(m, np.arange(i, i + k), u, sv, vh)]
-        r = min(d, m)
-        u, vh = np.zeros((k, d, r), dtype=np.complex128), np.zeros((k, r, m), dtype=np.complex128)
-        sv, groups = np.zeros((k, r)), []
-        for c in sorted(widths):
-            at, w = np.flatnonzero(cols == c), min(d, c)
-            factors = np.linalg.svd(dom[at, :, :c], full_matrices=False)
-            u[at, :, :w], sv[at, :w], vh[at, :w, :c] = factors
-            groups.append((c, at + i if i else at, *factors))
-        return u, sv, vh, groups
-
-    def _run(self, j):
-        """:meth:`_factor` of the ``j``-th run of ``_SLICE`` consecutive blocks, kept on first use."""
-        runs = self._svd
-        if runs is None:  # a race factors the same runs twice
-            runs = self._svd = [None] * -(-len(self._labels) // _SLICE)
-        if runs[j] is None:
-            runs[j] = self._factor(j * _SLICE, (j + 1) * _SLICE)
-        return runs[j]
-
-    def _factors(self, a, b):
-        """The kept padded SVD factors ``(u, sv, vh)`` of blocks ``a..b-1``."""
-        if a == b:
-            return self._factor(a, b)[:3]
-        first = a // _SLICE
-        runs = [self._run(j)[:3] for j in range(first, (b - 1) // _SLICE + 1)]
-        u, sv, vh = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
-        i = a - first * _SLICE
-        return u[i : i + b - a], sv[i : i + b - a], vh[i : i + b - a]
+        factors = self._svd
+        if factors is None:  # a race factors the same blocks twice
+            dom, cols = self._dom, self._cols
+            k, d, m = dom.shape
+            if (cols == m).all():
+                u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+                at = np.arange(k)
+                slices = [slice(i, i + _SLICE) for i in range(0, k, _SLICE)]
+                groups = [(m, at[s], u[s], sv[s], vh[s]) for s in slices]
+            else:
+                r = min(d, m)
+                u, vh = np.zeros((k, d, r), dtype=complex), np.zeros((k, r, m), dtype=complex)
+                sv, groups = np.zeros((k, r)), []
+                for i in range(0, k, _SLICE):
+                    part = cols[i : i + _SLICE]
+                    for c in sorted(set(part.tolist())):
+                        at, w = np.flatnonzero(part == c) + i, min(d, c)
+                        f = np.linalg.svd(dom[at, :, :c], full_matrices=False)
+                        u[at, :, :w], sv[at, :w], vh[at, :w, :c] = f
+                        groups.append((c, at, *f))
+            factors = self._svd = u, sv, vh, groups
+        return factors
 
     def _images(self, vectors, tol):
         """Inputs and images of ``vectors`` (all of dimension ``d``) over their label window.
@@ -1005,7 +993,7 @@ class BlockMap:
         labels finds the blocks inside the window, a contiguous run of the
         stacks, and only the window rows of those declared sectors are
         solved: by least squares against each block's domain, with the
-        pseudo-inverse applied from the kept SVD factors of the run as
+        pseudo-inverse applied from views of the kept SVD factors as
         ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
         unpadded block).  The first nonzero row, in vector-then-label
         order, that lies in an undeclared sector or off its block's domain
@@ -1029,7 +1017,7 @@ class BlockMap:
         # out holds the misses of the fit, the inputs and their images; one norm takes the first two
         dom, out = self._dom[a:b], np.empty((3, b - a, d, k), dtype=np.complex128)
         out[1] = amps = window[rows]
-        u, sv, vh = self._factors(a, b)
+        u, sv, vh = (f[a:b] for f in self._factor()[:3])
         keep = sv > _EPS * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
         inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
         coeff = vh.conj().swapaxes(1, 2) @ (inv[:, :, None] * (u.conj().swapaxes(1, 2) @ amps))
@@ -1084,17 +1072,16 @@ class BlockMap:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
         k, d = len(self._labels), self.d
         full = np.empty((2, k, d, d), dtype=np.complex128)  # domains, then images
-        for run in range(-(-k // _SLICE)):
-            for c, at, u, sv, vh in self._run(run)[3]:
-                rank = (sv > 1e-12).sum(axis=1)
-                for r in set(rank.tolist()):
-                    sel = np.flatnonzero(rank == r)
-                    basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
-                    # domain and image bases share one stacked QR
-                    q = np.empty((2, len(sel), d, d), dtype=np.complex128)
-                    q[0, :, :, :r] = u[sel, :, :r]
-                    q[1, :, :, :r] = self._img[at[sel], :, :c] @ basis
-                    full[:, at[sel]] = _extend_basis(q, r)
+        for c, at, u, sv, vh in self._factor()[3]:
+            rank = (sv > 1e-12).sum(axis=1)
+            for r in set(rank.tolist()):
+                sel = np.flatnonzero(rank == r)
+                basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
+                # domain and image bases share one stacked QR
+                q = np.empty((2, len(sel), d, d), dtype=np.complex128)
+                q[0, :, :, :r] = u[sel, :, :r]
+                q[1, :, :, :r] = self._img[at[sel], :, :c] @ basis
+                full[:, at[sel]] = _extend_basis(q, r)
         return BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
 
 

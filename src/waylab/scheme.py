@@ -388,13 +388,11 @@ def _totals(s, n, nu, x, sn, sg, tu, rh):
     }
 
 
-def _finite_windows(s):
-    """``_windows(s)``; ``ValueError`` naming a vector with a non-finite amplitude."""
-    lo, windows = _windows(s)
-    for name, win in zip(_VECTORS, windows):
-        if not np.isfinite(win).all():
+def _require_finite(s):
+    """``ValueError`` naming the first of ``xi, sigma, tau, rho`` with a non-finite amplitude."""
+    for name in _VECTORS:
+        if not np.isfinite(getattr(s, name)._amps).all():
             raise ValueError(f"scheme vector {name} has non-finite amplitudes")
-    return lo, windows
 
 
 def apply_interaction(s, obj, tol=DEFAULT_TOL):
@@ -409,7 +407,8 @@ def apply_interaction(s, obj, tol=DEFAULT_TOL):
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     obj.require_normalized(tol)
-    lo, (_, sg, tu, rh) = _finite_windows(s)
+    _require_finite(s)
+    lo, (_, sg, tu, rh) = _windows(s)
     # total charge lo + i: head from rows i + 1, tail from rows i
     head = obj.amp0 * sg[1:] + obj.amp1 * tu[1:]
     tail = obj.amp0 * rh[:-1] + obj.amp1 * sg[:-1]

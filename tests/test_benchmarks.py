@@ -1,0 +1,17 @@
+"""The per-layer micro-timings in ``benchmarks/`` import against the library as it stands.
+
+The test suite does not collect ``benchmarks/``, so without this a library
+name they import could be removed with no test failing.
+"""
+
+import importlib.util
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "test_layers.py"
+
+
+def test_layer_benchmarks_import():
+    spec = importlib.util.spec_from_file_location("layer_benchmarks", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.test_first_one_sector_apply_fresh)

@@ -86,7 +86,7 @@ class TestBornDistribution:
         "eigenvalues", [[1.0000001, 1.0000002], [2.0, 2.0], [3, 3.0], [-0.0, 0.0]]
     )
     def test_rejects_eigenvalues_sharing_a_label(self, eigenvalues):
-        # outcomes are keyed by the f"{q:g}" label; two outcomes labelled "1"
+        # outcomes are keyed by the f"{q:g}" label of q or 0.0; two outcomes labelled "1"
         # would lose the first one's counts in sample_outcomes
         first, second = (repr(float(q)) for q in eigenvalues)
         with pytest.raises(ValueError, match=f"{first} and {second} share the outcome label"):
@@ -102,6 +102,13 @@ class TestBornDistribution:
         dist = born_distribution(obs, (basis(2, 0) + basis(2, 1)) / np.sqrt(2))
         assert dist.labels() == ("1", "1.0001")
         assert sum(sample_outcomes(dist, 1000, 7).values()) == 1000
+
+    def test_negative_zero_reads_out_as_zero(self):
+        # the label that files -0.0 under "0" is the one the distribution writes
+        obs = Observable(eigenvalues=[-0.0, 1.0], eigenspaces=[basis(2, 0), basis(2, 1)])
+        dist = born_distribution(obs, (basis(2, 0) + basis(2, 1)) / np.sqrt(2))
+        assert dist.labels() == ("0", "1")
+        assert set(sample_outcomes(dist, 100, 7)) == {"0", "1"}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_probabilities_sum_to_one(self, seed):

@@ -337,6 +337,19 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert f"scheme vector {name} has non-finite amplitudes" in result.summary
 
+    def test_sample_names_non_finite_amplitude_before_window_size(self, tmp_path):
+        # rho alone at sector 2**40 puts the four vectors on too wide a window to build
+        payload = build_canonical_scheme(3).to_dict()
+        payload["rho"]["sectors"] = payload["rho"]["sectors"][:1]
+        payload["rho"]["sectors"][0]["nu"] = 2**40
+        payload["tau"]["sectors"][0]["amp"][0][1] = math.nan
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload))
+        result = run(_sample_argv(path))
+        assert (result.exit_code, result.summary) == (
+            1, "error: scheme vector tau has non-finite amplitudes"
+        )
+
 
 def _paths(node, prefix=()):
     """Every ``(container path, key)`` position inside a JSON payload."""

@@ -892,7 +892,7 @@ class TestKeptState:
         st.sampled_from([1, 2, 256]),
     )
     def test_each_call_matches_a_fresh_map(self, case, calls, run):
-        # runs of one or two blocks make a map of up to five factor runs on first use
+        # slices of one or two blocks factor a mixed map of up to five blocks in several calls
         d, blocks, inputs = case
         calls = [c for c in calls if c[0] != "apply" or inputs]
         with mock.patch.object(graded, "_SLICE", run):
@@ -900,8 +900,34 @@ class TestKeptState:
             got = [_call(kept, c, inputs) for c in calls]
             fresh = [_call(BlockMap(d, blocks), c, inputs) for c in calls]
         assert got == fresh
-        # the factors of one block do not depend on the run it is factored in
+        # the factors of one block do not depend on the slice it is factored in
         assert fresh == [_call(BlockMap(d, blocks), c, inputs) for c in calls]
+
+    @pytest.mark.parametrize("widths", ["mixed", "uniform"])
+    def test_each_block_is_factored_once(self, widths):
+        # 2 * _SLICE + 3 blocks, so three slices; one svd call per slice and width
+        size = graded._SLICE
+        if widths == "mixed":  # the slices hold widths {1, 2}, {0, 1, 2, 3} and {2}, at d = 2
+            cols = [1 + i % 2 for i in range(size)]
+            cols += [3 if i % 7 == 0 else i % 3 for i in range(size)] + [2] * 3
+            calls = 2 + 4 + 1
+        else:
+            cols, calls = [2] * (2 * size + 3), 1
+        rng = np.random.default_rng(4)
+        # a block of three columns repeats one column: over-wide, rank one and isometric
+        blocks = {
+            3 * i: _block(rng, 2, c, "isometry") if c < 3 else (np.ones((2, 3)),) * 2
+            for i, c in enumerate(cols)
+        }
+        m = BlockMap(2, blocks)
+        v = GradedVector(2, {3 * i: blocks[3 * i][0].sum(axis=1) for i in range(0, len(cols), 5)})
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            for _ in range(2):
+                check_conserving(m)
+                m.apply(v)
+                orthogonality_transfer_check(m, [v, 2 * v])
+                m.completed()
+                assert svd.call_count == calls
 
 
 def _error_order_map():
