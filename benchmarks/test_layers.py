@@ -20,8 +20,10 @@ A block map keeps its SVD factors and isometry defects once computed, so
 the cases on those cached maps time warm calls after the first round.
 The cases named ``fresh`` build a new map in each round's untimed setup
 and time what a first call pays: the isometry op on the three-sector
-maps, the chain ``check_conserving`` -> ``completed`` -> transfer check of
-the readout workload on the canonical map at n = 10^3 and 10^4, and the
+maps and, each alone, its transfer check and ``completed()`` (the
+cached-map cases time the same calls warm), the chain
+``check_conserving`` -> ``completed`` -> transfer check of the readout
+workload on the canonical map at n = 10^3 and 10^4, and the
 first ``apply`` of a one-sector vector on the map at n = 10^4, which
 factors every block of the map.
 Building, validating and reading out the canonical scheme are timed at
@@ -325,6 +327,30 @@ def test_three_sector_completed(benchmark, widths):
 def test_three_sector_orthogonality_transfer_check(benchmark, widths):
     m, inputs = three_sector_case(widths)
     pre, post = benchmark(orthogonality_transfer_check, m, inputs)
+    np.testing.assert_allclose(post, pre, atol=1e-10)
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_completed_fresh(benchmark, widths):
+    m, _ = three_sector_case(widths)
+    blocks = dict(m.blocks)
+    full = benchmark.pedantic(
+        lambda fresh: fresh.completed(),
+        setup=lambda: ((BlockMap(4, blocks),), {}),
+        rounds=FRESH_ROUNDS[3],
+    )
+    assert check_conserving(full).max_residual < 1e-12
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_orthogonality_transfer_check_fresh(benchmark, widths):
+    m, inputs = three_sector_case(widths)
+    blocks = dict(m.blocks)
+    pre, post = benchmark.pedantic(
+        orthogonality_transfer_check,
+        setup=lambda: ((BlockMap(4, blocks), inputs), {}),
+        rounds=FRESH_ROUNDS[3],
+    )
     np.testing.assert_allclose(post, pre, atol=1e-10)
 
 

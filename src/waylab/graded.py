@@ -56,18 +56,23 @@ Conventions
   of each block and ``(K, d, M)`` domain and image stacks, each block
   zero-padded to the widest ``M``.  ``blocks`` maps each label to views
   into them and is built when first read.  Every operation is a few
-  batched array or LAPACK calls over the stack, the same calls at any
-  number of blocks, rather than a loop over sectors.  ``apply`` and
-  ``orthogonality_transfer_check`` lay their inputs over one common
-  label window (refused beyond the entry limit), find the blocks inside
-  it with one ``searchsorted`` and solve only the rows of declared
-  sectors.  The stacks are read-only, and a map keeps what it derives
-  from them once first computed: the isometry defects, one array that
-  ``check_conserving`` reports and ``completed`` reads, and the SVD of
-  every block on its own columns, from which ``apply`` and
-  ``orthogonality_transfer_check`` take their pseudo-inverses and
-  ``completed`` its bases.  The defects, and the SVD of a stack of
-  several widths, go in slices of at most 256 blocks.
+  whole-stack array or LAPACK calls, the same few at any number of
+  blocks, rather than a loop over sectors.  The per-block products of
+  ``apply`` and ``orthogonality_transfer_check`` are ``np.vecdot`` loops
+  of ``d``- or ``M``-term sums rather than one BLAS call per block, and
+  their misfit test is one maximum, with the exact first offender
+  looked up only on the error path.  They lay their inputs over one common label
+  window (refused beyond the entry limit), find the blocks inside it by
+  bisection and solve only the rows of declared sectors; a window
+  holding no declared sector factors nothing.  The stacks are
+  read-only, and a map keeps what it derives from them once first
+  computed: the isometry defects, one array that ``check_conserving``
+  reports and ``completed`` reads, and the SVD of every block on its
+  own columns, from which ``apply`` and ``orthogonality_transfer_check``
+  take their pseudo-inverses and ``completed`` its bases.  The defects,
+  and the SVD of a stack of several widths, go in slices of at most 256
+  blocks.  The tolerances of these calls are named once:
+  ``_PINV_CUT``, ``_RANK_TOL`` and ``_ISOMETRY_TOL``.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -82,6 +87,7 @@ Conventions
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -94,8 +100,15 @@ DEFAULT_TOL = 1e-10
 #: Largest window a graded vector may allocate, in complex entries (256 MiB).
 _MAX_WINDOW_ENTRIES = 2**24
 
-#: Machine epsilon of float64, the scale of ``lstsq``'s default singular-value cut.
-_EPS = np.finfo(np.float64).eps
+#: Pseudo-inverse cut of a block map's ``(d, m)`` block, relative to its largest singular
+#: value per unit of ``max(d, m)``: smaller ones are dropped, as ``lstsq(rcond=None)`` drops them.
+_PINV_CUT = np.finfo(np.float64).eps
+
+#: Singular values at or below this bound a block's null space when ``completed`` takes its rank.
+_RANK_TOL = 1e-12
+
+#: Largest isometry defect ``BlockMap.completed`` accepts by default.
+_ISOMETRY_TOL = 1e-8
 
 #: Most blocks per sliced call over a :class:`BlockMap`'s stacks: defects, and SVDs of mixed widths.
 _SLICE = 256
@@ -870,19 +883,25 @@ class BlockMap:
 
     The blocks are stored as one stack: their sorted labels, the column
     count of each block, and ``(K, d, M)`` domain and image stacks in
-    which every block is zero-padded to the common width ``M``.  A zero
-    column changes no Gram matrix, singular value or image, so each
-    operation is a few batched calls over the stack.  ``blocks`` is a
-    read-only mapping, in the order the blocks were given, whose values
-    are views into the stacks; it is built when first read.
+    which every block is zero-padded to the common width ``M``, in all
+    ``2 * d * M * 16 + 16`` bytes per block.  A zero column changes no
+    Gram matrix, singular value or image, so each operation is a few
+    whole-stack calls, the same few at any number of blocks.  ``blocks``
+    is a read-only mapping, in the order the blocks were given, whose
+    values are views into the stacks; it is built when first read.
 
     The stacks are read-only, so what the map derives from them is kept
-    once first computed: the isometry defects and the SVD factors of all
-    blocks.  Every later call reads them, and returns the bits a fresh map
-    would.  The factors, zero-padded to the stack, take
-    ``(d * r + r * M) * 16 + r * 8`` bytes per block, with
-    ``r = min(d, M)``; a stack of several column counts also keeps the
-    unpadded factors of each count.
+    once first computed: the isometry defects, 8 bytes per block, and the
+    SVD factors of all blocks, zero-padded to the stack, ``(d * r + r * M)
+    * 16 + r * 8`` bytes per block with ``r = min(d, M)``; a stack of
+    several column counts also keeps the unpadded factors of each count,
+    at most as much again.  Every later call reads them and returns the
+    bits a fresh map would; besides ``blocks``, nothing else is kept.  A
+    call's temporaries are of the blocks it touches: ``apply`` and the
+    transfer check stack the domain over the image of each block in
+    their window (``2 * d * M`` entries), ``completed`` writes the
+    ``2 * d * d`` entries of each completed block, in place for a group
+    of full-rank blocks of one width.
     """
 
     __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect")
@@ -957,31 +976,39 @@ class BlockMap:
         every block has the stack's width, else one call per ``_SLICE``
         blocks and column count.  ``groups`` lists, per ``_SLICE`` blocks
         and column count, ``(c, at, u_c, sv_c, vh_c)``: the column count,
-        the stack indices of the blocks and their unpadded factors, which
-        bounds the temporaries of ``completed``.  ``u, sv, vh`` hold every
-        block's factors zero-padded to ``min(d, M)`` singular values and
-        ``M`` columns.
+        the stack positions of the blocks (a slice when every block has
+        the stack's width, else an index array) and their unpadded
+        factors, which bounds the temporaries of ``completed``.  ``u, sv,
+        vh`` hold every block's factors zero-padded to ``min(d, M)``
+        singular values and ``M`` columns.  A domain holding NaN does not
+        factor; it is refused by the label of the first non-finite block.
         """
         factors = self._svd
         if factors is None:  # a race factors the same blocks twice
             dom, cols = self._dom, self._cols
             k, d, m = dom.shape
-            if (cols == m).all():
-                u, sv, vh = np.linalg.svd(dom, full_matrices=False)
-                at = np.arange(k)
-                slices = [slice(i, i + _SLICE) for i in range(0, k, _SLICE)]
-                groups = [(m, at[s], u[s], sv[s], vh[s]) for s in slices]
-            else:
-                r = min(d, m)
-                u, vh = np.zeros((k, d, r), dtype=complex), np.zeros((k, r, m), dtype=complex)
-                sv, groups = np.zeros((k, r)), []
-                for i in range(0, k, _SLICE):
-                    part = cols[i : i + _SLICE]
-                    for c in sorted(set(part.tolist())):
-                        at, w = np.flatnonzero(part == c) + i, min(d, c)
-                        f = np.linalg.svd(dom[at, :, :c], full_matrices=False)
-                        u[at, :, :w], sv[at, :w], vh[at, :w, :c] = f
-                        groups.append((c, at, *f))
+            try:
+                if (cols == m).all():
+                    u, sv, vh = np.linalg.svd(dom, full_matrices=False)
+                    slices = [slice(i, min(i + _SLICE, k)) for i in range(0, k, _SLICE)]
+                    groups = [(m, s, u[s], sv[s], vh[s]) for s in slices]
+                else:
+                    r = min(d, m)
+                    u, vh = np.zeros((k, d, r), dtype=complex), np.zeros((k, r, m), dtype=complex)
+                    sv, groups = np.zeros((k, r)), []
+                    for i in range(0, k, _SLICE):
+                        part = cols[i : i + _SLICE]
+                        for c in sorted(set(part.tolist())):
+                            at, w = np.flatnonzero(part == c) + i, min(d, c)
+                            f = np.linalg.svd(dom[at, :, :c], full_matrices=False)
+                            u[at, :, :w], sv[at, :w], vh[at, :w, :c] = f
+                            groups.append((c, at, *f))
+            except np.linalg.LinAlgError:
+                finite = np.isfinite(dom).all(axis=(1, 2))
+                if finite.all():
+                    raise
+                label = self._labels[finite.argmin()]
+                raise ValueError(f"block {label}: domain is not finite") from None
             factors = self._svd = u, sv, vh, groups
         return factors
 
@@ -989,15 +1016,26 @@ class BlockMap:
         """Inputs and images of ``vectors`` (all of dimension ``d``) over their label window.
 
         The inputs are laid as the columns of one ``(span, d, k)`` window
-        over sectors ``lo..lo+span-1``.  One ``searchsorted`` on the sorted
-        labels finds the blocks inside the window, a contiguous run of the
+        over sectors ``lo..lo+span-1``.  Two bisections of the sorted
+        labels find the blocks inside the window, a contiguous run of the
         stacks, and only the window rows of those declared sectors are
         solved: by least squares against each block's domain, with the
         pseudo-inverse applied from views of the kept SVD factors as
         ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
-        unpadded block).  The first nonzero row, in vector-then-label
-        order, that lies in an undeclared sector or off its block's domain
-        raises ``ValueError``.
+        unpadded block, at ``_PINV_CUT``).  Each product is one
+        ``np.vecdot`` over the stack, a loop of ``d``- or ``M``-term sums
+        rather than one BLAS call per block, and one of them, with the
+        blocks' domains over their images, gives both the fit and the
+        images.  A window without a declared sector factors nothing.
+
+        A row offends when it is nonzero in an undeclared sector, or when
+        its projection residual is not within ``tol * (1 + |row|)``, so a
+        NaN residual offends.  Two counts of nonzero entries (window and
+        declared rows) and the largest squared residual, at most
+        ``tol**2``, clear the usual call; otherwise :func:`_refuse_first`
+        tests every row, with norms that do not overflow, and raises
+        ``ValueError`` for the first offending one, in vector-then-label
+        order.
 
         Returns ``(lo, rows, span, pair)``: the window rows of the declared
         sectors (sectors ``lo + rows``) and the ``(2, len(rows), d, k)``
@@ -1012,30 +1050,34 @@ class BlockMap:
         window = np.zeros((span, d, k), dtype=np.complex128)
         for j, v in enumerate(vectors):
             window[v._lo - lo : v._hi - lo + 1, :, j] = v._amps
-        a, b = np.searchsorted(self._labels, (lo, hi + 1)).tolist()
+        a, b = bisect_left(self._labels, lo), bisect_left(self._labels, hi + 1)
         rows = self._labels[a:b] - lo
-        # out holds the misses of the fit, the inputs and their images; one norm takes the first two
-        dom, out = self._dom[a:b], np.empty((3, b - a, d, k), dtype=np.complex128)
+        # the misses of the fit, the inputs and their images
+        out = np.empty((3, b - a, d, k), dtype=np.complex128)
         out[1] = amps = window[rows]
-        u, sv, vh = (f[a:b] for f in self._factor()[:3])
-        keep = sv > _EPS * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-        coeff = vh.conj().swapaxes(1, 2) @ (inv[:, :, None] * (u.conj().swapaxes(1, 2) @ amps))
-        np.matmul(self._img[a:b], coeff, out=out[2])
-        np.subtract(dom @ coeff, amps, out=out[0])
-        residual, size = np.linalg.norm(out[:2], axis=2)
-        # a nonzero row offends unless declared; a declared row offends by its residual
-        outside = window.astype(bool).any(axis=1)
-        outside[rows] = residual > tol * (1.0 + size)
-        if outside.any():
-            j, i = divmod(int(outside.T.argmax()), span)
-            if i not in rows:
-                raise ValueError(f"sector {lo + i} outside the declared domain")
-            r = residual[np.searchsorted(rows, i), j]
-            raise ValueError(
-                f"sector {lo + i}: component outside the declared domain "
-                f"(projection residual {r:.3e})"
-            )
+        # a nonzero entry outside the declared rows
+        stray = np.count_nonzero(window) != np.count_nonzero(amps)
+        misses = np.zeros((0, k))  # the squared residuals of the declared rows
+        if a < b:
+            u, sv, vh, _ = self._factor()
+            u, sv, vh = u[a:b], sv[a:b], vh[a:b]
+            # x = U^H a / s, a cut singular value reading as inf; vecdot conjugates its first
+            # argument, so coeff is conj(V x), and the product with the blocks conjugates it back
+            cut = _PINV_CUT * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
+            kept = np.where(sv > cut, sv, np.inf)
+            x = np.vecdot(u[..., None], amps[:, :, None], axis=1)
+            np.divide(x, kept[..., None], out=x)
+            coeff = np.vecdot(x[:, :, None], vh[..., None], axis=1)
+            # the blocks' domains over their images times V x: the fit and the images
+            pair = np.array((self._dom[a:b], self._img[a:b]))
+            np.vecdot(coeff[:, None], pair[..., None], axis=-2, out=out[::2])
+            np.subtract(out[0], amps, out=out[0])
+            misses = np.vecdot(out[0], out[0], axis=1).real
+        # a residual within tol is within its bound, tol * (1 + |row|); NaN never is
+        if stray or not misses.max(initial=0.0) <= tol * tol:
+            # hypot, unlike a sum of squares, does not overflow on rows above 1e154
+            residual, size = np.hypot.reduce(np.abs(out[:2]), axis=2)
+            _refuse_first(window, lo, rows, residual, tol * (1.0 + size))
         return lo, rows, span, out[1:]
 
     def _defects(self):
@@ -1043,27 +1085,30 @@ class BlockMap:
 
         The defect is the max-norm difference of the block's image and
         domain Gram matrices (0 without columns; padding columns add zero
-        Gram entries), taken ``_SLICE`` blocks at a time.
+        Gram entries), taken ``_SLICE`` blocks at a time, both Gram
+        matrices of a slice in one ``einsum`` over its image and domain.
         """
         defects = self._defect
         if defects is None:  # a race computes the same defects twice
             defects = np.empty(len(self._labels))
             for i in range(0, len(defects), _SLICE):
-                dom, img = self._dom[i : i + _SLICE], self._img[i : i + _SLICE]
-                np.abs(_gram(img) - _gram(dom)).max(
-                    axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
-                )
+                pair = np.array((self._img[i : i + _SLICE], self._dom[i : i + _SLICE]))
+                gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
+                np.abs(gram[0] - gram[1]).max(axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE])
             defects.setflags(write=False)
             self._defect = defects
         return defects
 
-    def completed(self, tol=1e-8):
+    def completed(self, tol=_ISOMETRY_TOL):
         """Deterministic extension of each block to a full unitary.
 
         The kept SVD factors give orthonormal bases of the domain spans
-        (rank tolerance ``1e-12``) and, through their coefficients, the
-        matching image bases; per rank, one stacked Householder QR extends
-        both to the whole sector, a deterministic completion.
+        (rank: the singular values above ``_RANK_TOL``) and, through their
+        coefficients, the matching image bases; per group of blocks and
+        rank, one stacked Householder QR extends both to the whole sector,
+        a deterministic completion.  A group whose blocks all have full
+        rank, as in most maps, takes one QR without a per-rank selection,
+        filled in place when the stack has one width.
         Requires the map to be an isometry on its declared domain.
         """
         worst = self._defects().max(initial=0.0)
@@ -1073,16 +1118,41 @@ class BlockMap:
         k, d = len(self._labels), self.d
         full = np.empty((2, k, d, d), dtype=np.complex128)  # domains, then images
         for c, at, u, sv, vh in self._factor()[3]:
-            rank = (sv > 1e-12).sum(axis=1)
-            for r in set(rank.tolist()):
-                sel = np.flatnonzero(rank == r)
-                basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
-                # domain and image bases share one stacked QR
-                q = np.empty((2, len(sel), d, d), dtype=np.complex128)
+            if sv.min(initial=np.inf) > _RANK_TOL:  # every block of full rank
+                parts = [(at, sv.shape[1], slice(None))]
+            else:
+                rank, at = (sv > _RANK_TOL).sum(axis=1), np.arange(k)[at]
+                parts = [(at[rank == r], r, rank == r) for r in set(rank.tolist())]
+            for pos, r, sel in parts:
+                # domain and image bases share one stacked QR, in place when pos is a slice
+                q = full[:, pos]
                 q[0, :, :, :r] = u[sel, :, :r]
-                q[1, :, :, :r] = self._img[at[sel], :, :c] @ basis
-                full[:, at[sel]] = _extend_basis(q, r)
+                basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
+                np.matmul(self._img[pos, :, :c], basis, out=q[1, :, :, :r])
+                _extend_basis(q, r)
+                if not isinstance(pos, slice):
+                    full[:, pos] = q
         return BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
+
+
+def _refuse_first(window, lo, rows, residual, bound):
+    """Raise ``ValueError`` for the first offending row of ``window``, by vector then label, if any.
+
+    A nonzero row offends unless it is in a declared sector (window rows
+    ``rows``); a declared row offends unless its residual is within its
+    bound.
+    """
+    outside = window.astype(bool).any(axis=1)
+    outside[rows] = ~(residual <= bound)
+    if not outside.any():
+        return
+    j, i = divmod(int(outside.T.argmax()), len(window))
+    if i not in rows:
+        raise ValueError(f"sector {lo + i} outside the declared domain")
+    r = residual[np.searchsorted(rows, i), j]
+    raise ValueError(
+        f"sector {lo + i}: component outside the declared domain (projection residual {r:.3e})"
+    )
 
 
 def _extend_basis(q, r):
@@ -1094,17 +1164,10 @@ def _extend_basis(q, r):
     returned as it is.
     """
     dim = q.shape[-1]
-    if r == dim:
-        return q
-    q[..., r:] = np.eye(dim)[:, : dim - r]
-    full, _ = np.linalg.qr(q)
-    full[..., :r] = q[..., :r]
-    return full
-
-
-def _gram(a):
-    """Column Gram matrices of a ``(K, D, m)`` stack."""
-    return np.einsum("kdi,kdj->kij", a.conj(), a)
+    if r < dim:
+        q[..., r:] = np.eye(dim, dim - r)
+        q[..., r:] = np.linalg.qr(q)[0][..., r:]
+    return q
 
 
 def check_conserving(m):

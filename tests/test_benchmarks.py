@@ -14,4 +14,11 @@ def test_layer_benchmarks_import():
     spec = importlib.util.spec_from_file_location("layer_benchmarks", LAYERS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.test_first_one_sector_apply_fresh)
+    for case in (
+        "test_first_one_sector_apply_fresh",
+        "test_three_sector_completed",
+        "test_three_sector_completed_fresh",
+        "test_three_sector_orthogonality_transfer_check",
+        "test_three_sector_orthogonality_transfer_check_fresh",
+    ):
+        assert callable(getattr(module, case))

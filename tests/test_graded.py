@@ -1009,6 +1009,67 @@ class TestBlockMapErrorOrder:
             orthogonality_transfer_check(m, far)
 
 
+class TestUnfactoredAndNonFinite:
+    """Inputs with no declared sector factor nothing; non-finite domains and rows never fit."""
+
+    def test_a_window_without_a_declared_sector_factors_nothing(self):
+        s = build_canonical_scheme(50)
+        past = max(interaction_blocks(s).sectors()) + 3
+        stray = GradedVector(2 * s.d, {past: np.ones(2 * s.d)})
+        zero = GradedVector(2 * s.d)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            image = interaction_blocks(s).apply(zero)
+            pre, post = orthogonality_transfer_check(interaction_blocks(s), [zero, zero])
+            with pytest.raises(ValueError, match=f"^sector {past} outside the declared domain$"):
+                interaction_blocks(s).apply(stray)
+            with pytest.raises(ValueError, match=f"^sector {past} outside the declared domain$"):
+                orthogonality_transfer_check(interaction_blocks(s), [zero, stray])
+        assert svd.call_count == 0
+        assert image.is_zero() and image.d == 2 * s.d
+        np.testing.assert_array_equal(pre, np.zeros((2, 2)))
+        np.testing.assert_array_equal(post, np.zeros((2, 2)))
+
+    def test_an_infinite_domain_fits_no_input(self):
+        # the SVD of [[inf], [0]] is NaN, so every residual against it is NaN
+        m = BlockMap(2, {0: (np.array([[np.inf], [0.0]]), np.array([[1.0], [0.0]]))})
+        for v in _vec({0: [0.0, 1.0]}), _vec({0: [1.0, 0.0]}):
+            with pytest.raises(ValueError, match="sector 0: component outside .* residual nan"):
+                m.apply(v)
+            with pytest.raises(ValueError, match="sector 0: component outside .* residual nan"):
+                orthogonality_transfer_check(m, [v])
+
+    def test_a_nan_domain_is_refused_by_its_label(self):
+        # the whole map is factored on first use, so a NaN domain anywhere is named
+        e0, nan = np.array([[1.0], [0.0]]), np.array([[np.nan], [0.0]])
+        m = BlockMap(2, {0: (e0, e0), 5: (nan, e0), 7: (nan, e0)})
+        with pytest.raises(ValueError, match="^block 5: domain is not finite$"):
+            m.apply(_vec({0: _ON}))
+        with pytest.raises(ValueError, match="^block 5: domain is not finite$"):
+            orthogonality_transfer_check(m, [_vec({0: _ON})])
+        with pytest.raises(ValueError, match="non-isometric map \\(defect nan\\)"):
+            m.completed()
+
+    def test_a_huge_row_off_the_domain_does_not_fit(self):
+        # its squared norm overflows to inf (with a RuntimeWarning), as would an unscaled bound
+        m = _error_order_map()
+        off = "sector 3: component outside .* residual 1.000e\\+200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=off):
+                m.apply(_vec({0: _ON, 3: [0.0, 1e200]}))
+            with pytest.raises(ValueError, match=off):
+                orthogonality_transfer_check(m, [_vec({3: [1e200, 1e200]})])
+            image = m.apply(_vec({3: [1e200, 0.0]}))
+        np.testing.assert_array_equal(image.sector(3), [1e200j, 0.0])
+
+    def test_a_nan_row_in_a_declared_sector_does_not_fit(self):
+        m = _error_order_map()
+        with pytest.raises(ValueError, match="sector 3: component outside .* residual nan"):
+            m.apply(_vec({0: _ON, 3: [np.nan, 0.0]}))
+        with pytest.raises(ValueError, match="sector 3: component outside .* residual nan"):
+            orthogonality_transfer_check(m, [_vec({0: _ON}), _vec({3: [1.0, np.nan]})])
+
+
 def _completed_pin(widths):
     """Bytes of ``completed()`` blocks of a seeded isometry with ``widths`` columns per block.
 

@@ -12,8 +12,8 @@ import waylab
 _PROBE = """
 import hashlib, json, sys
 from waylab import ObjectState, build_canonical_scheme, tensor, three_outcome_stats
-from waylab.graded import charge_expectation, inner
-from waylab.scheme import scheme_error
+from waylab.graded import charge_expectation, inner, orthogonality_transfer_check
+from waylab.scheme import interaction_blocks, scheme_error
 
 plus, minus = ObjectState(2**-0.5, 2**-0.5), ObjectState(2**-0.5, -(2**-0.5))
 out = {}
@@ -22,12 +22,14 @@ for n in map(int, sys.argv[1:]):
     joint, other = tensor(plus, s.xi), tensor(minus, s.xi)
     overlap = inner(joint, other)
     text = three_outcome_stats(s, plus).to_json()
+    grams = orthogonality_transfer_check(interaction_blocks(s), [joint, other])
     out[n] = {
         "norm2": joint.norm2().hex(),
         "inner": [overlap.real.hex(), overlap.imag.hex()],
         "scheme_error": scheme_error(s).hex(),
         "charge_expectation": [charge_expectation(v).hex() for v in (s.xi, joint)],
         "three_outcome_stats": hashlib.sha256(text.encode()).hexdigest(),
+        "transfer_grams": hashlib.sha256(b"".join(g.tobytes() for g in grams)).hexdigest(),
     }
 print(json.dumps(out))
 """
@@ -77,9 +79,11 @@ def test_long_products_do_not_depend_on_the_blas_thread_count():
     """One child runs BLAS on one thread, the other on two; every printed bit must agree.
 
     The joint vectors have 12 004 and 40 004 entries, above the 10 000 at
-    which OpenBLAS splits a dot product over threads.  On a machine with
-    one core OpenBLAS runs one thread in both children, so there this test
-    cannot fail.
+    which OpenBLAS splits a dot product over threads; each entry of the
+    transfer check's Gram matrices sums as many products, so it stays one
+    matrix product rather than a ``np.vecdot``, which is such a dot
+    product.  On a machine with one core OpenBLAS runs one thread in both
+    children, so there this test cannot fail.
     """
     one, two = _outputs_at_one_and_two_threads(_PROBE, "3000", "10000")
     assert one == two
@@ -93,3 +97,4 @@ def test_born_distribution_does_not_depend_on_the_blas_thread_count():
     """
     one, two = _outputs_at_one_and_two_threads(_BORN_PROBE)
     assert one == two
+
