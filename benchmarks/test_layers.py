@@ -23,9 +23,12 @@ and time what a first call pays: the isometry op on the three-sector
 maps and, each alone, its transfer check and ``completed()`` (the
 cached-map cases time the same calls warm), the chain
 ``check_conserving`` -> ``completed`` -> transfer check of the readout
-workload on the canonical map at n = 10^3 and 10^4, and the
-first ``apply`` of a one-sector vector on the map at n = 10^4, which
-factors every block of the map.
+workload on the canonical map at n = 10^3 and 10^4, and, on the
+canonical maps at n = 10^3 and 10^4 and the optimized map at n = 10^3,
+``check_conserving(completed())`` and the first ``apply`` of a
+one-sector vector, which factors the whole map: one block per run of
+equal blocks (three on the canonical map), every block of the
+optimized one.
 Building, validating and reading out the canonical scheme are timed at
 n = 10^2 to 10^5 (readout also at 3 * 10^3, the largest size of the
 benchmark's readout workload); validation also at n = 4 (a report's fixed cost) and
@@ -73,7 +76,7 @@ from waylab.nogo import (
     infeasibility_certificate,
     rotated_basis_residual,
 )
-from waylab.optimize import sweep
+from waylab.optimize import optimize_scheme, sweep
 from waylab.scheme import ApproxScheme, interaction_blocks, scheme_error, validate_scheme
 
 #: Rounds of a ``fresh`` case on a three-sector map and on the canonical map at n = 10^3, 10^4.
@@ -403,8 +406,35 @@ def test_readout_chain_fresh(benchmark, n):
     assert defect < 1e-12 and completed_defect < 1e-12
 
 
-def test_first_one_sector_apply_fresh(benchmark):
-    s, m, _, _ = scheme_case(10**4)
+#: Schemes whose interaction maps the run-path cases build fresh: the canonical map is three
+#: runs of equal blocks, every block of the optimized map differs from its neighbours.
+RUN_CASES = {
+    "canonical-1000": ("canonical", 10**3),
+    "canonical-10000": ("canonical", 10**4),
+    "optimized-1000": ("optimized", 10**3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def run_case(kind, n):
+    return build_canonical_scheme(n) if kind == "canonical" else optimize_scheme(n)
+
+
+@pytest.mark.parametrize("kind, n", RUN_CASES.values(), ids=RUN_CASES)
+def test_completed_conserving_fresh(benchmark, kind, n):
+    s = run_case(kind, n)
+    report = benchmark.pedantic(
+        lambda fresh: check_conserving(fresh.completed()),
+        setup=lambda: ((interaction_blocks(s),), {}),
+        rounds=FRESH_ROUNDS[n],
+    )
+    assert report.max_residual < 1e-12
+
+
+@pytest.mark.parametrize("kind, n", RUN_CASES.values(), ids=RUN_CASES)
+def test_first_one_sector_apply_fresh(benchmark, kind, n):
+    s = run_case(kind, n)
+    m = interaction_blocks(s)
     nu = m.sectors()[len(m.sectors()) // 2]
     dom = m.blocks[nu][0]
     v = GradedVector(m.d, {nu: dom @ np.ones(dom.shape[1])})

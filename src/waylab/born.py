@@ -24,11 +24,23 @@ import numpy as np
 
 from .graded import DEFAULT_TOL, GradedVector, ObjectState, inner, split_object_components, tensor
 from .graded import _column_dots, _dot, _integer, _number_array
-from .scheme import apply_interaction, derived_pointers
+from .scheme import _pointers, apply_interaction
 
 #: Label of the appended outcome when the state has weight outside the
 #: declared eigenspaces.
 OUTSIDE_SPAN = "outside-span"
+
+#: Default bound on the max-norm distance of an observable's eigenvector Gram matrix, all
+#: families stacked, from the identity.
+_ORTHONORMAL_TOL = 1e-10
+
+#: Squared norm of a state outside the declared eigenspaces above which ``born_distribution``
+#: reports it as the ``outside-span`` outcome.
+_OUTSIDE_SPAN_WEIGHT = 1e-10
+
+#: Largest distance of a distribution's probability sum from 1 that ``sample_outcomes``
+#: renormalizes: the pointer-overlap drift of near-feasible schemes.
+_SUM_TOL = 1e-6
 
 
 def _label(q):
@@ -48,7 +60,7 @@ class Observable:
     eigenvalues: tuple
     eigenspaces: tuple
 
-    def __init__(self, eigenvalues, eigenspaces, tol=1e-10):
+    def __init__(self, eigenvalues, eigenspaces, tol=_ORTHONORMAL_TOL):
         eigenvalues = tuple(_number_array(list(eigenvalues)).tolist())
         spaces = []
         for fam in eigenspaces:
@@ -62,6 +74,8 @@ class Observable:
             raise ValueError(
                 f"{len(eigenvalues)} eigenvalues vs {len(spaces)} eigenspaces"
             )
+        if not spaces:
+            raise ValueError("an observable needs at least one eigenvalue")
         labels = {}  # outcome label -> eigenvalue; distinct eigenvalues need distinct labels
         for q in eigenvalues:
             label = _label(q)
@@ -140,10 +154,13 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
     For a degenerate eigenvalue the probability is the summed squared
     overlap with its orthonormal family and the post state is the
     normalized projection onto that family's span.  Weight outside the
-    declared eigenspaces (squared norm above ``1e-10``) is reported as an
-    explicit ``outside-span`` outcome.
+    declared eigenspaces (squared norm above ``_OUTSIDE_SPAN_WEIGHT``) is
+    reported as an explicit ``outside-span`` outcome.  ``phi`` must have
+    shape ``(obs.dim,)``.
     """
     phi = _number_array(phi, complex)
+    if phi.shape != (obs.dim,):
+        raise ValueError(f"state shape {phi.shape} does not match the observable's {(obs.dim,)}")
     norm2 = float(_dot(phi, phi).real)
     if not abs(norm2 - 1.0) <= tol:
         raise ValueError(f"state must be normalized, got |phi|^2 = {norm2!r}")
@@ -161,7 +178,7 @@ def born_distribution(obs, phi, tol=DEFAULT_TOL):
         outcomes.append(Outcome(label=_label(q), probability=w, post_state=post))
     rest = phi - projected
     w_rest = float(_dot(rest, rest).real)
-    if w_rest > 1e-10:
+    if w_rest > _OUTSIDE_SPAN_WEIGHT:
         outcomes.append(
             Outcome(
                 label=OUTSIDE_SPAN,
@@ -183,12 +200,11 @@ def three_outcome_stats(s, obj, tol=DEFAULT_TOL):
     if not isinstance(obj, ObjectState):
         obj = ObjectState(*obj)
     joint = apply_interaction(s, obj, tol=tol)
-    pointers = derived_pointers(s)
     outcomes = []
     remainder = joint
     # the apparatus factors of joint = psi0 (x) a0 + psi1 (x) a1
     a0, a1 = split_object_components(joint, s.d)
-    for label, vec in (("plus", pointers.chi), ("minus", pointers.chiprime)):
+    for label, vec in zip(("plus", "minus"), _pointers(s)):
         nrm = vec.norm()
         if nrm > tol:
             direction = (1.0 / nrm) * vec
@@ -219,8 +235,7 @@ def sample_outcomes(dist, shots, seed):
     labels = dist.labels()
     probs = np.asarray(dist.probabilities(), dtype=float)
     total = probs.sum()
-    # tolerate the pointer-overlap drift of near-feasible schemes
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     probs = probs / total
     rng = np.random.Generator(np.random.PCG64(seed))

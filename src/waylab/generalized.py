@@ -38,6 +38,16 @@ from .graded import GradedVector, _dot, _row_dots, inner
 #: applied after branch normalization.
 FINITE_TOL = 1e-9
 
+#: Default bound on ``| |branch| - 1 |`` for :meth:`BranchSpec.is_normalized`.
+_NORM_TOL = 1e-10
+
+#: Largest ``| |branch| - 1 |`` that :func:`classify` accepts for each input branch.
+_CLASSIFY_NORM_TOL = 1e-8
+
+#: Default ``tol`` of :func:`exchange_form`: object parts of the two branches misaligned by
+#: more than its square root have no common exchanged form.
+_EXCHANGE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BranchSpec:
@@ -49,7 +59,7 @@ class BranchSpec:
     def norm(self):
         return self.object_part.norm() * self.apparatus_part.norm()
 
-    def is_normalized(self, tol=1e-10):
+    def is_normalized(self, tol=_NORM_TOL):
         return abs(self.norm() - 1.0) <= tol
 
     def overlap(self, other):
@@ -149,7 +159,7 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     """
     branches = (plus_branch, minus_branch)
     for name, branch in zip(("plus", "minus"), branches):
-        if not branch.is_normalized(1e-8):
+        if not branch.is_normalized(_CLASSIFY_NORM_TOL):
             raise ValueError(f"{name} branch is not normalized: |.| = {branch.norm()!r}")
 
     finite, violations = _finite_parts(branches, tol)
@@ -181,7 +191,7 @@ def classify(plus_branch, minus_branch, tol=FINITE_TOL):
     return CaseVerdict(kind, labels, residual, tuple(violations), overlap)
 
 
-def exchange_form(verdict, plus_branch, minus_branch, tol=1e-10):
+def exchange_form(verdict, plus_branch, minus_branch, tol=_EXCHANGE_TOL):
     """Exchanged pointer pair ``(chi0, chi1)`` of a Case 2 instance.
 
     The branches are ``psi'_0 (chi0 + chi1)`` and ``psi'_0 (chi0 - chi1)``

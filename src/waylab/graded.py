@@ -71,8 +71,11 @@ Conventions
   own columns, from which ``apply`` and ``orthogonality_transfer_check``
   take their pseudo-inverses and ``completed`` its bases.  The defects,
   and the SVD of a stack of several widths, go in slices of at most 256
-  blocks.  The tolerances of these calls are named once:
-  ``_PINV_CUT``, ``_RANK_TOL`` and ``_ISOMETRY_TOL``.
+  blocks.  A stack of more than 256 blocks takes these, and its
+  completion, once per run of neighbouring blocks equal in column count
+  and bits, and gathers them back to every block.  The tolerances of
+  these calls are named once: ``_PINV_CUT``, ``_RANK_TOL`` and
+  ``_ISOMETRY_TOL``.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -111,6 +114,7 @@ _RANK_TOL = 1e-12
 _ISOMETRY_TOL = 1e-8
 
 #: Most blocks per sliced call over a :class:`BlockMap`'s stacks: defects, and SVDs of mixed widths.
+#: Only a stack of more blocks is searched for runs of equal blocks to work once each.
 _SLICE = 256
 
 #: Most entries per BLAS dot product: OpenBLAS threads ``zdotc`` and ``ddot`` above
@@ -886,17 +890,24 @@ class BlockMap:
     which every block is zero-padded to the common width ``M``, in all
     ``2 * d * M * 16 + 16`` bytes per block.  A zero column changes no
     Gram matrix, singular value or image, so each operation is a few
-    whole-stack calls, the same few at any number of blocks.  ``blocks``
-    is a read-only mapping, in the order the blocks were given, whose
-    values are views into the stacks; it is built when first read.
+    whole-stack calls, the same few at any number of blocks.  On more
+    than ``_SLICE`` blocks, the SVDs, defects and completions are taken
+    once per run of neighbouring blocks with the same column count and
+    bits (:meth:`_representatives`), on a map of one block per run, and
+    gathered back to every block: the canonical scheme's map is three
+    runs at any ``n``.  ``blocks`` is a read-only mapping, in the order
+    the blocks were given, whose values are views into the stacks; it is
+    built when first read.
 
     The stacks are read-only, so what the map derives from them is kept
     once first computed: the isometry defects, 8 bytes per block, and the
     SVD factors of all blocks, zero-padded to the stack, ``(d * r + r * M)
     * 16 + r * 8`` bytes per block with ``r = min(d, M)``; a stack of
     several column counts also keeps the unpadded factors of each count,
-    at most as much again.  Every later call reads them and returns the
-    bits a fresh map would; besides ``blocks``, nothing else is kept.  A
+    at most as much again.  A map with runs also keeps the map of its
+    representatives, with their factors and defects, and the run of each
+    block, 8 bytes per block.  Every later call reads them and returns
+    the bits a fresh map would; besides ``blocks``, nothing else is kept.  A
     call's temporaries are of the blocks it touches: ``apply`` and the
     transfer check stack the domain over the image of each block in
     their window (``2 * d * M`` entries), ``completed`` writes the
@@ -904,7 +915,9 @@ class BlockMap:
     of full-rank blocks of one width.
     """
 
-    __slots__ = ("d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect")
+    __slots__ = (
+        "d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect", "_runs"
+    )
 
     def __init__(self, d, blocks):
         d = _integer(d, "sector dimension 'd'", 1)
@@ -941,6 +954,7 @@ class BlockMap:
             a.setflags(write=False)
         self.d, self._labels, self._cols, self._dom, self._img = d, labels, cols, dom, img
         self._order, self._blocks, self._svd, self._defect = order, None, None, None
+        self._runs = None
 
     @property
     def blocks(self):
@@ -968,6 +982,39 @@ class BlockMap:
         out[rows] = pair[1, :, :, 0]
         return GradedVector._own(lo, out)
 
+    def _representatives(self):
+        """Map of the first block of each run and the run of every block, or ``None``: kept.
+
+        A run is a maximal stretch of consecutive blocks with the same
+        column count and the same domain and image bits, compared as
+        ``int64`` views of the stacks, so blocks that differ only in the
+        sign of a zero or in a NaN payload are never merged.  A LAPACK or
+        ``einsum`` result on one block depends only on its bits and
+        column count, so what the representatives' map derives, gathered
+        back by run, has the bits the whole stack would give.  Runs are
+        looked for only on more than ``_SLICE`` blocks; a smaller stack,
+        or one without two equal neighbours, has none.
+        """
+        runs = self._runs
+        if runs is None:  # a race finds the same runs twice
+            k, runs = len(self._labels), False
+            if k > _SLICE:
+                new = np.empty(k, dtype=bool)
+                new[0], new[1:] = True, self._cols[1:] != self._cols[:-1]
+                for stack in self._dom, self._img:
+                    bits = stack.reshape(k, -1).view(np.int64)
+                    new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+                if not new.all():
+                    first = np.flatnonzero(new)
+                    rep = BlockMap._from_stack(
+                        self.d, self._labels[first], self._cols[first],
+                        self._dom[first], self._img[first],
+                    )
+                    rep._runs = False  # neighbouring representatives differ
+                    runs = rep, np.cumsum(new) - 1
+            self._runs = runs
+        return runs or None
+
     def _factor(self):
         """SVD of every block, each of its own columns, kept: ``(u, sv, vh, groups)``.
 
@@ -980,10 +1027,19 @@ class BlockMap:
         the stack's width, else an index array) and their unpadded
         factors, which bounds the temporaries of ``completed``.  ``u, sv,
         vh`` hold every block's factors zero-padded to ``min(d, M)``
-        singular values and ``M`` columns.  A domain holding NaN does not
-        factor; it is refused by the label of the first non-finite block.
+        singular values and ``M`` columns.  A map of more than ``_SLICE``
+        blocks with runs of neighbours of equal bits (:meth:`_representatives`)
+        factors one block per run and gathers ``u, sv, vh`` back to every
+        block; its ``groups`` is ``None``, as ``completed`` then completes
+        the representatives.  A
+        domain holding NaN does not factor; it is refused by the label of
+        the first non-finite block, which starts its run.
         """
         factors = self._svd
+        runs = self._representatives() if factors is None else None
+        if runs is not None:
+            rep, run = runs
+            factors = self._svd = *(f[run] for f in rep._factor()[:3]), None
         if factors is None:  # a race factors the same blocks twice
             dom, cols = self._dom, self._cols
             k, d, m = dom.shape
@@ -1087,14 +1143,24 @@ class BlockMap:
         domain Gram matrices (0 without columns; padding columns add zero
         Gram entries), taken ``_SLICE`` blocks at a time, both Gram
         matrices of a slice in one ``einsum`` over its image and domain.
+        A map of more than ``_SLICE`` blocks with runs of neighbours of
+        equal bits (:meth:`_representatives`) takes them of one block per
+        run and gathers them back to every block.
         """
         defects = self._defect
         if defects is None:  # a race computes the same defects twice
-            defects = np.empty(len(self._labels))
-            for i in range(0, len(defects), _SLICE):
-                pair = np.array((self._img[i : i + _SLICE], self._dom[i : i + _SLICE]))
-                gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
-                np.abs(gram[0] - gram[1]).max(axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE])
+            runs = self._representatives()
+            if runs is not None:
+                rep, run = runs
+                defects = rep._defects()[run]
+            else:
+                defects = np.empty(len(self._labels))
+                for i in range(0, len(defects), _SLICE):
+                    pair = np.array((self._img[i : i + _SLICE], self._dom[i : i + _SLICE]))
+                    gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
+                    np.abs(gram[0] - gram[1]).max(
+                        axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
+                    )
             defects.setflags(write=False)
             self._defect = defects
         return defects
@@ -1108,9 +1174,22 @@ class BlockMap:
         rank, one stacked Householder QR extends both to the whole sector,
         a deterministic completion.  A group whose blocks all have full
         rank, as in most maps, takes one QR without a per-rank selection,
-        filled in place when the stack has one width.
+        filled in place when the stack has one width.  A map of more than
+        ``_SLICE`` blocks with runs of neighbours of equal bits
+        (:meth:`_representatives`) completes one block per run and
+        gathers the unitaries back to every block; the completed map
+        keeps those runs, and that of a map without runs has none.
         Requires the map to be an isometry on its declared domain.
         """
+        runs = self._representatives()
+        if runs is not None:
+            rep, run = runs
+            full = rep.completed(tol)
+            out = BlockMap._from_stack(
+                self.d, self._labels, full._cols[run], full._dom[run], full._img[run], self._order
+            )
+            out._runs = full, run
+            return out
         worst = self._defects().max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
@@ -1132,7 +1211,9 @@ class BlockMap:
                 _extend_basis(q, r)
                 if not isinstance(pos, slice):
                     full[:, pos] = q
-        return BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
+        out = BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
+        out._runs = False  # the completions of blocks without runs are not searched for runs
+        return out
 
 
 def _refuse_first(window, lo, rows, residual, bound):

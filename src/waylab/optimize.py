@@ -80,6 +80,13 @@ class OptimizationError(RuntimeError):
         self.best = best
 
 
+#: Default bound on the validated constraint residual of an optimized scheme.
+_CONSTRAINT_TOL = 1e-8
+
+#: Default bound on the gap between an optimized scheme's error and the closed form ``E(n)``.
+_OBJECTIVE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Acceptance tolerances for :func:`optimize_scheme`; both must be positive.
@@ -90,8 +97,8 @@ class OptimizerOptions:
     :class:`OptimizationError`.
     """
 
-    tol_constraint: float = 1e-8
-    tol_objective: float = 1e-10
+    tol_constraint: float = _CONSTRAINT_TOL
+    tol_objective: float = _OBJECTIVE_TOL
 
     def __post_init__(self):
         for name in ("tol_constraint", "tol_objective"):

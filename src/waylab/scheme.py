@@ -270,11 +270,14 @@ def derived_pointers(s):
     For a validated canonical scheme the three vectors are mutually
     orthogonal and ``|chi|^2 + |eta|^2 = 1``.
     """
+    chi, chiprime = _pointers(s)
+    return DerivedPointers(chi=chi, chiprime=chiprime, eta=0.5 * (s.tau - s.rho))
+
+
+def _pointers(s):
+    """Pointer states ``(chi, chi')`` of a scheme, without the error vector."""
     half_sum = 0.5 * (s.rho + s.tau)
-    chi = s.sigma + half_sum
-    chiprime = s.sigma - half_sum
-    eta = 0.5 * (s.tau - s.rho)
-    return DerivedPointers(chi=chi, chiprime=chiprime, eta=eta)
+    return s.sigma + half_sum, s.sigma - half_sum
 
 
 def interaction_blocks(s):

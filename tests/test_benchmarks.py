@@ -15,6 +15,7 @@ def test_layer_benchmarks_import():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     for case in (
+        "test_completed_conserving_fresh",
         "test_first_one_sector_apply_fresh",
         "test_three_sector_completed",
         "test_three_sector_completed_fresh",

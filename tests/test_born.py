@@ -1,5 +1,7 @@
 """Tests for the measurement postulate layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ class TestBornDistribution:
     def test_requires_normalized_state(self, three_level):
         with pytest.raises(ValueError, match="normalized"):
             born_distribution(three_level, 2.0 * basis(3, 0))
+
+    @pytest.mark.parametrize(
+        "phi, shape", [([1.0, 0.0], "(2,)"), (np.eye(3), "(3, 3)"), (1.0, "()")]
+    )
+    def test_refuses_a_state_of_another_shape(self, three_level, phi, shape):
+        message = f"state shape {shape} does not match the observable's (3,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            born_distribution(three_level, phi)
+
+    def test_refuses_an_observable_without_eigenvalues(self):
+        with pytest.raises(ValueError, match="^an observable needs at least one eigenvalue$"):
+            Observable([], [])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_state(self, three_level, value):

@@ -1070,6 +1070,115 @@ class TestUnfactoredAndNonFinite:
             orthogonality_transfer_check(m, [_vec({0: _ON}), _vec({3: [1.0, np.nan]})])
 
 
+def _every_call(m, inputs):
+    """Bytes of every block-map call on ``m``, its completion's report included, or their errors."""
+    calls = [("apply", j) for j in range(len(inputs))]
+    calls += [("transfer", len(inputs)), ("conserving", 0), ("completed", 0)]
+    got = [_call(m, c, inputs) for c in calls]
+    try:
+        full = m.completed()
+    except ValueError as exc:
+        return got + [str(exc)]
+    return got + [_call(full, ("conserving", 0), inputs), _call(full, ("apply", 0), inputs)]
+
+
+def _per_block(make, inputs):
+    """:func:`_every_call` on a fresh map from ``make`` that looks for no runs of equal blocks."""
+    with mock.patch.object(graded, "_SLICE", 10**9):
+        m = make()
+        assert m._representatives() is None
+        return _every_call(m, inputs)
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _run_count(m):
+    runs = m._representatives()
+    return len(m.sectors()) if runs is None else len(runs[0].sectors())
+
+
+class TestRuns:
+    """Each run of equal neighbouring blocks is worked once; every call keeps per-block bits."""
+
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_canonical_map_is_three_runs(self, n):
+        s = build_canonical_scheme(n)
+        labels = interaction_blocks(s).sectors()
+        one = GradedVector(2 * s.d, {n // 2: tensor(ObjectState(1, 0), s.xi).sector(n // 2)})
+        inputs = [one] + [tensor(ObjectState(a, b), s.xi) for a, b in ((1, 0), (0.6, 0.8j))]
+        # the first one-sector apply on a fresh map factors the three representatives alone
+        m = interaction_blocks(s)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            m.apply(one)
+        assert sum(call.args[0].shape[0] for call in svd.call_args_list) == 3
+        assert m._representatives()[0].sectors() == (labels[0], labels[1], labels[-1])
+        assert _run_count(m.completed()) == 3
+        assert _every_call(interaction_blocks(s), inputs) == _per_block(
+            lambda: interaction_blocks(s), inputs
+        )
+
+    def test_optimized_map_has_no_runs(self):
+        s = optimize_scheme(300)
+        inputs = [tensor(ObjectState(1, 0), s.xi), tensor(ObjectState(0, 1), s.xi)]
+        assert interaction_blocks(s)._representatives() is None
+        assert _every_call(interaction_blocks(s), inputs) == _per_block(
+            lambda: interaction_blocks(s), inputs
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_runs_across_slices(self, seed):
+        # runs of 1..3 or 1..400 equal blocks over about 900 labels, some across the 256-block
+        # slices; widths 0..d + 1 (d + 1: a repeated column, rank deficient), some stretched
+        rng = np.random.default_rng(seed)
+        d, blocks, label = int(rng.integers(2, 5)), {}, -450
+        while label < 450:
+            kind = ["isometry", "repeated", "stretched"][int(rng.integers(3))]
+            c = int(rng.integers(0, d + 2))
+            block = _block(rng, d, c, kind) if c <= d else (np.ones((d, c)), np.ones((d, c)))
+            length = int(rng.integers(1, (4, 400)[seed % 2]))
+            blocks.update(dict.fromkeys(range(label, label + length), block))
+            label += length
+        if seed >= 2:  # an isometric map, so that completed runs too
+            blocks = {n: b if np.allclose(b[0].conj().T @ b[0], b[1].conj().T @ b[1]) else
+                      _block(rng, d, 0, "isometry") for n, b in blocks.items()}
+        inputs = [_input(rng, blocks, d, None) for _ in range(3)]
+        assert _run_count(BlockMap(d, blocks)) < len(blocks)
+        for family in inputs, inputs + [_input(rng, blocks, d, "perp")]:
+            assert _every_call(BlockMap(d, blocks), family) == _per_block(
+                lambda: BlockMap(d, blocks), family
+            )
+
+    @pytest.mark.parametrize("other", [-0.0, _float(0x7FF8000000000001)], ids=["zero", "nan"])
+    def test_blocks_differing_in_a_zero_sign_or_nan_payload_do_not_merge(self, other):
+        eye = np.eye(2)
+        same = eye.copy()
+        same[0, 1] = np.nan if other != other else 0.0
+        changed = eye.copy()
+        changed[0, 1] = other
+        # pairs of equal blocks: 300 runs of two, whose neighbours differ in one entry's bits
+        blocks = {n: (same, eye) if n // 2 % 2 else (changed, eye) for n in range(600)}
+        m = BlockMap(2, blocks)
+        assert _run_count(m) == 300
+        inputs = [_vec({0: [1.0, 0.0], 3: [0.0, 2.0]})]
+        assert _every_call(BlockMap(2, blocks), inputs) == _per_block(
+            lambda: BlockMap(2, blocks), inputs
+        )
+
+    def test_a_repeated_nan_block_is_refused_by_its_first_label(self):
+        e0, nan = np.array([[1.0], [0.0]]), np.array([[np.nan], [0.0]])
+        blocks = {n: (nan if 300 <= n < 700 else e0, e0) for n in range(900)}
+        m = BlockMap(2, blocks)
+        assert _run_count(m) == 3
+        with pytest.raises(ValueError, match="^block 300: domain is not finite$"):
+            m.apply(_vec({0: _ON}))
+        inputs = [_vec({0: _ON}), _vec({800: _ON})]
+        assert _every_call(BlockMap(2, blocks), inputs) == _per_block(
+            lambda: BlockMap(2, blocks), inputs
+        )
+
+
 def _completed_pin(widths):
     """Bytes of ``completed()`` blocks of a seeded isometry with ``widths`` columns per block.
 
