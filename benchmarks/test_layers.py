@@ -46,8 +46,12 @@ the joint object+apparatus vectors of the canonical scheme at n = 10^4
 (40 004 entries, summed in chunks).
 ``ApproxScheme.from_json`` reads the texts ``to_json`` writes, compact and
 at ``indent=2`` (the file ``waylab build`` writes), at n = 10^3 and
-3 * 10^3, and a scheme of the canonical shape at n = 10^3 whose every
-amplitude is a different value, so no number text repeats.
+3 * 10^3, a scheme of the canonical shape at n = 10^3 whose every
+amplitude is a different value, so no row repeats, and the optimized
+scheme at n = 10^3, whose rows repeat only apart; and the ``indent=2``
+canonical file at n = 10^5 (three rounds), which ``waylab validate`` reads.
+``benchmarks/compare.py`` times named cases of this file against another
+tree, in interleaved rounds.
 The constructors that read labels from outside are timed on sector maps
 of 10^3 and 10^4 sectors (``GradedVector(d, sectors)``), parsed JSON of
 3 * 10^3 sectors (``GradedVector.from_dict``) and certificate data at
@@ -312,6 +316,21 @@ def test_from_json_distinct_values(benchmark, indent):
     s = distinct_scheme(10**3)
     text = s.to_json(indent=indent)
     assert benchmark(ApproxScheme.from_json, text) == s
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+def test_from_json_optimized(benchmark, indent):
+    # the text `waylab optimize` writes: rows repeat only apart, where the profiles mirror
+    s = optimize_scheme(10**3)
+    text = s.to_json(indent=indent)
+    assert benchmark(ApproxScheme.from_json, text) == s
+
+
+def test_from_json_build_file_large(benchmark):
+    # the file `waylab build --n 100000` writes, which `validate` and `sample` read
+    s = build_canonical_scheme(10**5)
+    text = s.to_json(indent=2)
+    assert benchmark.pedantic(ApproxScheme.from_json, (text,), rounds=3) == s
 
 
 @pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)

@@ -63,8 +63,12 @@ class Observable:
     def __init__(self, eigenvalues, eigenspaces, tol=_ORTHONORMAL_TOL):
         eigenvalues = tuple(_number_array(list(eigenvalues)).tolist())
         spaces = []
-        for fam in eigenspaces:
+        for k, fam in enumerate(eigenspaces):
             arr = _number_array(fam, complex)
+            if arr.ndim not in (1, 2) or spaces and len(arr) != len(spaces[0]):
+                what = "not (dim, multiplicity)" if arr.ndim not in (1, 2) else (
+                    f"but family 0 has dimension {len(spaces[0])}")
+                raise ValueError(f"eigenvector family {k} has shape {arr.shape}, {what}")
             if arr.ndim == 1:
                 arr = arr[:, None]
             if arr.shape[1] == 0:

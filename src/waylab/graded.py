@@ -24,7 +24,7 @@ Conventions
   filled.  The strict reader behind ``ApproxScheme.from_json``,
   :func:`_read_vectors`, ends in the same tail: it checks each sector
   array against the template ``_json`` writes (:func:`_sector_template`)
-  and parses all its numbers with one ``json.loads`` of a flat array.
+  and parses its numbers with ``json.loads``, a repeated row once.
   ``from_window`` copies and trims a given window; an operation
   that has just built its result window (a sum, a tensor product, a
   block-map image) hands it over to be trimmed without the copy.
@@ -482,29 +482,26 @@ _SCAN = 2**20
 
 @lru_cache(maxsize=32)
 def _sector_layout(d, indent, depth):
-    """Fixed bytes between the numbers of a ``sectors`` array that ``_json`` writes at ``depth``.
+    """Fixed bytes of a ``sectors`` array that ``_json`` writes at ``depth``, cut at each ``:``.
 
-    Returns ``(head, tail, marks, period, last)``: the bytes before the
-    first number and after the last; the ``(separator, mark)`` pairs to
-    replace, longest first; the separators (marked) of one sector, after
-    each of its ``2 d + 1`` numbers; and the last of them, which the final
-    sector does not write.  Indented layouts are given without spaces.
-    A separator that is a comma and whitespace is kept as it is; any other
-    is marked by a comma and tabs and carriage returns, which the layout
-    never holds and JSON reads as whitespace.  A mark is as long as its
-    separator, so it is replaced in place, and the count of its carriage
-    returns tells marks of one length apart.
+    Cut there, the array is a head, label and row texts in turn, and a
+    tail: a label between the rest of ``"nu":`` and ``"amp"``, the ``2 d``
+    numbers of a sector between the rest of ``"amp":`` and the next
+    ``"nu"``.  Returns ``(head, tail, close, label, row)``: the bytes before
+    the first ``:`` and after the last number; those after a row's numbers
+    when a sector follows, as written; and the units (see :func:`_numbers`)
+    of a label and of a row, without spaces if indented.
     """
     row = _sector_template(d, indent, depth)
     pieces = [p.encode() for p in _json_array([row, row], indent, depth + 1).split("%s")]
-    if indent is not None:
-        pieces = [p.replace(b" ", b"") for p in pieces]
     seps = pieces[1 : 2 * d + 2]
-    marked = {s for s in seps if s[1:].strip(b" \n") or s[:1] != b","}
-    marked = sorted(marked, key=lambda s: (-len(s), s))
-    marks = {s: b"," + b"\r" * i + b"\t" * (len(s) - 1 - i) for i, s in enumerate(marked)}
-    period = [marks.get(s, s) for s in seps]
-    return pieces[0], pieces[-1], tuple(marks.items()), b"".join(period), period[-1]
+    (after_label, before_row), (close, before_label) = (s.split(b":") for s in seps[:: 2 * d])
+    label = [before_label, b"", after_label, None]
+    row = [before_row, b"".join(seps[1:-1]), close, seps[2] if d > 1 else None]
+    if indent is not None:
+        label, row = ([p and p.replace(b" ", b"") for p in ps] for ps in (label, row))
+    units = [(lead, lead + inner + trail, trail, pair) for lead, inner, trail, pair in (label, row)]
+    return pieces[0].split(b":")[0], pieces[-1], close, *units
 
 
 def _spaces_follow_indents(piece):
@@ -521,31 +518,87 @@ def _spaces_follow_indents(piece):
     return True
 
 
-def _sector_numbers(piece, d, indent, depth):
-    """``(k, numbers)`` for the bytes of a ``sectors`` array in the layout of ``_json``.
+def _numbers(texts, units, width, indent):
+    """The numbers of ``texts`` joined by ``:``, each laid out as the next of ``units`` in turn.
 
-    ``numbers`` is the array's ``k (2 d + 1)`` number texts in order, with
-    a comma and JSON whitespace between them, for ``json.loads`` to read
-    in one call.  ``None`` unless ``piece`` is exactly that layout, but for
-    the whitespace around a number of an indented one.
+    A unit is ``(lead, skeleton, trail, pair)``: the fixed bytes before its
+    first slot, all of them, those after its last slot, and the separator
+    of two pairs of a row (``None`` for a label).  Returns the ``width``
+    numbers of each turn in order; ``None`` unless the text is that layout
+    with number bytes in each slot: with them deleted it must repeat the
+    skeletons, and each fixed run between slots (searched for without its
+    last spaces and newlines, over which a search crawls) becomes a comma
+    and spaces, so one ``json.loads`` sees any fixed byte out of place and
+    applies the JSON number grammar.  An indented text is read without its
+    spaces, each of which must follow a newline, a colon or a space.
     """
-    if piece == b"[]":
-        return 0, b""
-    if 4 * d * (1 + len(indent or "")) > len(piece):
-        return None  # shorter than one sector's 2d numbers and their separators
-    if indent is not None:
-        if not _spaces_follow_indents(piece):
-            return None  # a space inside a key or a number, or after one
-        piece = piece.translate(None, b" ")
-    head, tail, marks, period, last = _sector_layout(d, indent, depth)
-    if not (piece.startswith(head) and piece.endswith(tail)):
+    text = b":".join(texts)
+    if indent is not None and _spaces_follow_indents(text):
+        text = text.translate(None, b" ")  # or the spaces stay, which no skeleton holds
+    if not (text.startswith(units[0][0]) and text.endswith(units[-1][2])):
         return None
-    body = piece[len(head) : len(piece) - len(tail)]
-    for sep, mark in marks:
-        body = body.replace(sep, mark)
-    skeleton = body.translate(None, _NUMBER_BYTES) + last
-    k = len(skeleton) // len(period)
-    return (k, body) if skeleton == period * k else None
+    period = b"".join(unit[1] + b":" for unit in units)
+    skeleton = text.translate(None, _NUMBER_BYTES) + b":"
+    count = len(skeleton) // len(period)
+    if skeleton != period * count:
+        return None
+    seps = [unit[2] + b":" + after[0] for unit, after in zip(units, units[1:] + units[:1])]
+    for sep in (sep.rstrip(b" \n") for sep in seps + [unit[3] for unit in units if unit[3]]):
+        text = text.replace(sep, b"," + b" " * (len(sep) - 1))
+    body = memoryview(text)[len(units[0][0]) : len(text) - len(units[-1][2])]
+    try:
+        numbers = json.loads(b"".join((b"[", body, b"]")))
+    except ValueError:
+        return None
+    return numbers if len(numbers) == count * width else None
+
+
+def _sector_rows(raw, a, b, d, indent, depth):
+    """``(labels, amps)`` of ``raw[a:b]``, a ``sectors`` array in the layout of ``_json``.
+
+    ``labels`` is a list of ``k`` labels and ``amps`` a ``(k, d, 2)`` array,
+    or ``None`` (see :func:`_numbers`).  If the first row's numbers occur
+    again, one ``split`` at the colons gives the label and row texts (see
+    :func:`_sector_layout`); the labels and the distinct rows
+    (``dict.fromkeys``) are parsed apart, each repeated row once (equal
+    texts give equal bits), and gathered back by index.  Otherwise, as a
+    row seldom repeats, the array is parsed whole.
+    """
+    if b - a == 2 and raw.startswith(b"[]", a):
+        return [], np.zeros((0, d, 2))
+    if 4 * d * (1 + len(indent or "")) > b - a:
+        return None  # shorter than one sector's 2d numbers and their separators
+    head, tail, close, label, row = _sector_layout(d, indent, depth)
+    start = raw.find(b":", raw.find(b":", a, b) + 1, b) + 1  # the first row's numbers
+    stop = raw.find(b":", start, b) - len(close)
+    index = ()
+    if a < start < stop and raw.find(raw[start:stop], stop, b) > 0:
+        parts = raw[a:b].split(b":")  # the slice is freed at once
+        rows, k = parts[2::2], len(parts) // 2
+        if len(parts) != 2 * k + 1 or parts[0] != head or not rows[-1].endswith(tail):
+            return None
+        rows[-1] = rows[-1][: len(rows[-1]) - len(tail)] + close
+        index = dict.fromkeys(rows)
+        labels = _numbers(parts[1::2], [label], 1, indent)
+        amps = _numbers(index, [row], 2 * d, indent)
+    elif raw.startswith(head + b":", a) and raw.endswith(tail, a, b):
+        body = raw[a + len(head) + 1 : b - len(tail)] + close
+        amps = labels = _numbers([body], [label, row], 2 * d + 1, indent)
+        if amps is not None:
+            labels = amps[:: 2 * d + 1]
+            del amps[:: 2 * d + 1]
+    else:
+        return None
+    if labels is None or amps is None:
+        return None
+    try:
+        amps = _number_array(amps).reshape(-1, d, 2)
+    except (ValueError, OverflowError):
+        return None
+    if 0 < len(index) < len(labels):
+        index = dict(zip(index, range(len(index))))
+        amps = amps[np.fromiter(map(index.__getitem__, rows), np.intp, len(labels))]
+    return labels, amps
 
 
 def _read_vectors(text, names):
@@ -562,19 +615,17 @@ def _read_vectors(text, names):
 
     The header is parsed by ``json.loads`` with the arrays cut out and
     must be what ``json.dumps`` writes for it.  Each array must be its
-    layout's fixed bytes with a run of number bytes in each slot (see
-    :func:`_sector_numbers`); all the numbers are then parsed by one
-    ``json.loads`` of a flat array, so json's own scanner applies the JSON
-    number grammar and float rounding.  Labels and rows go through
-    ``_integers``, ``_number_array`` and ``_fill`` as in ``from_dict``.
+    layout's fixed bytes with a run of number bytes in each slot, parsed
+    (see :func:`_sector_rows`) by json's own scanner, which applies the
+    JSON number grammar and float rounding; a row that many sectors repeat
+    is parsed once.  Labels and rows go through ``_integers``,
+    ``_number_array`` and ``_fill`` as in ``from_dict``.
     """
     if not isinstance(text, str):
         return None
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError:
-        return None
-    if b"\t" in raw or b"\r" in raw:  # the bytes of the marks
         return None
     if raw.startswith(b'{"'):
         indent, nl = None, ""
@@ -586,9 +637,10 @@ def _read_vectors(text, names):
     else:
         return None
     # each array runs from its key to the close of its vector and the next key,
-    # the last one to the closes of its vector and of the object
+    # the last one to the closes of its vector and of the object; a key is
+    # searched for without its closing space, as a search for a space is slow
     close = f"{nl}}}"
-    ends = [f'{close},{nl or " "}"{name}": '.encode() for name in names[1:]]
+    ends = [f'{close},{nl or " "}"{name}":'.encode() for name in names[1:]]
     end = len(raw)
     while raw.endswith((b" ", b"\n"), 0, end):
         end -= 1
@@ -596,7 +648,7 @@ def _read_vectors(text, names):
     for after in ends + [None]:
         a = raw.find(b'"sectors": ', pos) + 11
         b = raw.find(after, a) if after else end - len(close) - len(nl and "\n") - 1
-        if a < 11 or b < a:
+        if a < 11 or b < a or after and not raw.startswith(b" ", b + len(after)):
             return None
         cuts.append((a, b))
         pos = b
@@ -608,7 +660,7 @@ def _read_vectors(text, names):
         return None
     if type(header) is not dict or json.dumps(header, indent=indent).encode() != outline:
         return None
-    shapes, texts = [], []
+    vectors = {}
     for name, (a, b) in zip(names, cuts):
         member = header.get(name)
         if type(member) is not dict or list(member) != ["d", "sectors"] or member["sectors"]:
@@ -616,31 +668,12 @@ def _read_vectors(text, names):
         d = member["d"]
         if type(d) is not int or d < 1:
             return None
-        found = _sector_numbers(raw[a:b], d, indent, 1)
+        found = _sector_rows(raw, a, b, d, indent, 1)
         if found is None:
             return None
-        shapes.append((name, d, found[0]))
-        if found[0]:
-            texts.append(found[1])
-    numbers = b",".join(texts)
-    del raw, texts  # the numbers are all that is left to read
-    try:
-        values = json.loads(b"[" + numbers + b"]")
-    except ValueError:
-        return None
-    if len(values) != sum(k * (2 * d + 1) for _, d, k in shapes):
-        return None
-    vectors, pos = {}, 0
-    for name, d, k in shapes:
-        width = 2 * d + 1
-        chunk = values[pos : pos + k * width]
-        pos += k * width
-        labels = chunk[::width]
-        del chunk[::width]
         try:
-            labels = _integers(labels, "sector label 'nu'")
-            amps = _number_array(chunk).reshape(k, d, 2)
-            vectors[name] = GradedVector._from_pairs(d, labels, amps)
+            labels = _integers(found[0], "sector label 'nu'")
+            vectors[name] = GradedVector._from_pairs(d, labels, found[1])
         except (ValueError, OverflowError):
             return None
     return header, vectors

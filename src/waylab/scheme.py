@@ -117,8 +117,10 @@ class ApproxScheme:
         spaces and followed by optional spaces and newlines, is read
         without building its object tree: ``n``, ``d``, ``c``, ``cprime``
         and each vector's ``d`` are parsed by ``json.loads`` with the
-        sector arrays cut out, and all sector numbers by one more
-        ``json.loads`` of a flat array (see ``graded._read_vectors``).
+        sector arrays cut out, and each vector's sector numbers by one
+        ``json.loads``, or, if its first row recurs, its labels by one and
+        its distinct rows by another (see ``graded._read_vectors``): a row
+        repeated in many sectors, as in the canonical scheme, parses once.
         Every other text, ``bytes``, and any text that reads as a malformed
         scheme go to ``from_dict(json.loads(text))``, the one general
         parser and the source of every error message, so both ways give

@@ -86,6 +86,17 @@ class TestBornDistribution:
         with pytest.raises(ValueError, match="normalized"):
             born_distribution(three_level, [value, 0.0, 0.0])
 
+    def test_rejects_families_of_different_dimension(self):
+        message = "eigenvector family 1 has shape (2,), but family 0 has dimension 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observable([1, 2], [np.eye(3)[:, 0], np.eye(2)[:, 1]])
+
+    @pytest.mark.parametrize("family, shape", [(np.zeros((2, 1, 1)), "(2, 1, 1)"), (1.0, "()")])
+    def test_rejects_a_family_that_is_not_a_matrix(self, family, shape):
+        message = f"eigenvector family 1 has shape {shape}, not (dim, multiplicity)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Observable([1, 2], [basis(2, 0), family])
+
     def test_rejects_non_orthonormal_families(self):
         v = basis(2, 0)
         with pytest.raises(ValueError, match="orthonormal"):

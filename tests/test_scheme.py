@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import loop_interaction_blocks
 from waylab import graded, scheme
+from waylab.optimize import optimize_scheme
 from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
 from waylab.scheme import (
     ApproxScheme,
@@ -367,15 +368,24 @@ _FINITE_FLOATS = st.one_of(
 
 @st.composite
 def json_schemes(draw, finite=False):
-    """Schemes of any sector dimension, with empty vectors and non-finite amplitudes unless ``finite``."""
+    """Schemes of any sector dimension, with empty vectors and non-finite amplitudes unless ``finite``.
+
+    Each vector's rows are drawn from a pool of at most three rows, one of
+    which may be another row with the sign of each zero flipped, so rows
+    repeat next to each other and apart, ``0.0``/``-0.0`` twins sit side by
+    side, and a row holding NaN can repeat.
+    """
     d = draw(st.integers(1, 4))
     floats = _FINITE_FLOATS if finite else _JSON_FLOATS
 
     def vector():
         lo = draw(st.integers(-50, 50) | st.integers(-(2**40), 2**40))
         k = draw(st.integers(0, 4))
-        values = draw(st.lists(floats, min_size=2 * k * d, max_size=2 * k * d))
-        amps = np.array(values, dtype=np.float64).reshape(k, 2 * d).view(np.complex128)
+        pool = draw(st.lists(st.lists(floats, min_size=2 * d, max_size=2 * d), min_size=1, max_size=3))
+        if draw(st.booleans()):  # the twin of the first row: every zero with its sign flipped
+            pool.append([-x if x == 0 else x for x in pool[0]])
+        rows = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        amps = np.array(rows, dtype=np.float64).reshape(k, 2 * d).view(np.complex128)
         return GradedVector.from_window(lo, amps)
 
     return ApproxScheme(
@@ -409,11 +419,27 @@ _NUMBER_EDITS = ["01", "1.", "+1", ".5", "1e", "-0", "NaN", "1", "-7", "1E+2", "
 _NUMBER = re.compile(r"-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
+def _respelled(number):
+    """Another JSON spelling of a number text: an integer as a float, a float without its point.
+
+    ``1`` becomes ``1.0``, and ``-0.25`` becomes ``-25e-2``: the digits
+    without the point and leading zeros, the exponent moved to match, so
+    the value is the same decimal and parses to the same bits.
+    """
+    mantissa, _, exponent = number.lower().partition("e")
+    if "." not in mantissa and not exponent:
+        return number + ".0"
+    sign = "-" if mantissa.startswith("-") else ""
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = (whole + fraction).lstrip("0") or "0"
+    return f"{sign}{digits}e{int(exponent or 0) - len(fraction)}"
+
+
 @st.composite
 def mutated_texts(draw, text, indent):
     """``text`` (a scheme's ``to_json(indent)``) as written, or with one edit."""
     kind = draw(st.sampled_from(
-        ["none", "delete", "duplicate", "swap", "reorder", "space", "number", "newline"]
+        ["none", "delete", "duplicate", "swap", "reorder", "space", "number", "respell", "newline"]
     ))
     if kind == "delete":
         i = draw(st.integers(0, len(text) - 1))
@@ -427,6 +453,12 @@ def mutated_texts(draw, text, indent):
             return text
         m = draw(st.sampled_from(spots))
         return text[: m.start()] + draw(st.sampled_from(_NUMBER_EDITS)) + text[m.end() :]
+    if kind == "respell":  # one number in another spelling of the same value
+        spots = [m for m in _NUMBER.finditer(text) if m.group()[-1].isdigit()]
+        if not spots:
+            return text
+        m = draw(st.sampled_from(spots))
+        return text[: m.start()] + _respelled(m.group()) + text[m.end() :]
     if kind == "newline":
         return text + "\n"
     if kind == "swap":  # every occurrence of two keys, traded
@@ -461,6 +493,24 @@ def _assert_same_reading(text):
         assert str(got.value) == str(exc)
     else:
         assert _bits(ApproxScheme.from_json(text)) == _bits(expected)
+
+
+def _assert_read_strictly(s, indent):
+    """``s`` written at ``indent``, with or without a final newline, reads strictly as ``s``."""
+    for text in (s.to_json(indent=indent), s.to_json(indent=indent) + "\n"):
+        fields = scheme._strict_fields(text)
+        assert fields is not None
+        assert _bits(ApproxScheme(**fields)) == _bits(s)
+        assert _bits(ApproxScheme.from_json(text)) == _bits(s)
+
+
+def _alternating_scheme(n):
+    """The canonical scheme's supports and weights, each vector's rows alternating between two."""
+    s = build_canonical_scheme(n)
+    rows = np.array([[0.5, -0.25j], [-0.0, 0.75 + 0.5j]])[np.arange(n + 1) % 2]
+    vectors = {k: GradedVector.from_window(getattr(s, k)._lo, rows[: len(getattr(s, k)._amps)])
+               for k in scheme._VECTORS}
+    return ApproxScheme(n=n, d=2, c=s.c, cprime=s.cprime, **vectors)
 
 
 def _bits(s):
@@ -547,6 +597,25 @@ class TestJson:
             (2, '        "nu": 1,', '        "nu": 1 ,'),
             (2, "            0.7071067811865476,", "           0.7071067811865476 ,"),
             (2, "            0.7071067811865476,", "\t           0.7071067811865476,"),
+            # a separator between two pairs of a row inside a label slot
+            (None, '"nu": 1, ', '"nu": 1], [, '),
+            (2, '"nu": 1,', '"nu": 1\n          ],\n          [,'),
+            # one copy of a repeated row with a number added, and with one removed
+            (None, "[[0.7071067811865476, 0.0], ", "[[0.7071067811865476, 0.0, 0.0], "),
+            (None, "[[0.7071067811865476, 0.0], ", "[[0.7071067811865476], "),
+            (2, "0.7071067811865476,\n            0.0\n",
+             "0.7071067811865476,\n            0.0,\n            0.0\n"),
+            (2, "0.7071067811865476,\n            0.0\n", "0.7071067811865476\n"),
+            # numbers out of place: one moved between the pairs of a row, one across the
+            # bracket of a pair, one from a row into a label slot, two labels in one slot
+            (None, "0.0], [0.0, ", "0.0, 0.0], ["),
+            (None, "], [0.0, 0.0]]}", "], 0.0[, 0.0]]}"),
+            (None, '"nu": 1, "amp": [[0.7071067811865476, ', '"nu": 1, 0.7071067811865476, "amp": [['),
+            (None, '"nu": 1, ', '"nu": 1, 2, '),
+            (2, '"nu": 1,', '"nu": 1,\n        2,'),
+            (2, "0.0\n          ],\n          [\n            0.0,",
+             "0.0,\n            0.0\n          ],\n          ["),
+            (2, "],\n          [\n            0.0,", "],\n          0.0[\n            ,"),
         ],
     )
     def test_edits_that_keep_the_skeleton(self, indent, old, new):
@@ -554,15 +623,60 @@ class TestJson:
         assert old in text
         _assert_same_reading(text.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "indent, old, new",
+        [
+            # a key of an array's head, and the last close of its tail
+            (None, '"sectors": [{"nu": ', '"sectors": [{"n1": '),
+            (None, ']]}]}, "sigma"', ']]}5}, "sigma"'),
+            (2, '[\n      {\n        "nu": ', '[\n      {\n        "n1": '),
+            (2, '      }\n    ]\n  },\n  "sigma"', '      }\n    5\n  },\n  "sigma"'),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edits_of_head_and_tail(self, n, indent, old, new):
+        # at n = 1 each array is parsed whole, at n = 2 by distinct rows
+        text = build_canonical_scheme(n).to_json(indent=indent)
+        assert old in text
+        _assert_same_reading(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("vector", [0, 1, 2])
+    def test_empty_label_of_a_one_sector_vector(self, vector, indent):
+        # the label of a one-sector vector deleted: with no other label in its array, only
+        # the count of numbers, or the separator after the slot, tells that one is missing
+        text = build_canonical_scheme(1).to_json(indent=indent)
+        at = [m.end() for m in re.finditer('"nu": ', text)][vector]
+        assert text[at : at + 2] in ("1,", "1\n")
+        with pytest.raises(ValueError):
+            json.loads(text[:at] + text[at + 1 :])
+        _assert_same_reading(text[:at] + text[at + 1 :])
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_each_text_is_checked_on_its_own(self, indent):
+        # an empty label as the only text and a number ahead of a row's first bracket: the
+        # array reader hands neither over alone, but each text must still be refused
+        label, row = graded._sector_layout(2, indent and " " * indent, 1)[3:]
+        text = build_canonical_scheme(2).to_json(indent=indent)
+        nu = text.split('"nu":')[1].split('"amp"')[0].encode() + b'"amp"'
+        amp = text.split('"amp":')[1].split('"nu"')[0].encode() + b'"nu"'
+        assert len(graded._numbers([nu], [label], 1, indent)) == 1
+        assert graded._numbers([nu.translate(None, b"0123456789")], [label], 1, indent) is None
+        assert len(graded._numbers([amp], [row], 4, indent)) == 4
+        assert graded._numbers([amp[:1] + b"5" + amp[1:]], [row], 4, indent) is None
+
     @pytest.mark.parametrize("n", [1, 2, 7, 1000])
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
     def test_written_layouts_are_read_strictly(self, n, indent):
-        s = build_canonical_scheme(n)
-        for text in (s.to_json(indent=indent), s.to_json(indent=indent) + "\n"):
-            fields = scheme._strict_fields(text)
-            assert fields is not None
-            assert _bits(ApproxScheme(**fields)) == _bits(s)
-            assert _bits(ApproxScheme.from_json(text)) == _bits(s)
+        _assert_read_strictly(build_canonical_scheme(n), indent)
+
+    @pytest.mark.parametrize("n", [2, 7, 1000])
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("make", [optimize_scheme, _alternating_scheme])
+    def test_rows_apart_and_distinct_are_read_strictly(self, make, n, indent):
+        # the optimized scheme repeats rows only apart (its profiles are symmetric) and
+        # the alternating one only apart; neither may fall back to json.loads
+        _assert_read_strictly(make(n), indent)
 
     @pytest.mark.parametrize(
         "edit, match",
