@@ -13,10 +13,16 @@ interpreter with only its ``src/`` on ``PYTHONPATH`` and
 ``PYTHONDONTWRITEBYTECODE=1``, so neither reads the other's bytecode.
 Rounds interleave the two sides and alternate which runs first, since
 timings of one call in one process move by more than the differences worth
-resolving.  Each round prints the minimum of every case on each side and
-their ratio; the summary gives, per case, the median over rounds of each
-side's minimum, the median ratio (``change / parent``, below 1 is faster)
-and how many rounds the change won.
+resolving.  Calls are timed in process CPU time (pytest-benchmark's
+``--benchmark-timer=time.process_time``), not wall time: the load of other
+processes on a shared machine moves it less, though it still slows a
+process through shared caches and memory bandwidth.  Each round prints the
+minimum of every case on each side and their ratio; the summary gives, per
+case, the median over rounds of each side's minimum, the median ratio
+(``change / parent``, below 1 is faster), the parent's quartile spread
+(the distance between the quartiles of its per-round minima as a percent
+of their median, ``n/a`` for one round), which a ratio must clear to
+count, and how many rounds the change won.
 """
 
 import argparse
@@ -60,7 +66,7 @@ def run_side(tree, cases, tmp):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [
         sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-        f"--rootdir={ROOT}", f"--benchmark-json={out}",
+        f"--rootdir={ROOT}", f"--benchmark-json={out}", "--benchmark-timer=time.process_time",
         *(f"{LAYERS}::{case}" for case in cases),
     ]
     done = subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True)
@@ -92,13 +98,22 @@ def main(argv=None):
                 p, c = runs[case]["parent"][-1], runs[case]["change"][-1]
                 print(f"round {r + 1} ({order[0]} first) {case}: parent {p * 1e3:.3f} ms, "
                       f"change {c * 1e3:.3f} ms, ratio {c / p:.3f}", flush=True)
-    print("summary (median over rounds of each round's minimum):")
+    print("summary (median over rounds of each round's minimum, process CPU time):")
     for case, times in runs.items():
         ratios = [c / p for p, c in zip(times["parent"], times["change"])]
         won = sum(c < p for p, c in zip(times["parent"], times["change"]))
         print(f"  {case}: parent {statistics.median(times['parent']) * 1e3:.3f} ms, "
               f"change {statistics.median(times['change']) * 1e3:.3f} ms, "
-              f"median ratio {statistics.median(ratios):.3f}, change won {won}/{args.rounds}")
+              f"median ratio {statistics.median(ratios):.3f}, "
+              f"parent spread {spread(times['parent'])}, change won {won}/{args.rounds}")
+
+
+def spread(values):
+    """Distance between the quartiles of ``values`` as a percent of their median."""
+    if len(values) < 2:
+        return "n/a"
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return f"{(q3 - q1) / median * 100:.1f} %"
 
 
 if __name__ == "__main__":

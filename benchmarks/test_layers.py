@@ -44,12 +44,13 @@ timed at n = 10^2 and 10^4, and one ``sweep([4])`` row on its own.
 input of the three-sector isometry (12 entries, one ``np.vdot``) and on
 the joint object+apparatus vectors of the canonical scheme at n = 10^4
 (40 004 entries, summed in chunks).
-``ApproxScheme.from_json`` reads the texts ``to_json`` writes, compact and
-at ``indent=2`` (the file ``waylab build`` writes), at n = 10^3 and
-3 * 10^3, a scheme of the canonical shape at n = 10^3 whose every
-amplitude is a different value, so no row repeats, and the optimized
-scheme at n = 10^3, whose rows repeat only apart; and the ``indent=2``
-canonical file at n = 10^5 (three rounds), which ``waylab validate`` reads.
+``ApproxScheme.to_json`` writes, and ``ApproxScheme.from_json`` reads, the
+canonical texts compact and at ``indent=2`` (the file ``waylab build``
+writes) at n = 10^3 to 10^4, a scheme of the canonical shape at n = 10^3
+whose every amplitude is a different value, so no row repeats, and the
+optimized scheme at n = 10^3, whose rows repeat only apart; and the
+``indent=2`` canonical file at n = 10^5 (three rounds), which
+``waylab build`` writes and ``waylab validate`` reads.
 ``benchmarks/compare.py`` times named cases of this file against another
 tree, in interleaved rounds.
 The constructors that read labels from outside are timed on sector maps
@@ -270,7 +271,7 @@ def test_orthogonality_transfer_check(benchmark, n):
     np.testing.assert_allclose(post, pre, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", sorted(SIZES + [3 * 10**3]))
 def test_to_json(benchmark, n):
     s = scheme_case(n)[0]
     benchmark(s.to_json)
@@ -309,6 +310,25 @@ def test_from_json_text(benchmark, n, indent):
     s = build_canonical_scheme(n)
     text = s.to_json(indent=indent)
     assert benchmark(ApproxScheme.from_json, text) == s
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+def test_to_json_distinct_values(benchmark, indent):
+    # no two neighbouring rows are equal: one %-template fill per array
+    s = distinct_scheme(10**3)
+    benchmark(s.to_json, indent=indent)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+def test_to_json_optimized(benchmark, indent):
+    s = optimize_scheme(10**3)
+    benchmark(s.to_json, indent=indent)
+
+
+def test_to_json_build_file_large(benchmark):
+    # the text `waylab build --n 100000` writes
+    s = build_canonical_scheme(10**5)
+    benchmark.pedantic(s.to_json, kwargs={"indent": 2}, rounds=3)
 
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])

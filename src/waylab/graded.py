@@ -21,10 +21,16 @@ Conventions
 * ``__init__`` (a sector map) and ``from_dict`` (parsed JSON) read labels
   and rows into two arrays and share one tail, ``_fill``: the last row of
   a repeated label wins, exact-zero rows are dropped, and one window is
-  filled.  The strict reader behind ``ApproxScheme.from_json``,
+  filled; labels already in strictly increasing order, as written, are
+  not sorted.  The strict reader behind ``ApproxScheme.from_json``,
   :func:`_read_vectors`, ends in the same tail: it checks each sector
-  array against the template ``_json`` writes (:func:`_sector_template`)
+  array against the template ``_json`` writes (:func:`_sector_parts`)
   and parses its numbers with ``json.loads``, a repeated row once.
+  ``_json`` returns its text as pieces, which ``to_json`` joins once,
+  and formats the row of each run of neighbouring sectors equal in bits
+  once, written after each label of the run; an array whose runs hold
+  fewer than two rows on average is filled into one %-template, as it
+  has little to share.
   ``from_window`` copies and trims a given window; an operation
   that has just built its result window (a sum, a tensor product, a
   block-map image) hands it over to be trimmed without the copy.
@@ -286,15 +292,24 @@ class GradedVector:
         self._fill(d, labels, rows)
 
     def _fill(self, d, labels, amps):
-        """Keep ``d`` and the rows ``amps`` of sectors ``labels`` (int64): last row per label."""
-        order = np.argsort(labels, kind="stable")  # repeated labels keep their input order
-        labels, amps = labels[order], amps[order]
+        """Keep ``d`` and the rows ``amps`` of sectors ``labels`` (int64): last row per label.
+
+        Labels in strictly increasing order, as ``to_json`` writes them, are
+        neither sorted nor gathered; rows are copied only into the window.
+        """
         keep = _nonzero_rows(amps)
-        keep[:-1] &= labels[1:] != labels[:-1]
-        labels, amps = labels[keep], amps[keep]
+        if (labels[1:] <= labels[:-1]).any():
+            order = np.argsort(labels, kind="stable")  # repeated labels keep their input order
+            labels, amps, keep = labels[order], amps[order], keep[order]
+            keep[:-1] &= labels[1:] != labels[:-1]
+        if not keep.all():
+            labels, amps = labels[keep], amps[keep]
         lo, hi = (int(labels[0]), int(labels[-1])) if len(labels) else (0, -1)
         window = _zeros(lo, hi, d)
-        window[labels - lo] = amps
+        if hi - lo + 1 == len(labels):
+            window[:] = amps  # every sector of the span, in order
+        else:
+            window[labels - lo] = amps
         # its first and last rows are nonzero, so the window is already trimmed
         self.d, self._lo, self._amps = d, lo, window
         window.setflags(write=False)
@@ -418,24 +433,22 @@ class GradedVector:
         }
 
     def _json(self, indent, depth):
-        """``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``.
+        """Pieces of ``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``.
 
-        ``indent`` is ``None`` (compact) or the indent string.  One %-template
-        per sector is repeated and filled from flat lists of labels and
-        float texts, so no per-sector container is built.
+        ``indent`` is ``None`` (compact) or the indent string; the caller
+        joins the pieces once.  The rows are compared with their neighbours
+        by ``int64`` bits, so a ``0.0``/``-0.0`` twin or another NaN payload
+        starts a new run.  Where runs hold two rows or more on average, the
+        text after the label of each run's row (its amplitudes, the
+        separator and the next ``"nu":``) is formatted once, and each run
+        is one piece: its labels, each followed by that text.  Otherwise,
+        as in a scheme whose rows all differ, one %-template per sector is
+        repeated and filled from flat lists of labels and float texts, one
+        piece for the whole array.
         """
         rows = np.flatnonzero(_nonzero_rows(self._amps))
-        values = _json_floats(self._amps[rows].view(np.float64).ravel())
-        # '%' in the indent string must not read as a conversion
-        ind = None if indent is None else indent.replace("%", "%%")
-        row = _sector_template(self.d, ind, depth)
-        width = 2 * self.d + 1
-        args = [None] * (len(rows) * width)
-        args[::width] = (rows + self._lo).tolist()
-        for j in range(2 * self.d):
-            args[j + 1 :: width] = values[j :: 2 * self.d]
-        sectors = _json_array([row] * len(rows), ind, depth + 1) % tuple(args)
-        return _json_object([f'"d": {self.d}', '"sectors": ' + sectors], indent, depth)
+        sectors = _sector_array(self.d, rows + self._lo, self._amps[rows], indent, depth + 1)
+        return _json_object([("d", [str(self.d)]), ("sectors", sectors)], indent, depth)
 
     @classmethod
     def from_dict(cls, data):
@@ -462,15 +475,57 @@ class GradedVector:
         return vec
 
 
-def _sector_template(d, ind, depth):
-    """%-template of one sector as :meth:`GradedVector._json` writes it at ``depth``.
+def _sector_parts(d, ind, depth):
+    """%-template of one sector of a vector at ``depth``, cut at its label: ``(before, after)``.
 
-    ``ind`` is ``None`` or the indent string with ``%`` doubled; the label
-    and the ``2 d`` floats are ``%s`` slots, in the order of ``to_dict``.
+    ``ind`` is ``None`` or the indent string with ``%`` doubled; the ``2 d``
+    floats are ``%s`` slots of ``after``, in the order of ``to_dict``.  The
+    cut is made where the label's piece sits, never by searching for a
+    slot, which a doubled indent may spell.
     """
     pair = _json_array(["%s", "%s"], ind, depth + 4)
     amp = _json_array([pair] * d, ind, depth + 3)
-    return _json_object(['"nu": %s', '"amp": ' + amp], ind, depth + 2)
+    pieces = _json_object([("nu", [None]), ("amp", [amp])], ind, depth + 2)
+    cut = pieces.index(None)
+    return "".join(pieces[:cut]), "".join(pieces[cut + 1 :])
+
+
+def _sector_array(d, labels, amps, indent, depth):
+    """Pieces of the ``sectors`` array at ``depth`` of sectors ``labels`` with rows ``amps``.
+
+    See :meth:`GradedVector._json`; ``amps`` is ``(k, d)`` complex.
+    """
+    k = len(labels)
+    if not k:
+        return ["[]"]
+    # '%' in the indent string must not read as a conversion
+    ind = None if indent is None else indent.replace("%", "%%")
+    before, after = _sector_parts(d, ind, depth - 1)
+    bits = amps.view(np.int64)
+    new = np.empty(k, dtype=bool)
+    new[0], new[1:] = True, (bits[1:] != bits[:-1]).any(axis=1)
+    w = 2 * d  # floats per row
+    if 2 * np.count_nonzero(new) > k:  # runs of fewer than two rows on average
+        values = _json_floats(amps.view(np.float64).ravel())
+        args = [None] * (k * (w + 1))
+        args[:: w + 1] = labels.tolist()
+        for j in range(w):
+            args[j + 1 :: w + 1] = values[j::w]
+        return [_json_array([before + "%s" + after] * k, ind, depth) % tuple(args)]
+    values = _json_floats(amps[new].view(np.float64).ravel())
+    texts = [after % tuple(values[j : j + w]) for j in range(0, len(values), w)]
+    brk = "" if indent is None else "\n" + indent * (depth + 1)
+    close = "]" if indent is None else "\n" + indent * depth + "]"
+    before = before % ()  # the indent as it is
+    joint = (", " if indent is None else "," + brk) + before
+    starts = [*np.flatnonzero(new).tolist(), k - 1]  # the last label is written apart
+    labels = labels.tolist()
+    pieces = ["[" + brk + before]
+    for text, a, b in zip(texts, starts, starts[1:]):
+        # a NUL after each label, which no label text holds, becomes its run's text
+        pieces.append(("%d\0" * (b - a) % tuple(labels[a:b])).replace("\0", text + joint))
+    pieces.append(f"{labels[-1]}{texts[-1]}{close}")
+    return pieces
 
 
 #: The bytes a JSON number is spelled with.
@@ -492,7 +547,7 @@ def _sector_layout(d, indent, depth):
     when a sector follows, as written; and the units (see :func:`_numbers`)
     of a label and of a row, without spaces if indented.
     """
-    row = _sector_template(d, indent, depth)
+    row = "%s".join(_sector_parts(d, indent, depth))
     pieces = [p.encode() for p in _json_array([row, row], indent, depth + 1).split("%s")]
     seps = pieces[1 : 2 * d + 2]
     (after_label, before_row), (close, before_label) = (s.split(b":") for s in seps[:: 2 * d])
@@ -561,7 +616,8 @@ def _sector_rows(raw, a, b, d, indent, depth):
     again, one ``split`` at the colons gives the label and row texts (see
     :func:`_sector_layout`); the labels and the distinct rows
     (``dict.fromkeys``) are parsed apart, each repeated row once (equal
-    texts give equal bits), and gathered back by index.  Otherwise, as a
+    texts give equal bits), and gathered back by index, or broadcast if
+    only one row is distinct.  Otherwise, as a
     row seldom repeats, the array is parsed whole.
     """
     if b - a == 2 and raw.startswith(b"[]", a):
@@ -595,7 +651,9 @@ def _sector_rows(raw, a, b, d, indent, depth):
         amps = _number_array(amps).reshape(-1, d, 2)
     except (ValueError, OverflowError):
         return None
-    if 0 < len(index) < len(labels):
+    if len(index) == 1 < len(labels):
+        amps = np.broadcast_to(amps, (len(labels), d, 2))  # read-only: _fill copies it
+    elif 0 < len(index) < len(labels):
         index = dict(zip(index, range(len(index))))
         amps = amps[np.fromiter(map(index.__getitem__, rows), np.intp, len(labels))]
     return labels, amps
@@ -712,8 +770,19 @@ def _json_array(items, indent, depth):
 
 
 def _json_object(members, indent, depth):
-    """JSON object of the ``"key": value`` texts, laid out as ``json.dumps`` does at ``depth``."""
-    return "{" + _json_array(members, indent, depth)[1:-1] + "}"
+    """Pieces of a JSON object laid out as ``json.dumps`` does at ``depth``.
+
+    ``members`` are ``(key, pieces)`` pairs, each value already written as
+    a list of pieces, which are spliced in as they are, not joined.
+    """
+    brk = "" if indent is None else "\n" + indent * (depth + 1)
+    sep = ", " if indent is None else "," + brk
+    pieces = ["{" + brk]
+    for j, (key, value) in enumerate(members):
+        pieces.append(f'{sep if j else ""}"{key}": ')
+        pieces += value
+    pieces.append("}" if indent is None else "\n" + indent * depth + "}")
+    return pieces
 
 
 def _number_array(value, dtype=np.float64):

@@ -171,11 +171,10 @@ class ExactSchemeData:
         return {"n": self.n, **{k: getattr(self, k).tolist() for k in _ROWS}}
 
     def _json(self, indent, depth):
-        """``json.dumps(self.to_dict(), indent=indent)`` as written at nesting ``depth``."""
-        members = [f'"n": {json.dumps(self.n)}']
+        """Pieces of ``json.dumps(self.to_dict(), indent=indent)`` written at nesting ``depth``."""
+        members = [("n", [json.dumps(self.n)])]
         for k in _ROWS:
-            values = _json_array(_json_floats(getattr(self, k)), indent, depth + 1)
-            members.append(f'"{k}": {values}')
+            members.append((k, [_json_array(_json_floats(getattr(self, k)), indent, depth + 1)]))
         return _json_object(members, indent, depth)
 
     @classmethod
@@ -225,12 +224,12 @@ class InfeasibilityCertificate:
         indent = _json_indent(indent)
         witness = _json_array(list(map(json.dumps, self.witness)), indent, 1)
         members = [
-            f'"n": {json.dumps(self.n)}',
-            f'"min_violation": {json.dumps(self.min_violation)}',
-            f'"minimizer": {self.minimizer._json(indent, 1)}',
-            f'"witness": {witness}',
+            ("n", [json.dumps(self.n)]),
+            ("min_violation", [json.dumps(self.min_violation)]),
+            ("minimizer", self.minimizer._json(indent, 1)),
+            ("witness", [witness]),
         ]
-        return _json_object(members, indent, 0)
+        return "".join(_json_object(members, indent, 0))
 
 
 def _unitarity_rows(w, m, delta):

@@ -101,13 +101,16 @@ class ApproxScheme:
         """``json.dumps(self.to_dict(), indent=indent)``, written directly.
 
         ``indent`` follows ``json``: ``None`` is the compact form, an int
-        ``k`` indents by ``k`` spaces and a string is used as is.
+        ``k`` indents by ``k`` spaces and a string is used as is.  Each part
+        writes its text as a list of pieces and the whole text is made by
+        one join, so no enclosing object copies what it holds; a run of
+        neighbouring sectors equal in bits, as in the canonical scheme, has
+        its row formatted once (see ``GradedVector._json``).
         """
         indent = _json_indent(indent)
-        members = [f'"{k}": {json.dumps(getattr(self, k))}' for k in _HEADER]
-        for k in _VECTORS:
-            members.append(f'"{k}": {getattr(self, k)._json(indent, 1)}')
-        return _json_object(members, indent, 0)
+        members = [(k, [json.dumps(getattr(self, k))]) for k in _HEADER]
+        members += [(k, getattr(self, k)._json(indent, 1)) for k in _VECTORS]
+        return "".join(_json_object(members, indent, 0))
 
     @classmethod
     def from_json(cls, text):

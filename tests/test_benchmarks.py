@@ -31,6 +31,9 @@ def test_layer_benchmarks_import():
         "test_three_sector_completed_fresh",
         "test_three_sector_orthogonality_transfer_check",
         "test_three_sector_orthogonality_transfer_check_fresh",
+        "test_to_json_build_file_large",
+        "test_to_json_distinct_values",
+        "test_to_json_optimized",
     ):
         assert callable(getattr(module, case))
 
@@ -47,3 +50,4 @@ def test_compare_runs_a_tree_against_itself():
     lines = done.stdout.splitlines()
     assert lines[0].startswith(f"round 1 (parent first) {case}: parent ")
     assert lines[-1].startswith(f"  {case}: parent ") and "median ratio" in lines[-1]
+    assert "parent spread n/a" in lines[-1]  # one round has no quartiles

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import loop_interaction_blocks
 from waylab import graded, scheme
+from waylab.nogo import infeasibility_certificate
 from waylab.optimize import optimize_scheme
 from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
 from waylab.scheme import (
@@ -504,13 +506,55 @@ def _assert_read_strictly(s, indent):
         assert _bits(ApproxScheme.from_json(text)) == _bits(s)
 
 
-def _alternating_scheme(n):
-    """The canonical scheme's supports and weights, each vector's rows alternating between two."""
+def _alternating_scheme(n, period=1):
+    """The canonical scheme's supports and weights, each vector's rows alternating between two.
+
+    Each row is written ``period`` times before the other.
+    """
     s = build_canonical_scheme(n)
-    rows = np.array([[0.5, -0.25j], [-0.0, 0.75 + 0.5j]])[np.arange(n + 1) % 2]
+    rows = np.array([[0.5, -0.25j], [-0.0, 0.75 + 0.5j]])[np.arange(n + 1) // period % 2]
     vectors = {k: GradedVector.from_window(getattr(s, k)._lo, rows[: len(getattr(s, k)._amps)])
                for k in scheme._VECTORS}
     return ApproxScheme(n=n, d=2, c=s.c, cprime=s.cprime, **vectors)
+
+
+def _zero_flipped(n):
+    """The canonical scheme with the sign of one zero flipped in the middle row of each vector."""
+    s = build_canonical_scheme(n)
+    vectors = {}
+    for k in scheme._VECTORS:
+        v = getattr(s, k)
+        amps = v._amps.copy()
+        row = amps[len(amps) // 2].view(np.float64)
+        row[np.flatnonzero(row == 0)[0]] = -0.0
+        vectors[k] = GradedVector.from_window(v._lo, amps)
+    return dataclasses.replace(s, **vectors)
+
+
+#: Quiet NaNs with different payloads, one of them negative, as ``int64`` bits.
+_NAN_BITS = [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF80000DEADBEEF, -0x0008000000000000]
+
+
+def _nan_runs_scheme():
+    """A scheme whose ``xi`` holds runs of NaN rows, each run with another payload.
+
+    ``sigma`` has one sector, ``tau`` none, and ``rho`` is a run broken
+    only by the payload of one NaN.
+    """
+    nans = np.array(_NAN_BITS, dtype=np.int64).view(np.float64)
+    xi = np.zeros((12, 4))
+    xi[:, 0], xi[:, 3] = np.repeat(nans, 3), 0.5
+    rho = np.full((9, 4), nans[0])
+    rho[4, 1] = nans[1]
+    return ApproxScheme(
+        n=12, d=2, xi=GradedVector.from_window(-3, xi.view(np.complex128)),
+        sigma=GradedVector(2, {7: [0.25, -0.0]}), tau=GradedVector(2),
+        rho=GradedVector.from_window(4, rho.view(np.complex128)), c=0.5, cprime=float("nan"),
+    )
+
+
+#: The indents :class:`TestJson` writes fixed inputs at; the writer must not read ``" %s"`` as a slot.
+_INDENTS = [None, 0, 2, "\t", " %s"]
 
 
 def _bits(s):
@@ -524,6 +568,49 @@ class TestJson:
     @given(json_schemes(), st.sampled_from([None, 0, 2, 4, "\t", " %s"]))
     def test_writer_matches_json_dumps(self, s, indent):
         assert s.to_json(indent=indent) == json.dumps(s.to_dict(), indent=indent)
+
+    @pytest.mark.parametrize("indent", _INDENTS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_canonical_scheme(1000),
+            lambda: _zero_flipped(1000),
+            _nan_runs_scheme,
+            lambda: _alternating_scheme(64),
+            lambda: _alternating_scheme(64, period=2),
+            lambda: build_canonical_scheme(1),
+        ],
+        ids=["canonical", "zero-flipped", "nan-runs", "alternating", "pairs", "one-sector"],
+    )
+    def test_writer_matches_json_dumps_on_runs(self, make, indent):
+        # json_schemes draws at most four rows per vector; these reach long runs, runs
+        # broken by the sign of a zero or a NaN payload, no runs, one sector and none
+        s = make()
+        assert s.to_json(indent=indent) == json.dumps(s.to_dict(), indent=indent)
+
+    def test_runs_are_neighbours_equal_in_bits(self):
+        # a run's row text is written once, after each of its labels; a zero of the other
+        # sign or another NaN payload starts a run, and runs of one row are one template
+        def runs(v):
+            """Runs of ``v``'s rows: a piece each between the array's open and its last label."""
+            pieces = v._json(None, 1)[4:-1]  # the sectors array
+            return None if len(pieces) == 1 else len(pieces) - 2
+
+        assert [runs(getattr(build_canonical_scheme(1000), k)) for k in scheme._VECTORS] == [1] * 4
+        assert [runs(getattr(_zero_flipped(1000), k)) for k in scheme._VECTORS] == [3] * 4
+        nan = _nan_runs_scheme()
+        assert nan.xi._amps.view(np.int64)[::3, 0].tolist() == _NAN_BITS  # payloads kept
+        assert [runs(nan.xi), runs(nan.rho), runs(nan.sigma)] == [4, 3, None]
+        assert runs(_alternating_scheme(64).xi) is None
+        pairs = _alternating_scheme(64, period=2).xi
+        assert runs(pairs) == 32
+        assert runs(GradedVector.from_window(0, pairs._amps[:5])) is None  # runs of 2, 2, 1
+
+    @pytest.mark.parametrize("indent", _INDENTS)
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_certificate_writer_matches_json_dumps(self, n, indent):
+        cert = infeasibility_certificate(n)
+        assert cert.to_json(indent=indent) == json.dumps(cert.to_dict(), indent=indent)
 
     @pytest.mark.parametrize("n, indent", sorted(_CANONICAL_JSON_SHA256, key=str))
     def test_canonical_bytes_pinned(self, n, indent):
