@@ -46,8 +46,8 @@ class CommandResult:
 def _atomic_write(path, *texts):
     """Write the ``texts`` one after another to ``path`` through a temporary file and a rename.
 
-    Handing a large text and its final newline over apart writes them
-    without first copying the text to append the newline.
+    Handing a large text over as its pieces, and its final newline apart,
+    writes them without first joining them into one text.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".waylab-")
@@ -142,7 +142,7 @@ def _build_parser():
 
 def _cmd_build(args):
     scheme = build_canonical_scheme(args.n, args.d)
-    _atomic_write(args.out, scheme.to_json(indent=2), "\n")
+    _atomic_write(args.out, *scheme._pieces(2), "\n")
     # cprime carries the exact rational error after float conversion;
     # repr prints the shortest digits that round-trip exactly
     return CommandResult(0, [args.out], f"error = {scheme.cprime!r}")
@@ -174,7 +174,7 @@ def _cmd_validate(args):
 
 def _cmd_optimize(args):
     scheme = optimize_scheme(args.n, args.d)
-    _atomic_write(args.out, scheme.to_json(indent=2), "\n")
+    _atomic_write(args.out, *scheme._pieces(2), "\n")
     return CommandResult(
         0,
         [args.out],

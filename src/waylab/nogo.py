@@ -107,23 +107,12 @@ Every such basis is solved in O(n) by one block QR:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graded import (
-    ConstraintReport,
-    ObjectState,
-    _integer,
-    _json_array,
-    _json_floats,
-    _json_indent,
-    _json_object,
-    _number_array,
-    _read_fields,
-    _require_entries,
-)
+from .graded import ConstraintReport, ObjectState, _integer, _number_array, _require_entries
+from .jsonio import read_fields, text_pieces
 from .optimize import OptimizationError
 
 #: Targets of the five normalization sums of ``(x, s, t, a, b)``.
@@ -170,17 +159,10 @@ class ExactSchemeData:
     def to_dict(self):
         return {"n": self.n, **{k: getattr(self, k).tolist() for k in _ROWS}}
 
-    def _json(self, indent, depth):
-        """Pieces of ``json.dumps(self.to_dict(), indent=indent)`` written at nesting ``depth``."""
-        members = [("n", [json.dumps(self.n)])]
-        for k in _ROWS:
-            members.append((k, [_json_array(_json_floats(getattr(self, k)), indent, depth + 1)]))
-        return _json_object(members, indent, depth)
-
     @classmethod
     def from_dict(cls, data):
         """Inverse of :meth:`to_dict`; malformed data raise ``ValueError`` naming the field."""
-        return cls(**_read_fields(data, _EXACT_FIELDS, "exact scheme data"))
+        return cls(**read_fields(data, _EXACT_FIELDS, "exact scheme data"))
 
 
 #: The five sector sequences of :class:`ExactSchemeData`, in data-row order.
@@ -220,16 +202,10 @@ class InfeasibilityCertificate:
         }
 
     def to_json(self, indent=None):
-        """``json.dumps(self.to_dict(), indent=indent)``, written directly."""
-        indent = _json_indent(indent)
-        witness = _json_array(list(map(json.dumps, self.witness)), indent, 1)
-        members = [
-            ("n", [json.dumps(self.n)]),
-            ("min_violation", [json.dumps(self.min_violation)]),
-            ("minimizer", self.minimizer._json(indent, 1)),
-            ("witness", [witness]),
-        ]
-        return "".join(_json_object(members, indent, 0))
+        """``json.dumps(self.to_dict(), indent=indent)``, written from the minimizer's arrays."""
+        minimizer = {k: getattr(self.minimizer, k) for k in ("n", *_ROWS)}
+        tree = {"n": self.n, "min_violation": self.min_violation, "minimizer": minimizer}
+        return "".join(text_pieces(tree | {"witness": list(self.witness)}, indent))
 
 
 def _unitarity_rows(w, m, delta):

@@ -42,16 +42,13 @@ from .graded import (
     _bounds,
     _dot,
     _integer,
-    _json_indent,
-    _json_object,
     _nonzero_rows,
-    _read_fields,
-    _read_vectors,
     _require_entries,
     _row_dots,
     _sum_window,
     _trimmed,
 )
+from .jsonio import read_fields, read_vectors, text_pieces
 
 
 #: The four graded vectors of a scheme, in the order of its JSON form.
@@ -87,7 +84,7 @@ class ApproxScheme:
         Malformed data raise ``ValueError`` naming the field, and so does a
         vector whose sector dimension is not the scheme's ``d``.
         """
-        return cls._from_fields(_read_fields(data, _FIELDS, "scheme"))
+        return cls._from_fields(read_fields(data, _FIELDS, "scheme"))
 
     @classmethod
     def _from_fields(cls, fields):
@@ -101,16 +98,17 @@ class ApproxScheme:
         """``json.dumps(self.to_dict(), indent=indent)``, written directly.
 
         ``indent`` follows ``json``: ``None`` is the compact form, an int
-        ``k`` indents by ``k`` spaces and a string is used as is.  Each part
-        writes its text as a list of pieces and the whole text is made by
-        one join, so no enclosing object copies what it holds; a run of
-        neighbouring sectors equal in bits, as in the canonical scheme, has
-        its row formatted once (see ``GradedVector._json``).
+        ``k`` indents by ``k`` spaces and a string is used as is.  The text
+        is :meth:`_pieces` joined once, so no enclosing object copies what
+        it holds; a run of neighbouring sectors equal in bits, as in the
+        canonical scheme, has its row formatted once (see
+        ``jsonio._sector_array``).
         """
-        indent = _json_indent(indent)
-        members = [(k, [json.dumps(getattr(self, k))]) for k in _HEADER]
-        members += [(k, getattr(self, k)._json(indent, 1)) for k in _VECTORS]
-        return "".join(_json_object(members, indent, 0))
+        return "".join(self._pieces(indent))
+
+    def _pieces(self, indent):
+        """The pieces of :meth:`to_json`'s text, which the CLI writes one after another."""
+        return text_pieces({k: getattr(self, k) for k in (*_HEADER, *_VECTORS)}, indent)
 
     @classmethod
     def from_json(cls, text):
@@ -122,7 +120,7 @@ class ApproxScheme:
         and each vector's ``d`` are parsed by ``json.loads`` with the
         sector arrays cut out, and each vector's sector numbers by one
         ``json.loads``, or, if its first row recurs, its labels by one and
-        its distinct rows by another (see ``graded._read_vectors``): a row
+        its distinct rows by another (see ``jsonio.read_vectors``): a row
         repeated in many sectors, as in the canonical scheme, parses once.
         Every other text, ``bytes``, and any text that reads as a malformed
         scheme go to ``from_dict(json.loads(text))``, the one general
@@ -168,14 +166,14 @@ _FIELDS = {
 
 def _strict_fields(text):
     """The fields of a scheme text in the layout of ``to_json``, or ``None`` to parse it in full."""
-    parsed = _read_vectors(text, _VECTORS)
+    parsed = read_vectors(text, _VECTORS)
     if parsed is None:
         return None
     header, vectors = parsed
     if list(header) != [*_HEADER, *_VECTORS]:
         return None
     try:
-        fields = _read_fields(header, {k: _FIELDS[k] for k in _HEADER}, "scheme")
+        fields = read_fields(header, {k: _FIELDS[k] for k in _HEADER}, "scheme")
     except ValueError:
         return None
     return fields | vectors

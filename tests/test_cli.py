@@ -75,6 +75,8 @@ class TestBuild:
         run(["build", "--n", "4", "--out", str(a)])
         run(["build", "--n", "4", "--out", str(b)])
         assert read(a) == read(b)
+        # the file is written in pieces: the bytes of to_json and a newline
+        assert read(a) == build_canonical_scheme(4).to_json(indent=2) + "\n"
 
 
 class TestValidate:
@@ -121,6 +123,7 @@ class TestOptimizeAndSweep:
         assert result.exit_code == 0
         scheme = ApproxScheme.from_json(read(out))
         assert scheme.n == 4
+        assert read(out) == scheme.to_json(indent=2) + "\n"
 
     def test_sweep_geometric_writes_csv_and_slope(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -492,11 +495,16 @@ class TestUsage:
     def test_unnormalized_state_is_domain_error(self, tmp_path):
         scheme_file = tmp_path / "s.json"
         run(["build", "--n", "2", "--out", str(scheme_file)])
-        result = run(
-            ["sample", "--scheme", str(scheme_file), "--state", "1,1",
-             "--shots", "10", "--seed", "1"]
-        )
+        # 1e200 squares beyond the float range: a norm of inf, not an OverflowError
+        for state in ("1,1", "1e200,0"):
+            result = run(
+                ["sample", "--scheme", str(scheme_file), "--state", state,
+                 "--shots", "10", "--seed", "1"]
+            )
+            assert result.exit_code == 1
+        result = run(["nogo", "--n", "2", "--alpha", "1e200,0", "--beta", "1e200,0"])
         assert result.exit_code == 1
+        assert "not normalized" in result.summary
 
     def test_one_parser_serves_every_call_as_fresh_ones_would(self, tmp_path, capsys):
         # a bad argument between good calls of other subcommands

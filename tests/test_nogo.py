@@ -249,14 +249,15 @@ class TestInfeasibilityCertificate:
                 solve(35)
 
 
-_JSON_INDENTS = [None, 0, 2, "\t"]
+#: The indents certificates are written at; the writer must not read ``" %s"`` as a slot.
+_JSON_INDENTS = [None, 0, 2, "\t", " %s"]
 
 
 class TestCertificateJson:
     """``to_json`` writes its text directly; ``json.dumps(to_dict())`` is the oracle."""
 
     @pytest.mark.parametrize("indent", _JSON_INDENTS)
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 64, 1000])
     def test_standard_matches_json_dumps(self, n, indent):
         cert = infeasibility_certificate(n)
         assert cert.to_json(indent=indent) == json.dumps(cert.to_dict(), indent=indent)
@@ -514,5 +515,6 @@ class TestRotatedBasis:
         assert cert.min_violation > 1e-6
 
     def test_requires_normalized_object(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            rotated_basis_residual(2, ObjectState(1.0, 1.0))
+        for obj in (ObjectState(1.0, 1.0), ObjectState(1e200, 1e200)):  # the second squares to inf
+            with pytest.raises(ValueError, match="not normalized"):
+                rotated_basis_residual(2, obj)

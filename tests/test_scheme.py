@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_interaction_blocks
-from waylab import graded, scheme
+from waylab import graded, jsonio, scheme
 from waylab.nogo import infeasibility_certificate
 from waylab.optimize import optimize_scheme
 from waylab.graded import GradedVector, ObjectState, check_conserving, inner, tensor
@@ -239,8 +239,9 @@ class TestApplyInteraction:
 
     def test_requires_normalized_object(self):
         s = build_canonical_scheme(2)
-        with pytest.raises(ValueError, match="not normalized"):
-            apply_interaction(s, ObjectState(1.0, 0.5))
+        for obj in (ObjectState(1.0, 0.5), ObjectState(1e200, 0.0)):  # the second squares to inf
+            with pytest.raises(ValueError, match="not normalized"):
+                apply_interaction(s, obj)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -593,7 +594,7 @@ class TestJson:
         # sign or another NaN payload starts a run, and runs of one row are one template
         def runs(v):
             """Runs of ``v``'s rows: a piece each between the array's open and its last label."""
-            pieces = v._json(None, 1)[4:-1]  # the sectors array
+            pieces = jsonio.text_pieces(v)[4:-1]  # the sectors array
             return None if len(pieces) == 1 else len(pieces) - 2
 
         assert [runs(getattr(build_canonical_scheme(1000), k)) for k in scheme._VECTORS] == [1] * 4
@@ -743,14 +744,14 @@ class TestJson:
     def test_each_text_is_checked_on_its_own(self, indent):
         # an empty label as the only text and a number ahead of a row's first bracket: the
         # array reader hands neither over alone, but each text must still be refused
-        label, row = graded._sector_layout(2, indent and " " * indent, 1)[3:]
+        label, row = jsonio._sector_layout(2, indent and " " * indent, 1)[3:]
         text = build_canonical_scheme(2).to_json(indent=indent)
         nu = text.split('"nu":')[1].split('"amp"')[0].encode() + b'"amp"'
         amp = text.split('"amp":')[1].split('"nu"')[0].encode() + b'"nu"'
-        assert len(graded._numbers([nu], [label], 1, indent)) == 1
-        assert graded._numbers([nu.translate(None, b"0123456789")], [label], 1, indent) is None
-        assert len(graded._numbers([amp], [row], 4, indent)) == 4
-        assert graded._numbers([amp[:1] + b"5" + amp[1:]], [row], 4, indent) is None
+        assert len(jsonio._numbers([nu], [label], 1, indent)) == 1
+        assert jsonio._numbers([nu.translate(None, b"0123456789")], [label], 1, indent) is None
+        assert len(jsonio._numbers([amp], [row], 4, indent)) == 4
+        assert jsonio._numbers([amp[:1] + b"5" + amp[1:]], [row], 4, indent) is None
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000])
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
