@@ -235,6 +235,8 @@ def sample_outcomes(dist, shots, seed):
     sum to ``shots``.
     """
     shots = _integer(shots, "shots", 1)
+    if shots > np.iinfo(np.int64).max:  # numpy's multinomial counts in int64
+        raise ValueError(f"shots must be <= {np.iinfo(np.int64).max}, got {shots}")
     seed = _integer(seed, "seed", 0)
     labels = dist.labels()
     probs = np.asarray(dist.probabilities(), dtype=float)

@@ -4,9 +4,10 @@
 the object's own values, as pieces that ``to_json`` joins once and the CLI
 writes in turn, each run of neighbouring sectors equal in bits formatting
 its row once.  :func:`read_vectors`, behind ``ApproxScheme.from_json``,
-checks each sector array against the writer's template, parses its numbers
-with ``json.loads``, a repeated row once, and ends in ``GradedVector._fill``
-as ``from_dict`` does.
+cuts each sector array out at its key and its last ``]``, splits it at its
+colons into label and row texts, checks them against the writer's template,
+parses the labels with one ``json.loads`` and the rows with another, a
+repeated row once, and ends in ``GradedVector._fill`` as ``from_dict`` does.
 """
 
 from __future__ import annotations
@@ -191,34 +192,34 @@ def _spaces_follow_indents(piece):
     return True
 
 
-def _numbers(texts, units, width, indent):
-    """The numbers of ``texts`` joined by ``:``, each laid out as the next of ``units`` in turn.
+def _numbers(texts, unit, width, indent):
+    """The numbers of ``texts`` joined by ``:``, each laid out as ``unit``.
 
     A unit is ``(lead, skeleton, trail, pair)``: the fixed bytes before its
     first slot, all of them, those after its last slot, and the separator
     of two pairs of a row (``None`` for a label).  Returns the ``width``
-    numbers of each turn in order; ``None`` unless the text is that layout
+    numbers of each text in order; ``None`` unless the text is that layout
     with number bytes in each slot: with them deleted it must repeat the
-    skeletons, and each fixed run between slots (searched for without its
+    skeleton, and each fixed run between slots (searched for without its
     last spaces and newlines, over which a search crawls) becomes a comma
     and spaces, so one ``json.loads`` sees any fixed byte out of place and
     applies the JSON number grammar.  An indented text is read without its
     spaces, each of which must follow a newline, a colon or a space.
     """
+    lead, skeleton, trail, pair = unit
     text = b":".join(texts)
     if indent is not None and _spaces_follow_indents(text):
         text = text.translate(None, b" ")  # or the spaces stay, which no skeleton holds
-    if not (text.startswith(units[0][0]) and text.endswith(units[-1][2])):
+    if not (text.startswith(lead) and text.endswith(trail)):
         return None
-    period = b"".join(unit[1] + b":" for unit in units)
+    period = skeleton + b":"
     skeleton = text.translate(None, _NUMBER_BYTES) + b":"
     count = len(skeleton) // len(period)
     if skeleton != period * count:
         return None
-    seps = [unit[2] + b":" + after[0] for unit, after in zip(units, units[1:] + units[:1])]
-    for sep in (sep.rstrip(b" \n") for sep in seps + [unit[3] for unit in units if unit[3]]):
+    for sep in (sep.rstrip(b" \n") for sep in (trail + b":" + lead, pair) if sep):
         text = text.replace(sep, b"," + b" " * (len(sep) - 1))
-    body = memoryview(text)[len(units[0][0]) : len(text) - len(units[-1][2])]
+    body = memoryview(text)[len(lead) : len(text) - len(trail)]
     try:
         numbers = json.loads(b"".join((b"[", body, b"]")))
     except ValueError:
@@ -230,50 +231,38 @@ def _sector_rows(raw, a, b, d, indent, depth):
     """``(labels, amps)`` of ``raw[a:b]``, a ``sectors`` array in the layout the writer writes.
 
     ``labels`` is a list of ``k`` labels and ``amps`` a ``(k, d, 2)`` array,
-    or ``None`` (see :func:`_numbers`).  If the first row's numbers occur
-    again, one ``split`` at the colons gives the label and row texts (see
-    :func:`_sector_layout`); the labels and the distinct rows
-    (``dict.fromkeys``) are parsed apart, each repeated row once (equal
-    texts give equal bits), and gathered back by index, or broadcast if
-    only one row is distinct.  Otherwise, as a
-    row seldom repeats, the array is parsed whole.
+    or ``None`` (see :func:`_numbers`).  One ``split`` at the colons gives
+    the label and row texts (see :func:`_sector_layout`), which are parsed
+    apart.  If the first row occurs again, only the distinct rows
+    (``dict.fromkeys``) are parsed, each once (equal texts give equal
+    bits), and gathered back by index, or broadcast if only one row is
+    distinct; otherwise, as a row then seldom repeats, every row is parsed
+    with none hashed.
     """
     if b - a == 2 and raw.startswith(b"[]", a):
         return [], np.zeros((0, d, 2))
     if 4 * d * (1 + len(indent or "")) > b - a:
-        return None  # shorter than one sector's 2d numbers and their separators
+        return None  # shorter than one sector's 2d numbers: also bounds the template d asks for
     head, tail, close, label, row = _sector_layout(d, indent, depth)
-    start = raw.find(b":", raw.find(b":", a, b) + 1, b) + 1  # the first row's numbers
-    stop = raw.find(b":", start, b) - len(close)
-    index = ()
-    if a < start < stop and raw.find(raw[start:stop], stop, b) > 0:
-        parts = raw[a:b].split(b":")  # the slice is freed at once
-        rows, k = parts[2::2], len(parts) // 2
-        if len(parts) != 2 * k + 1 or parts[0] != head or not rows[-1].endswith(tail):
-            return None
-        rows[-1] = rows[-1][: len(rows[-1]) - len(tail)] + close
-        index = dict.fromkeys(rows)
-        labels = _numbers(parts[1::2], [label], 1, indent)
-        amps = _numbers(index, [row], 2 * d, indent)
-    elif raw.startswith(head + b":", a) and raw.endswith(tail, a, b):
-        body = raw[a + len(head) + 1 : b - len(tail)] + close
-        amps = labels = _numbers([body], [label, row], 2 * d + 1, indent)
-        if amps is not None:
-            labels = amps[:: 2 * d + 1]
-            del amps[:: 2 * d + 1]
-    else:
+    parts = raw[a:b].split(b":")  # the slice is freed at once
+    rows, k = parts[2::2], len(parts) // 2
+    if not k or len(parts) != 2 * k + 1 or parts[0] != head or not rows[-1].endswith(tail):
         return None
+    rows[-1] = rows[-1][: len(rows[-1]) - len(tail)] + close
+    index = dict.fromkeys(rows) if rows[0] in rows[1:] else ()
+    labels = _numbers(parts[1::2], label, 1, indent)
+    amps = _numbers(index or rows, row, 2 * d, indent)
     if labels is None or amps is None:
         return None
     try:
         amps = _number_array(amps).reshape(-1, d, 2)
     except (ValueError, OverflowError):
         return None
-    if len(index) == 1 < len(labels):
-        amps = np.broadcast_to(amps, (len(labels), d, 2))  # read-only: _fill copies it
-    elif 0 < len(index) < len(labels):
+    if len(index) == 1 < k:
+        amps = np.broadcast_to(amps, (k, d, 2))  # read-only: _fill copies it
+    elif index:
         index = dict(zip(index, range(len(index))))
-        amps = amps[np.fromiter(map(index.__getitem__, rows), np.intp, len(labels))]
+        amps = amps[np.fromiter(map(index.__getitem__, rows), np.intp, k)]
     return labels, amps
 
 
@@ -285,17 +274,19 @@ def read_vectors(text, names):
     :class:`~waylab.graded.GradedVector` that ``GradedVector.from_dict``
     reads from ``json.loads(text)``.  The text must be a ``str`` that
     ``json.dumps`` writes for such an object, compact or indented by
-    spaces, with the members in order and each ``sectors`` array in the
-    layout of :func:`text_pieces` (any JSON numbers in its slots), then
-    optional spaces and newlines; otherwise, or if a vector cannot be read,
-    the result is ``None``.
+    spaces, with each ``sectors`` array in the layout of
+    :func:`text_pieces` (any JSON numbers in its slots), then optional
+    spaces and newlines; otherwise, or if a vector cannot be read, the
+    result is ``None``.  The ``k``-th array is read as the vector
+    ``names[k]``, so the caller checks the order of the header's members.
 
-    The header is parsed by ``json.loads`` with the arrays cut out and
-    must be what ``json.dumps`` writes for it.  Each array must be its
-    layout's fixed bytes with a run of number bytes in each slot, parsed
-    (see :func:`_sector_rows`) by json's own scanner, which applies the
-    JSON number grammar and float rounding; a row that many sectors repeat
-    is parsed once.  Labels and rows go through ``_integers``,
+    The header is parsed by ``json.loads`` with each array cut out, from
+    its key to its last ``]``, and must be what ``json.dumps`` writes for
+    it.  Each array must be its layout's fixed bytes
+    with a run of number bytes in each slot, parsed (see
+    :func:`_sector_rows`) by json's own scanner, which applies the JSON
+    number grammar and float rounding; a row that many sectors repeat is
+    parsed once.  Labels and rows go through ``_integers``,
     ``_number_array`` and ``_fill`` as in ``from_dict``.
     """
     if not isinstance(text, str):
@@ -304,31 +295,25 @@ def read_vectors(text, names):
         raw = text.encode("ascii")
     except UnicodeEncodeError:
         return None
-    if raw.startswith(b'{"'):
-        indent, nl = None, ""
-    elif raw.startswith(b"{\n"):
+    indent = None
+    if raw.startswith(b"{\n"):
         indent = raw[2 : raw.find(b'"')].decode()
         if indent.strip(" "):
             return None
-        nl = "\n" + indent
-    else:
+    elif not raw.startswith(b'{"'):
         return None
-    # each array runs from its key to the close of its vector and the next key,
-    # the last one to the closes of its vector and of the object; a key is
-    # searched for without its closing space, as a search for a space is slow
-    close = f"{nl}}}"
-    ends = [f'{close},{nl or " "}"{name}":'.encode() for name in names[1:]]
+    # each array runs from its key to the last "]" before the next key, the last
+    # one to the last "]" of the text; a key is searched for without its closing
+    # space, as a search for a space is slow
     end = len(raw)
     while raw.endswith((b" ", b"\n"), 0, end):
         end -= 1
-    cuts, pos = [], 0
-    for after in ends + [None]:
-        a = raw.find(b'"sectors": ', pos) + 11
-        b = raw.find(after, a) if after else end - len(close) - len(nl and "\n") - 1
-        if a < 11 or b < a or after and not raw.startswith(b" ", b + len(after)):
-            return None
-        cuts.append((a, b))
-        pos = b
+    keys = [raw.find(b'"sectors":')]
+    for _ in names[1:]:
+        keys.append(raw.find(b'"sectors":', keys[-1] + 11))
+    cuts = [(a + 11, raw.rfind(b"]", a + 11, b) + 1) for a, b in zip(keys, keys[1:] + [end])]
+    if min(keys) < 0 or any(b <= a for a, b in cuts):
+        return None
     spans = [0, *(x for cut in cuts for x in cut), end]
     outline = b"[]".join(raw[spans[j] : spans[j + 1]] for j in range(0, len(spans), 2))
     try:

@@ -40,13 +40,10 @@ from .graded import (
     GradedVector,
     ObjectState,
     _bounds,
-    _dot,
     _integer,
     _nonzero_rows,
     _require_entries,
     _row_dots,
-    _sum_window,
-    _trimmed,
 )
 from .jsonio import read_fields, read_vectors, text_pieces
 
@@ -118,10 +115,10 @@ class ApproxScheme:
         spaces and followed by optional spaces and newlines, is read
         without building its object tree: ``n``, ``d``, ``c``, ``cprime``
         and each vector's ``d`` are parsed by ``json.loads`` with the
-        sector arrays cut out, and each vector's sector numbers by one
-        ``json.loads``, or, if its first row recurs, its labels by one and
-        its distinct rows by another (see ``jsonio.read_vectors``): a row
-        repeated in many sectors, as in the canonical scheme, parses once.
+        sector arrays cut out, and each vector's labels by one
+        ``json.loads`` and its rows by another, only the distinct ones if
+        its first row recurs (see ``jsonio.read_vectors``): a row repeated
+        in many sectors, as in the canonical scheme, parses once.
         Every other text, ``bytes``, and any text that reads as a malformed
         scheme go to ``from_dict(json.loads(text))``, the one general
         parser and the source of every error message, so both ways give
@@ -259,12 +256,10 @@ def build_canonical_scheme(n, d=2):
 def scheme_error(s):
     """Probability of the undetermined outcome, ``(eta, eta)``.
 
-    Computed from the stored vectors as a quarter of the summed squared
-    sector norms of ``tau - rho``, read off the window of that difference
-    (trimmed as a vector would be) without building the vector.
+    Computed from the stored vectors as a quarter of the squared norm of
+    ``tau - rho``.
     """
-    _, diff = _trimmed(*_sum_window(s.tau, s.rho, -1.0))
-    return 0.25 * float(_dot(diff, diff).real)
+    return 0.25 * (s.tau - s.rho).norm2()
 
 
 def derived_pointers(s):

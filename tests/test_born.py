@@ -244,6 +244,13 @@ class TestSampling:
         with pytest.raises(ValueError, match=field):
             sample_outcomes(dist, shots, seed)
 
+    def test_shots_up_to_the_int64_range(self):
+        s = build_canonical_scheme(2)
+        dist = three_outcome_stats(s, ObjectState(2**-0.5, 2**-0.5))
+        assert sum(sample_outcomes(dist, 2**63 - 1, seed=5).values()) == 2**63 - 1
+        with pytest.raises(ValueError, match=f"shots must be <= {2**63 - 1}, got {2**63}"):
+            sample_outcomes(dist, 2**63, seed=5)
+
     def test_numpy_integer_shots_and_seed(self):
         s = build_canonical_scheme(2)
         dist = three_outcome_stats(s, ObjectState(2**-0.5, 2**-0.5))

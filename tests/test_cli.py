@@ -110,6 +110,17 @@ class TestValidate:
         assert result.exit_code == 1
         assert "span" in result.summary
 
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    def test_huge_vector_dimension_is_domain_error(self, tmp_path, command):
+        payload = build_canonical_scheme(3).to_dict()
+        payload["xi"]["d"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload, indent=2))
+        code, summary = run_guarded(_argv(command, path))
+        assert code == "1"
+        assert summary.startswith("error:")
+        assert "'xi'" in summary
+
     def test_missing_file_is_domain_error(self):
         result = run(["validate", "--scheme", "/nonexistent.json"])
         assert result.exit_code == 1
@@ -505,6 +516,16 @@ class TestUsage:
         result = run(["nogo", "--n", "2", "--alpha", "1e200,0", "--beta", "1e200,0"])
         assert result.exit_code == 1
         assert "not normalized" in result.summary
+
+    def test_shots_beyond_int64_is_domain_error(self, tmp_path):
+        scheme_file = tmp_path / "s.json"
+        run(["build", "--n", "2", "--out", str(scheme_file)])
+        result = run(
+            ["sample", "--scheme", str(scheme_file), "--state", "plus",
+             "--shots", str(2**63), "--seed", "1"]
+        )
+        assert result.exit_code == 1
+        assert "shots" in result.summary
 
     def test_one_parser_serves_every_call_as_fresh_ones_would(self, tmp_path, capsys):
         # a bad argument between good calls of other subcommands

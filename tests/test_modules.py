@@ -7,7 +7,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "waylab"
 
 #: Names of the JSON text layout's writer and strict reader, which only ``jsonio`` may hold.
-_LAYOUT = re.compile(r"_json(_|$)|_sector_|_numbers$|_read_vectors$")
+_LAYOUT = re.compile(r"_json(_|$)|_sector_|_numbers$")
 
 
 def _modules():
@@ -46,5 +46,5 @@ def test_only_jsonio_holds_the_text_layout():
 
 def test_few_private_names_cross_modules():
     imported = [pair for tree in _modules().values() for pair in _private_imports(tree)]
-    assert len(imported) <= 26
-    assert sum(module == "graded" for module, _ in imported) <= 22
+    assert len(imported) <= 23
+    assert sum(module == "graded" for module, _ in imported) <= 19

@@ -499,8 +499,9 @@ def _assert_same_reading(text):
 
 
 def _assert_read_strictly(s, indent):
-    """``s`` written at ``indent``, with or without a final newline, reads strictly as ``s``."""
-    for text in (s.to_json(indent=indent), s.to_json(indent=indent) + "\n"):
+    """``s`` written at ``indent``, then no or some spaces and newlines, reads strictly as ``s``."""
+    written = s.to_json(indent=indent)
+    for text in (written, written + "\n", written + " \n\n  \n"):
         fields = scheme._strict_fields(text)
         assert fields is not None
         assert _bits(ApproxScheme(**fields)) == _bits(s)
@@ -517,6 +518,19 @@ def _alternating_scheme(n, period=1):
     vectors = {k: GradedVector.from_window(getattr(s, k)._lo, rows[: len(getattr(s, k)._amps)])
                for k in scheme._VECTORS}
     return ApproxScheme(n=n, d=2, c=s.c, cprime=s.cprime, **vectors)
+
+
+def _distinct_scheme(n):
+    """The canonical scheme's supports and weights, every amplitude a different seeded value."""
+    s = build_canonical_scheme(n)
+    rng = np.random.default_rng(n)
+    vectors = {}
+    for k in scheme._VECTORS:
+        v = getattr(s, k)
+        shape = (len(v._amps), s.d)
+        amps = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        vectors[k] = GradedVector.from_window(v._lo, amps)
+    return dataclasses.replace(s, **vectors)
 
 
 def _zero_flipped(n):
@@ -719,11 +733,21 @@ class TestJson:
             (None, ']]}]}, "sigma"', ']]}5}, "sigma"'),
             (2, '[\n      {\n        "nu": ', '[\n      {\n        "n1": '),
             (2, '      }\n    ]\n  },\n  "sigma"', '      }\n    5\n  },\n  "sigma"'),
+            # a key without its space, of the first array and of the last
+            (None, '"sectors": [{"nu": ', '"sectors":[{"nu": '),
+            (None, '"rho": {"d": 2, "sectors": [', '"rho": {"d": 2, "sectors":['),
+            (2, '"sectors": [\n', '"sectors":[\n'),
+            (2, '"rho": {\n    "d": 2,\n    "sectors": [', '"rho": {\n    "d": 2,\n    "sectors":['),
+            # spaces and newlines between the last array and the closes after it
+            (None, "]]}]}}", "]]}] }}"),
+            (None, "]]}]}}", "]]}]\n}}"),
+            (2, "      }\n    ]\n  }\n}", "      }\n    ] \n  }\n}"),
+            (2, "      }\n    ]\n  }\n}", "      }\n    ]\n\n  }\n}"),
         ],
     )
     @pytest.mark.parametrize("n", [1, 2])
     def test_edits_of_head_and_tail(self, n, indent, old, new):
-        # at n = 1 each array is parsed whole, at n = 2 by distinct rows
+        # at n = 1 each array holds one sector, at n = 2 two equal ones, parsed once
         text = build_canonical_scheme(n).to_json(indent=indent)
         assert old in text
         _assert_same_reading(text.replace(old, new, 1))
@@ -742,16 +766,17 @@ class TestJson:
 
     @pytest.mark.parametrize("indent", [None, 2])
     def test_each_text_is_checked_on_its_own(self, indent):
-        # an empty label as the only text and a number ahead of a row's first bracket: the
-        # array reader hands neither over alone, but each text must still be refused
+        # one label text and one row text, each handed over alone as the texts of a
+        # one-sector array are: an empty label, and a number ahead of a row's first
+        # bracket, must each be refused by the unit of its own text
         label, row = jsonio._sector_layout(2, indent and " " * indent, 1)[3:]
         text = build_canonical_scheme(2).to_json(indent=indent)
         nu = text.split('"nu":')[1].split('"amp"')[0].encode() + b'"amp"'
         amp = text.split('"amp":')[1].split('"nu"')[0].encode() + b'"nu"'
-        assert len(jsonio._numbers([nu], [label], 1, indent)) == 1
-        assert jsonio._numbers([nu.translate(None, b"0123456789")], [label], 1, indent) is None
-        assert len(jsonio._numbers([amp], [row], 4, indent)) == 4
-        assert jsonio._numbers([amp[:1] + b"5" + amp[1:]], [row], 4, indent) is None
+        assert len(jsonio._numbers([nu], label, 1, indent)) == 1
+        assert jsonio._numbers([nu.translate(None, b"0123456789")], label, 1, indent) is None
+        assert len(jsonio._numbers([amp], row, 4, indent)) == 4
+        assert jsonio._numbers([amp[:1] + b"5" + amp[1:]], row, 4, indent) is None
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000])
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
@@ -760,11 +785,46 @@ class TestJson:
 
     @pytest.mark.parametrize("n", [2, 7, 1000])
     @pytest.mark.parametrize("indent", [None, 2])
-    @pytest.mark.parametrize("make", [optimize_scheme, _alternating_scheme])
+    @pytest.mark.parametrize("make", [optimize_scheme, _alternating_scheme, _distinct_scheme])
     def test_rows_apart_and_distinct_are_read_strictly(self, make, n, indent):
-        # the optimized scheme repeats rows only apart (its profiles are symmetric) and
-        # the alternating one only apart; neither may fall back to json.loads
+        # the optimized scheme repeats rows only apart (its profiles are symmetric), the
+        # alternating one only apart, and the distinct one not at all; none may fall back
+        # to json.loads
         _assert_read_strictly(make(n), indent)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("name", ["xi", "rho"])
+    def test_a_bracketed_member_after_an_array(self, name, indent):
+        # "sectors": [...], "x": [1]: the last "]" before the next key, or of the text,
+        # is the member's, so the array cut there is refused
+        payload = build_canonical_scheme(3).to_dict()
+        payload[name]["x"] = [1]
+        text = json.dumps(payload, indent=indent)
+        assert scheme._strict_fields(text) is None
+        _assert_same_reading(text)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_vectors_in_another_order(self, indent):
+        # each array is cut at its key, not its name: vectors written out of order, or
+        # not last, must not be read as the ones in their places
+        payload = build_canonical_scheme(3).to_dict()
+        payload["rho"] = GradedVector(2, {0: [0.5, 0.25j]}).to_dict()
+        swapped = {k: payload[k] for k in ["n", "d", "c", "cprime", "rho", "sigma", "tau", "xi"]}
+        last = {k: payload[k] for k in ["d", "c", "cprime", *scheme._VECTORS, "n"]}
+        for text in (json.dumps(swapped, indent=indent), json.dumps(last, indent=indent)):
+            assert scheme._strict_fields(text) is None
+            _assert_same_reading(text)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("name", ["xi", "rho"])
+    def test_a_huge_vector_dimension(self, name, indent):
+        # d comes from the file: an array too short for one sector of d is refused
+        # before a template of d pairs is built
+        payload = build_canonical_scheme(3).to_dict()
+        payload[name]["d"] = 10**12
+        text = json.dumps(payload, indent=indent)
+        assert scheme._strict_fields(text) is None
+        _assert_same_reading(text)
 
     @pytest.mark.parametrize(
         "edit, match",
