@@ -47,8 +47,10 @@ the joint object+apparatus vectors of the canonical scheme at n = 10^4
 ``ApproxScheme.to_json`` writes, and ``ApproxScheme.from_json`` reads, the
 canonical texts compact and at ``indent=2`` (the file ``waylab build``
 writes) at n = 10^3 to 10^4, a scheme of the canonical shape at n = 10^3
-whose every amplitude is a different value, so no row repeats, and the
-optimized scheme at n = 10^3, whose rows repeat only apart; and the
+whose every amplitude is a different value, so no row repeats, the
+optimized scheme at n = 10^3, whose rows repeat only apart, and the
+canonical scheme at 3 * 10^3 with the first sector of each vector
+scaled, so only the first row stands apart; and the
 ``indent=2`` canonical file at n = 10^5 (three rounds), which
 ``waylab build`` writes and ``waylab validate`` reads.
 ``benchmarks/compare.py`` times named cases of this file against another
@@ -342,6 +344,27 @@ def test_from_json_distinct_values(benchmark, indent):
 def test_from_json_optimized(benchmark, indent):
     # the text `waylab optimize` writes: rows repeat only apart, where the profiles mirror
     s = optimize_scheme(10**3)
+    text = s.to_json(indent=indent)
+    assert benchmark(ApproxScheme.from_json, text) == s
+
+
+@functools.lru_cache(maxsize=None)
+def first_row_apart_scheme(n):
+    """The canonical scheme with the first sector of each vector scaled by ``1 + 1e-3``."""
+    s = build_canonical_scheme(n)
+    vectors = {}
+    for name in ("xi", "sigma", "tau", "rho"):
+        v = getattr(s, name)
+        amps = v._amps.copy()
+        amps[0] *= 1 + 1e-3
+        vectors[name] = GradedVector.from_window(v.support()[0], amps)
+    return ApproxScheme(n=s.n, d=s.d, c=s.c, cprime=s.cprime, **vectors)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent2"])
+def test_from_json_first_row_apart(benchmark, indent):
+    # an edited boundary sector: every row but the first repeats one row
+    s = first_row_apart_scheme(3 * 10**3)
     text = s.to_json(indent=indent)
     assert benchmark(ApproxScheme.from_json, text) == s
 

@@ -114,6 +114,7 @@ _ISOMETRY_TOL = 1e-8
 
 #: Most blocks per sliced call over a :class:`BlockMap`'s stacks: defects, and SVDs of mixed widths.
 #: Only a stack of more blocks is searched for runs of equal blocks to work once each.
+#: Unsliced, a long stack's temporaries cost more memory and time than the extra calls.
 _SLICE = 256
 
 #: Most entries per BLAS dot product: OpenBLAS threads ``zdotc`` and ``ddot`` above
@@ -753,7 +754,7 @@ class BlockMap:
         runs = self._runs
         if runs is None:  # a race finds the same runs twice
             k, runs = len(self._labels), False
-            if k > _SLICE:
+            if k > _SLICE:  # on fewer blocks the search costs more than the blocks it saves
                 new = np.empty(k, dtype=bool)
                 new[0], new[1:] = True, self._cols[1:] != self._cols[:-1]
                 for stack in self._dom, self._img:
@@ -799,6 +800,7 @@ class BlockMap:
             dom, cols = self._dom, self._cols
             k, d, m = dom.shape
             try:
+                # one width: one call, and slices completed fills in place, faster on small maps
                 if (cols == m).all():
                     u, sv, vh = np.linalg.svd(dom, full_matrices=False)
                     slices = [slice(i, min(i + _SLICE, k)) for i in range(0, k, _SLICE)]

@@ -6,8 +6,8 @@ writes in turn, each run of neighbouring sectors equal in bits formatting
 its row once.  :func:`read_vectors`, behind ``ApproxScheme.from_json``,
 cuts each sector array out at its key and its last ``]``, splits it at its
 colons into label and row texts, checks them against the writer's template,
-parses the labels with one ``json.loads`` and the rows with another, a
-repeated row once, and ends in ``GradedVector._fill`` as ``from_dict`` does.
+parses the labels with one ``json.loads`` and the distinct row texts with
+another, and ends in ``GradedVector._fill`` as ``from_dict`` does.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def _sector_array(d, labels, amps, indent, depth):
     new = np.empty(k, dtype=bool)
     new[0], new[1:] = True, (bits[1:] != bits[:-1]).any(axis=1)
     w = 2 * d  # floats per row
+    # kept as two paths: a piece per run is slower on short runs, a template per sector on long
     if 2 * np.count_nonzero(new) > k:  # runs of fewer than two rows on average
         values = _json_floats(amps.view(np.float64).ravel())
         args = [None] * (k * (w + 1))
@@ -155,8 +156,8 @@ def _json_object(members, indent, depth):
 
 
 @lru_cache(maxsize=32)
-def _sector_layout(d, indent, depth):
-    """Fixed bytes of a ``sectors`` array that the writer writes at ``depth``, cut at each ``:``.
+def _sector_layout(d, indent):
+    """Fixed bytes of the ``sectors`` array of a top-level vector, as written, cut at each ``:``.
 
     Cut there, the array is a head, label and row texts in turn, and a
     tail: a label between the rest of ``"nu":`` and ``"amp"``, the ``2 d``
@@ -166,8 +167,8 @@ def _sector_layout(d, indent, depth):
     when a sector follows, as written; and the units (see :func:`_numbers`)
     of a label and of a row, without spaces if indented.
     """
-    row = "%s".join(_sector_parts(d, indent, depth))
-    pieces = [p.encode() for p in _json_array([row, row], indent, depth + 1).split("%s")]
+    row = "%s".join(_sector_parts(d, indent, 1))
+    pieces = [p.encode() for p in _json_array([row, row], indent, 2).split("%s")]
     seps = pieces[1 : 2 * d + 2]
     (after_label, before_row), (close, before_label) = (s.split(b":") for s in seps[:: 2 * d])
     label = [before_label, b"", after_label, None]
@@ -227,31 +228,30 @@ def _numbers(texts, unit, width, indent):
     return numbers if len(numbers) == count * width else None
 
 
-def _sector_rows(raw, a, b, d, indent, depth):
-    """``(labels, amps)`` of ``raw[a:b]``, a ``sectors`` array in the layout the writer writes.
+def _sector_rows(raw, a, b, d, indent):
+    """``(labels, amps)`` of ``raw[a:b]``, a vector's ``sectors`` array in the writer's layout.
 
     ``labels`` is a list of ``k`` labels and ``amps`` a ``(k, d, 2)`` array,
     or ``None`` (see :func:`_numbers`).  One ``split`` at the colons gives
     the label and row texts (see :func:`_sector_layout`), which are parsed
-    apart.  If the first row occurs again, only the distinct rows
-    (``dict.fromkeys``) are parsed, each once (equal texts give equal
-    bits), and gathered back by index, or broadcast if only one row is
-    distinct; otherwise, as a row then seldom repeats, every row is parsed
-    with none hashed.
+    apart: the rows as their distinct texts (``dict.fromkeys``), each once,
+    since equal texts give equal bits.  These are broadcast if one is
+    distinct, gathered back by index if some repeat, and kept as parsed if
+    none does.
     """
     if b - a == 2 and raw.startswith(b"[]", a):
         return [], np.zeros((0, d, 2))
     if 4 * d * (1 + len(indent or "")) > b - a:
         return None  # shorter than one sector's 2d numbers: also bounds the template d asks for
-    head, tail, close, label, row = _sector_layout(d, indent, depth)
+    head, tail, close, label, row = _sector_layout(d, indent)
     parts = raw[a:b].split(b":")  # the slice is freed at once
     rows, k = parts[2::2], len(parts) // 2
     if not k or len(parts) != 2 * k + 1 or parts[0] != head or not rows[-1].endswith(tail):
         return None
     rows[-1] = rows[-1][: len(rows[-1]) - len(tail)] + close
-    index = dict.fromkeys(rows) if rows[0] in rows[1:] else ()
+    index = dict.fromkeys(rows)
     labels = _numbers(parts[1::2], label, 1, indent)
-    amps = _numbers(index or rows, row, 2 * d, indent)
+    amps = _numbers(index, row, 2 * d, indent)
     if labels is None or amps is None:
         return None
     try:
@@ -260,7 +260,7 @@ def _sector_rows(raw, a, b, d, indent, depth):
         return None
     if len(index) == 1 < k:
         amps = np.broadcast_to(amps, (k, d, 2))  # read-only: _fill copies it
-    elif index:
+    elif len(index) < k:
         index = dict(zip(index, range(len(index))))
         amps = amps[np.fromiter(map(index.__getitem__, rows), np.intp, k)]
     return labels, amps
@@ -285,8 +285,8 @@ def read_vectors(text, names):
     it.  Each array must be its layout's fixed bytes
     with a run of number bytes in each slot, parsed (see
     :func:`_sector_rows`) by json's own scanner, which applies the JSON
-    number grammar and float rounding; a row that many sectors repeat is
-    parsed once.  Labels and rows go through ``_integers``,
+    number grammar and float rounding; each distinct row text is parsed
+    once.  Labels and rows go through ``_integers``,
     ``_number_array`` and ``_fill`` as in ``from_dict``.
     """
     if not isinstance(text, str):
@@ -330,7 +330,7 @@ def read_vectors(text, names):
         d = member["d"]
         if type(d) is not int or d < 1:
             return None
-        found = _sector_rows(raw, a, b, d, indent, 1)
+        found = _sector_rows(raw, a, b, d, indent)
         if found is None:
             return None
         try:

@@ -116,16 +116,17 @@ class ApproxScheme:
         without building its object tree: ``n``, ``d``, ``c``, ``cprime``
         and each vector's ``d`` are parsed by ``json.loads`` with the
         sector arrays cut out, and each vector's labels by one
-        ``json.loads`` and its rows by another, only the distinct ones if
-        its first row recurs (see ``jsonio.read_vectors``): a row repeated
-        in many sectors, as in the canonical scheme, parses once.
+        ``json.loads`` and its distinct rows by another (see
+        ``jsonio.read_vectors``): a row repeated in many sectors, as in the
+        canonical scheme, parses once.
         Every other text, ``bytes``, and any text that reads as a malformed
         scheme go to ``from_dict(json.loads(text))``, the one general
         parser and the source of every error message, so both ways give
         the same scheme, bit for bit, or the same ``ValueError``.  JSON
         nested too deeply for ``json`` raises ``ValueError`` too.
         """
-        # the parsed lists and dicts hold no cycles, so a collection finds nothing
+        # the parsed lists and dicts hold no cycles, so a collection finds nothing, and the
+        # collections their allocations would set off cost a large parse much of its time
         enabled = gc.isenabled()
         gc.disable()
         try:

@@ -25,6 +25,7 @@ def test_layer_benchmarks_import():
         "test_first_one_sector_apply_fresh",
         "test_from_json_build_file_large",
         "test_from_json_distinct_values",
+        "test_from_json_first_row_apart",
         "test_from_json_optimized",
         "test_from_json_text",
         "test_three_sector_completed",

@@ -533,6 +533,18 @@ def _distinct_scheme(n):
     return dataclasses.replace(s, **vectors)
 
 
+def _first_row_apart(n):
+    """The canonical scheme with the first sector of each vector scaled by ``1 + 1e-3``."""
+    s = build_canonical_scheme(n)
+    vectors = {}
+    for k in scheme._VECTORS:
+        v = getattr(s, k)
+        amps = v._amps.copy()
+        amps[0] *= 1 + 1e-3
+        vectors[k] = GradedVector.from_window(v._lo, amps)
+    return dataclasses.replace(s, **vectors)
+
+
 def _zero_flipped(n):
     """The canonical scheme with the sign of one zero flipped in the middle row of each vector."""
     s = build_canonical_scheme(n)
@@ -769,7 +781,7 @@ class TestJson:
         # one label text and one row text, each handed over alone as the texts of a
         # one-sector array are: an empty label, and a number ahead of a row's first
         # bracket, must each be refused by the unit of its own text
-        label, row = jsonio._sector_layout(2, indent and " " * indent, 1)[3:]
+        label, row = jsonio._sector_layout(2, indent and " " * indent)[3:]
         text = build_canonical_scheme(2).to_json(indent=indent)
         nu = text.split('"nu":')[1].split('"amp"')[0].encode() + b'"amp"'
         amp = text.split('"amp":')[1].split('"nu"')[0].encode() + b'"nu"'
@@ -791,6 +803,24 @@ class TestJson:
         # alternating one only apart, and the distinct one not at all; none may fall back
         # to json.loads
         _assert_read_strictly(make(n), indent)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_first_row_apart_parses_each_distinct_row_once(self, indent, monkeypatch):
+        # the first sector differs and every other one repeats a row: each vector's rows
+        # parse as their two distinct texts, not as one text per sector
+        text = _first_row_apart(1000).to_json(indent=indent)
+        assert scheme._strict_fields(text) is not None
+        expected = ApproxScheme.from_dict(json.loads(text))
+        numbers, rows = jsonio._numbers, []
+
+        def counted(texts, unit, width, indent):
+            if width > 1:  # a row, not a label
+                rows.append(len(texts))
+            return numbers(texts, unit, width, indent)
+
+        monkeypatch.setattr(jsonio, "_numbers", counted)
+        assert _bits(ApproxScheme.from_json(text)) == _bits(expected)
+        assert rows == [2] * 4
 
     @pytest.mark.parametrize("indent", [None, 2])
     @pytest.mark.parametrize("name", ["xi", "rho"])
