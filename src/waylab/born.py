@@ -232,7 +232,8 @@ def sample_outcomes(dist, shots, seed):
 
     Deterministic for a fixed seed: draws come from a PCG64 generator
     (numpy default), and counts over the distribution's labels always
-    sum to ``shots``.
+    sum to ``shots``.  A negative probability, or a sum farther than
+    ``_SUM_TOL`` from 1 (a NaN or infinite sum too), raises ``ValueError``.
     """
     shots = _integer(shots, "shots", 1)
     if shots > np.iinfo(np.int64).max:  # numpy's multinomial counts in int64
@@ -240,8 +241,12 @@ def sample_outcomes(dist, shots, seed):
     seed = _integer(seed, "seed", 0)
     labels = dist.labels()
     probs = np.asarray(dist.probabilities(), dtype=float)
-    total = probs.sum()
-    if abs(total - 1.0) > _SUM_TOL:
+    for label, p in zip(labels, probs.tolist()):
+        if p < 0:
+            raise ValueError(f"probability of {label!r} is negative: {p!r}")
+    total = float(probs.sum())
+    # written as "not <=" so a NaN total is refused too
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     probs = probs / total
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -52,19 +52,19 @@ Conventions
   :func:`_column_dots`, which cuts the same way by matrix entries, in
   runs of whole rows.
 * A :class:`BlockMap` stores one stack: sorted labels, the column count
-  of each block and ``(K, d, M)`` domain and image stacks, each block
-  zero-padded to the widest ``M``.  ``blocks`` maps each label to views
-  into them and is built when first read.  Every operation is a few
-  whole-stack array or LAPACK calls, the same few at any number of
-  blocks, rather than a loop over sectors.  The per-block products of
+  of each block and one ``(2, K, d, M)`` array of the blocks' domains
+  over their images, each block zero-padded to the widest ``M``.
+  ``blocks`` maps each label to views into it and is built when first
+  read.  Every operation is a few whole-stack array or LAPACK calls, the
+  same few at any number of blocks, rather than a loop over sectors.  The per-block products of
   ``apply`` and ``orthogonality_transfer_check`` are ``np.vecdot`` loops
   of ``d``- or ``M``-term sums rather than one BLAS call per block, and
   their misfit test is one maximum, with the exact first offender
   looked up only on the error path.  They lay their inputs over one common label
   window (refused beyond the entry limit), find the blocks inside it by
   bisection and solve only the rows of declared sectors; a window
-  holding no declared sector factors nothing.  The stacks are
-  read-only, and a map keeps what it derives from them once first
+  holding no declared sector factors nothing.  The stack is
+  read-only, and a map keeps what it derives from it once first
   computed: the isometry defects, one array that ``check_conserving``
   reports and ``completed`` reads, and the SVD of every block on its
   own columns, from which ``apply`` and ``orthogonality_transfer_check``
@@ -112,7 +112,7 @@ _RANK_TOL = 1e-12
 #: Largest isometry defect ``BlockMap.completed`` accepts by default.
 _ISOMETRY_TOL = 1e-8
 
-#: Most blocks per sliced call over a :class:`BlockMap`'s stacks: defects, and SVDs of mixed widths.
+#: Most blocks per sliced call over a :class:`BlockMap`'s stack: defects, and SVDs of mixed widths.
 #: Only a stack of more blocks is searched for runs of equal blocks to work once each.
 #: Unsliced, a long stack's temporaries cost more memory and time than the extra calls.
 _SLICE = 256
@@ -642,20 +642,20 @@ class BlockMap:
     a per-block isometry defect, never through off-grading leakage.
 
     The blocks are stored as one stack: their sorted labels, the column
-    count of each block, and ``(K, d, M)`` domain and image stacks in
-    which every block is zero-padded to the common width ``M``, in all
-    ``2 * d * M * 16 + 16`` bytes per block.  A zero column changes no
-    Gram matrix, singular value or image, so each operation is a few
-    whole-stack calls, the same few at any number of blocks.  On more
-    than ``_SLICE`` blocks, the SVDs, defects and completions are taken
+    count of each block, and one ``(2, K, d, M)`` array, the domains over
+    the images, in which every block is zero-padded to the common width
+    ``M``, in all ``2 * d * M * 16 + 16`` bytes per block.  A zero column
+    changes no Gram matrix, singular value or image, so each operation is
+    a few whole-stack calls, the same few at any number of blocks.  On
+    more than ``_SLICE`` blocks, the SVDs, defects and completions are taken
     once per run of neighbouring blocks with the same column count and
     bits (:meth:`_representatives`), on a map of one block per run, and
     gathered back to every block: the canonical scheme's map is three
     runs at any ``n``.  ``blocks`` is a read-only mapping, in the order
-    the blocks were given, whose values are views into the stacks; it is
+    the blocks were given, whose values are views into the stack; it is
     built when first read.
 
-    The stacks are read-only, so what the map derives from them is kept
+    The stack is read-only, so what the map derives from it is kept
     once first computed: the isometry defects, 8 bytes per block, and the
     SVD factors of all blocks, zero-padded to the stack, ``(d * r + r * M)
     * 16 + r * 8`` bytes per block with ``r = min(d, M)``; a stack of
@@ -665,15 +665,13 @@ class BlockMap:
     block, 8 bytes per block.  Every later call reads them and returns
     the bits a fresh map would; besides ``blocks``, nothing else is kept.  A
     call's temporaries are of the blocks it touches: ``apply`` and the
-    transfer check stack the domain over the image of each block in
-    their window (``2 * d * M`` entries), ``completed`` writes the
-    ``2 * d * d`` entries of each completed block, in place for a group
-    of full-rank blocks of one width.
+    transfer check read the stack in place and write a few ``d``- or
+    ``M``-entry columns per block and input in their window; ``completed``
+    writes the ``2 * d * d`` entries of each completed block, in place
+    for a group of full-rank blocks of one width.
     """
 
-    __slots__ = (
-        "d", "_labels", "_cols", "_dom", "_img", "_order", "_blocks", "_svd", "_defect", "_runs"
-    )
+    __slots__ = ("d", "_labels", "_cols", "_pair", "_order", "_blocks", "_svd", "_defect", "_runs")
 
     def __init__(self, d, blocks):
         d = _integer(d, "sector dimension 'd'", 1)
@@ -691,35 +689,34 @@ class BlockMap:
             parsed[n] = (dom, img)
         labels = np.sort(labels)
         cols = np.array([parsed[n][0].shape[1] for n in labels.tolist()], dtype=np.intp)
-        dom = np.zeros((len(labels), d, cols.max(initial=0)), dtype=np.complex128)
-        img = np.zeros_like(dom)
+        pair = np.zeros((2, len(labels), d, cols.max(initial=0)), dtype=np.complex128)
         for k, n in enumerate(labels.tolist()):
-            dom[k, :, : cols[k]], img[k, :, : cols[k]] = parsed[n]
-        self._set(d, labels, cols, dom, img, tuple(parsed))
+            pair[:, k, :, : cols[k]] = parsed[n]
+        self._set(d, labels, cols, pair, tuple(parsed))
 
     @classmethod
-    def _from_stack(cls, d, labels, cols, dom, img, order=None):
-        """Map over sorted ``labels`` whose block ``k`` is the first ``cols[k]`` stack columns."""
+    def _from_stack(cls, d, labels, cols, pair, order=None):
+        """Map over sorted ``labels``, block ``k`` the first ``cols[k]`` columns of ``pair[:, k]``."""
         m = object.__new__(cls)
-        m._set(d, labels, cols, dom, img, order)
+        m._set(d, labels, cols, pair, order)
         return m
 
-    def _set(self, d, labels, cols, dom, img, order):
-        """Keep the stacks, read-only; ``blocks`` will list their labels in ``order`` (default ascending)."""
-        for a in labels, cols, dom, img:
+    def _set(self, d, labels, cols, pair, order):
+        """Keep the stack, read-only; ``blocks`` will list their labels in ``order`` (default ascending)."""
+        for a in labels, cols, pair:
             a.setflags(write=False)
-        self.d, self._labels, self._cols, self._dom, self._img = d, labels, cols, dom, img
+        self.d, self._labels, self._cols, self._pair = d, labels, cols, pair
         self._order, self._blocks, self._svd, self._defect = order, None, None, None
         self._runs = None
 
     @property
     def blocks(self):
-        """Read-only ``{N: (domain, image)}`` of views into the stacks, in the given order."""
+        """Read-only ``{N: (domain, image)}`` of views into the stack, in the given order."""
         if self._blocks is None:  # a race builds the same mapping twice
-            dom, img, cols = self._dom, self._img, self._cols
-            views = list(zip(dom, img))
-            for k in np.flatnonzero(cols < dom.shape[2]).tolist():
-                views[k] = dom[k, :, : cols[k]], img[k, :, : cols[k]]
+            pair, cols = self._pair, self._cols
+            views = list(zip(*pair))
+            for k in np.flatnonzero(cols < pair.shape[3]).tolist():
+                views[k] = pair[0, k, :, : cols[k]], pair[1, k, :, : cols[k]]
             blocks = dict(zip(self._labels.tolist(), views))
             if self._order is not None:
                 blocks = {n: blocks[n] for n in self._order}
@@ -743,7 +740,7 @@ class BlockMap:
 
         A run is a maximal stretch of consecutive blocks with the same
         column count and the same domain and image bits, compared as
-        ``int64`` views of the stacks, so blocks that differ only in the
+        ``int64`` view of the stack, so blocks that differ only in the
         sign of a zero or in a NaN payload are never merged.  A LAPACK or
         ``einsum`` result on one block depends only on its bits and
         column count, so what the representatives' map derives, gathered
@@ -756,16 +753,13 @@ class BlockMap:
             k, runs = len(self._labels), False
             if k > _SLICE:  # on fewer blocks the search costs more than the blocks it saves
                 new = np.empty(k, dtype=bool)
+                bits = self._pair.reshape(2, k, -1).view(np.int64)
                 new[0], new[1:] = True, self._cols[1:] != self._cols[:-1]
-                for stack in self._dom, self._img:
-                    bits = stack.reshape(k, -1).view(np.int64)
-                    new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+                new[1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=(0, 2))
                 if not new.all():
                     first = np.flatnonzero(new)
-                    rep = BlockMap._from_stack(
-                        self.d, self._labels[first], self._cols[first],
-                        self._dom[first], self._img[first],
-                    )
+                    pair = np.take(self._pair, first, axis=1)  # contiguous, unlike [:, first]
+                    rep = BlockMap._from_stack(self.d, self._labels[first], self._cols[first], pair)
                     rep._runs = False  # neighbouring representatives differ
                     runs = rep, np.cumsum(new) - 1
             self._runs = runs
@@ -797,7 +791,7 @@ class BlockMap:
             rep, run = runs
             factors = self._svd = *(f[run] for f in rep._factor()[:3]), None
         if factors is None:  # a race factors the same blocks twice
-            dom, cols = self._dom, self._cols
+            dom, cols = self._pair[0], self._cols
             k, d, m = dom.shape
             try:
                 # one width: one call, and slices completed fills in place, faster on small maps
@@ -831,7 +825,7 @@ class BlockMap:
         The inputs are laid as the columns of one ``(span, d, k)`` window
         over sectors ``lo..lo+span-1``.  Two bisections of the sorted
         labels find the blocks inside the window, a contiguous run of the
-        stacks, and only the window rows of those declared sectors are
+        stack, and only the window rows of those declared sectors are
         solved: by least squares against each block's domain, with the
         pseudo-inverse applied from views of the kept SVD factors as
         ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
@@ -882,8 +876,7 @@ class BlockMap:
             np.divide(x, kept[..., None], out=x)
             coeff = np.vecdot(x[:, :, None], vh[..., None], axis=1)
             # the blocks' domains over their images times V x: the fit and the images
-            pair = np.array((self._dom[a:b], self._img[a:b]))
-            np.vecdot(coeff[:, None], pair[..., None], axis=-2, out=out[::2])
+            np.vecdot(coeff[:, None], self._pair[:, a:b, :, :, None], axis=-2, out=out[::2])
             np.subtract(out[0], amps, out=out[0])
             misses = np.vecdot(out[0], out[0], axis=1).real
         # a residual within tol is within its bound, tol * (1 + |row|); NaN never is
@@ -913,7 +906,7 @@ class BlockMap:
             else:
                 defects = np.empty(len(self._labels))
                 for i in range(0, len(defects), _SLICE):
-                    pair = np.array((self._img[i : i + _SLICE], self._dom[i : i + _SLICE]))
+                    pair = self._pair[::-1, i : i + _SLICE]  # images over domains
                     gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
                     np.abs(gram[0] - gram[1]).max(
                         axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
@@ -943,7 +936,7 @@ class BlockMap:
             rep, run = runs
             full = rep.completed(tol)
             out = BlockMap._from_stack(
-                self.d, self._labels, full._cols[run], full._dom[run], full._img[run], self._order
+                self.d, self._labels, full._cols[run], np.take(full._pair, run, axis=1), self._order
             )
             out._runs = full, run
             return out
@@ -964,11 +957,11 @@ class BlockMap:
                 q = full[:, pos]
                 q[0, :, :, :r] = u[sel, :, :r]
                 basis = vh[sel, :r].conj().swapaxes(1, 2) / sv[sel, None, :r]
-                np.matmul(self._img[pos, :, :c], basis, out=q[1, :, :, :r])
+                np.matmul(self._pair[1, pos, :, :c], basis, out=q[1, :, :, :r])
                 _extend_basis(q, r)
                 if not isinstance(pos, slice):
                     full[:, pos] = q
-        out = BlockMap._from_stack(d, self._labels, np.full(k, d), *full, self._order)
+        out = BlockMap._from_stack(d, self._labels, np.full(k, d), full, self._order)
         out._runs = False  # the completions of blocks without runs are not searched for runs
         return out
 

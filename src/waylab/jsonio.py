@@ -218,6 +218,8 @@ def _numbers(texts, unit, width, indent):
     count = len(skeleton) // len(period)
     if skeleton != period * count:
         return None
+    # each fixed run is replaced whole: one translate of its bytes to spaces would read
+    # "], 0.0[, 0.0]]}" as numbers, a number moved across a bracket
     for sep in (sep.rstrip(b" \n") for sep in (trail + b":" + lead, pair) if sep):
         text = text.replace(sep, b"," + b" " * (len(sep) - 1))
     body = memoryview(text)[len(lead) : len(text) - len(trail)]

@@ -245,7 +245,7 @@ def exact_constraint_residual(data):
         if np.any(arr < 0):
             nu = int(np.argmin(arr)) + 1
             raise ValueError(
-                f"{name}[{nu}] = {arr[nu - 1]!r} is negative; squared norms "
+                f"{name}[{nu}] = {float(arr[nu - 1])!r} is negative; squared norms "
                 f"must be nonnegative"
             )
     w = np.stack([data.x, data.s, data.t, data.a, data.b])

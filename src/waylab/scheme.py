@@ -297,11 +297,10 @@ def interaction_blocks(s):
     keep = np.flatnonzero(has_head | has_tail)
     first, both = has_head[keep, None], (has_head & has_tail)[keep, None]
     # a block without its head keeps the tail in column 0; one column leaves zero padding
-    dom, img = (
-        np.stack([np.where(first, h[keep], t[keep]), np.where(both, t[keep], 0)], axis=2)
-        for h, t in zip(head, tail)
-    )
-    return BlockMap._from_stack(2 * s.d, lo + keep, 1 + both[:, 0], dom, img)
+    pair = np.empty((2, len(keep), 2 * s.d, 2), dtype=np.complex128)  # domains, then images
+    for h, t, out in zip(head, tail, pair):
+        np.stack([np.where(first, h[keep], t[keep]), np.where(both, t[keep], 0)], axis=2, out=out)
+    return BlockMap._from_stack(2 * s.d, lo + keep, 1 + both[:, 0], pair)
 
 
 def _windows(s):

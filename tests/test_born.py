@@ -7,6 +7,8 @@ import pytest
 
 from waylab.born import (
     Observable,
+    Outcome,
+    OutcomeDistribution,
     born_distribution,
     counts_to_csv,
     sample_outcomes,
@@ -250,6 +252,20 @@ class TestSampling:
         assert sum(sample_outcomes(dist, 2**63 - 1, seed=5).values()) == 2**63 - 1
         with pytest.raises(ValueError, match=f"shots must be <= {2**63 - 1}, got {2**63}"):
             sample_outcomes(dist, 2**63, seed=5)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [((0.5, float("nan")), "probabilities sum to nan, not 1"),
+         ((0.5, float("inf")), "probabilities sum to inf, not 1"),
+         ((-0.5, 1.5), "probability of 'a' is negative: -0.5"),
+         ((0.5, -0.0, 0.5, -1e-300), "probability of 'd' is negative: -1e-300")],
+    )
+    def test_refuses_nan_inf_and_negative_probabilities(self, probs, message):
+        dist = OutcomeDistribution(
+            tuple(Outcome(label, p, None) for label, p in zip("abcd", probs))
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_outcomes(dist, 10, seed=1)
 
     def test_numpy_integer_shots_and_seed(self):
         s = build_canonical_scheme(2)

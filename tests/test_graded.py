@@ -716,10 +716,10 @@ class TestBlockMap:
         m = BlockMap(3, blocks)
         assert list(m.blocks) == [4, -1, 2, 0]
         assert m.sectors() == (-1, 0, 2, 4)
-        stacks = m.blocks[2][0].base, m.blocks[2][1].base
-        assert stacks[0] is not None and stacks[0].shape == stacks[1].shape == (4, 3, 3)
+        stack = m.blocks[2][0].base
+        assert stack is not None and stack.shape == (2, 4, 3, 3)
         for n, (dom, img) in m.blocks.items():
-            assert dom.base is stacks[0] and img.base is stacks[1]
+            assert dom.base is stack and img.base is stack
             np.testing.assert_array_equal(dom, blocks[n][0])
             np.testing.assert_array_equal(img, blocks[n][1])
         with pytest.raises(TypeError):
@@ -868,8 +868,7 @@ def _call(m, call, inputs):
         if name == "conserving":
             report = check_conserving(m)
             return [cid for cid, _ in report.entries], report._residuals.tobytes()
-        full = m.completed()
-        return list(full.blocks), full._dom.tobytes(), full._img.tobytes()
+        return [(n, dom.tobytes(), img.tobytes()) for n, (dom, img) in m.completed().blocks.items()]
     except ValueError as exc:
         return str(exc)
 
