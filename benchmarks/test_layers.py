@@ -26,9 +26,10 @@ cached-map cases time the same calls warm), the chain
 workload on the canonical map at n = 10^3 and 10^4, and, on the
 canonical maps at n = 10^3 and 10^4 and the optimized map at n = 10^3,
 ``check_conserving(completed())`` and the first ``apply`` of a
-one-sector vector, which factors the whole map: one block per run of
-equal blocks (three on the canonical map), every block of the
-optimized one.
+one-sector vector, which factors the whole map: every block it stores,
+one per run of equal neighbouring blocks (three on the canonical map,
+every block of the optimized one).  ``BlockMap(d, blocks)`` on the
+three-sector blocks times construction, which finds those runs.
 Building, validating and reading out the canonical scheme are timed at
 n = 10^2 to 10^5 (readout also at 3 * 10^3, the largest size of the
 benchmark's readout workload); validation also at n = 4 (a report's fixed cost) and
@@ -417,6 +418,13 @@ def test_three_sector_orthogonality_transfer_check_fresh(benchmark, widths):
         rounds=FRESH_ROUNDS[3],
     )
     np.testing.assert_allclose(post, pre, atol=1e-10)
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)
+def test_three_sector_construct(benchmark, widths):
+    m, _ = three_sector_case(widths)
+    blocks = dict(m.blocks)
+    assert benchmark(BlockMap, 4, blocks).sectors() == m.sectors()
 
 
 @pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS)

@@ -204,6 +204,8 @@ def exchange_form(verdict, plus_branch, minus_branch, tol=_EXCHANGE_TOL):
     p = plus_branch.object_part
     q = minus_branch.object_part
     p2 = p.norm2()
+    if p2 == 0.0:
+        raise ValueError("plus branch has a zero object part; no common exchanged form exists")
     phase = inner(p, q) / p2
     misalign = (q - phase * p).norm()
     if misalign > np.sqrt(tol):

@@ -51,30 +51,32 @@ Conventions
   count.  The products of an eigenvector family with a state go through
   :func:`_column_dots`, which cuts the same way by matrix entries, in
   runs of whole rows.
-* A :class:`BlockMap` stores one stack: sorted labels, the column count
-  of each block and one ``(2, K, d, M)`` array of the blocks' domains
-  over their images, each block zero-padded to the widest ``M``.
-  ``blocks`` maps each label to views into it and is built when first
-  read.  Every operation is a few whole-stack array or LAPACK calls, the
-  same few at any number of blocks, rather than a loop over sectors.  The per-block products of
+* A :class:`BlockMap` stores one stack of its distinct blocks: sorted
+  labels, one ``(2, R, d, M)`` array of the ``R`` distinct blocks'
+  domains over their images, each zero-padded to the widest ``M``, their
+  column counts, and the stored block of each label.  A run of
+  neighbouring blocks equal in column count and bits is stored once, so
+  the canonical scheme's map stores three blocks at any ``n``.
+  ``blocks`` maps each label to views into the stack and is built when
+  first read.  Every operation is a few array or LAPACK calls over the
+  stored blocks, the same few at any number of blocks, rather than a
+  loop over sectors.  The per-block products of
   ``apply`` and ``orthogonality_transfer_check`` are ``np.vecdot`` loops
   of ``d``- or ``M``-term sums rather than one BLAS call per block, and
   their misfit test is one maximum, with the exact first offender
   looked up only on the error path.  They lay their inputs over one common label
   window (refused beyond the entry limit), find the blocks inside it by
-  bisection and solve only the rows of declared sectors; a window
-  holding no declared sector factors nothing.  The stack is
-  read-only, and a map keeps what it derives from it once first
-  computed: the isometry defects, one array that ``check_conserving``
-  reports and ``completed`` reads, and the SVD of every block on its
-  own columns, from which ``apply`` and ``orthogonality_transfer_check``
-  take their pseudo-inverses and ``completed`` its bases.  The defects,
-  and the SVD of a stack of several widths, go in slices of at most 256
-  blocks.  A stack of more than 256 blocks takes these, and its
-  completion, once per run of neighbouring blocks equal in column count
-  and bits, and gathers them back to every block.  The tolerances of
-  these calls are named once: ``_PINV_CUT``, ``_RANK_TOL`` and
-  ``_ISOMETRY_TOL``.
+  bisection, gather their stored blocks and factors, and solve only the
+  rows of declared sectors; a window holding no declared sector factors
+  nothing.  The stack is read-only, and a map keeps what it derives from
+  its stored blocks once first computed: the isometry defects, one array
+  that ``check_conserving`` reports by label and ``completed`` reads,
+  and the SVD of every stored block on its own columns, from which
+  ``apply`` and ``orthogonality_transfer_check`` take their
+  pseudo-inverses and ``completed`` its bases.  The defects, and the SVD
+  of a stack of several widths, go in slices of at most 256 blocks.  The
+  tolerances of these calls are named once: ``_PINV_CUT``, ``_RANK_TOL``
+  and ``_ISOMETRY_TOL``.
 * A joint object+apparatus vector is itself a :class:`GradedVector` with
   per-sector dimension ``2 * d``: within total-charge sector ``N`` the
   first ``d`` slots hold the object-charge-0 component (apparatus sector
@@ -112,9 +114,8 @@ _RANK_TOL = 1e-12
 #: Largest isometry defect ``BlockMap.completed`` accepts by default.
 _ISOMETRY_TOL = 1e-8
 
-#: Most blocks per sliced call over a :class:`BlockMap`'s stack: defects, and SVDs of mixed widths.
-#: Only a stack of more blocks is searched for runs of equal blocks to work once each.
-#: Unsliced, a long stack's temporaries cost more memory and time than the extra calls.
+#: Most blocks per sliced call over a :class:`BlockMap`'s stored blocks: defects, and SVDs of mixed
+#: widths.  Unsliced, a long stack's temporaries cost more memory and time than the extra calls.
 _SLICE = 256
 
 #: Most entries per BLAS dot product: OpenBLAS threads ``zdotc`` and ``ddot`` above
@@ -631,6 +632,32 @@ def charge_expectation(v):
     return float(_dot(np.arange(v._lo, v._hi + 1), weights) / total)
 
 
+def _distinct(cols, pair):
+    """``(cols, pair, run)`` of a stack of blocks: its distinct blocks and the one of each label.
+
+    A run is a maximal stretch of neighbouring blocks with the same column
+    count and the same domain and image bits, compared as the ``int64``
+    view of the stack, so blocks that differ only in the sign of a zero or
+    in a NaN payload are never merged.  Each run is stored once, as its
+    first block, and ``run[k]`` is the stored block of block ``k``.  A
+    LAPACK or ``einsum`` result on one block depends only on its bits and
+    column count, so what is derived from the stored blocks, gathered by
+    run, has the bits of the whole stack.  Without two equal neighbours
+    the stack is kept as it is and ``run`` is ``None``.
+    """
+    k = len(cols)
+    if k < 2:  # a stack of no block has no int64 rows to compare
+        return cols, pair, None
+    bits = pair.reshape(2, k, -1).view(np.int64)
+    same = (cols[1:] == cols[:-1]) & (bits[:, 1:] == bits[:, :-1]).all(axis=(0, 2))
+    if not same.any():
+        return cols, pair, None
+    new = np.append(True, ~same)
+    first = np.flatnonzero(new)
+    # np.take is contiguous, unlike pair[:, first]
+    return cols[first], np.take(pair, first, axis=1), np.cumsum(new) - 1
+
+
 class BlockMap:
     """Linear map given block-by-block over total-charge sectors.
 
@@ -641,37 +668,36 @@ class BlockMap:
     built into the representation, so conservation can only fail through
     a per-block isometry defect, never through off-grading leakage.
 
-    The blocks are stored as one stack: their sorted labels, the column
-    count of each block, and one ``(2, K, d, M)`` array, the domains over
-    the images, in which every block is zero-padded to the common width
-    ``M``, in all ``2 * d * M * 16 + 16`` bytes per block.  A zero column
-    changes no Gram matrix, singular value or image, so each operation is
-    a few whole-stack calls, the same few at any number of blocks.  On
-    more than ``_SLICE`` blocks, the SVDs, defects and completions are taken
-    once per run of neighbouring blocks with the same column count and
-    bits (:meth:`_representatives`), on a map of one block per run, and
-    gathered back to every block: the canonical scheme's map is three
-    runs at any ``n``.  ``blocks`` is a read-only mapping, in the order
+    The map stores its ``K`` sorted labels and one stack of its ``R``
+    distinct blocks (:func:`_distinct`): a ``(2, R, d, M)`` array, the
+    domains over the images, in which every block is zero-padded to the
+    common width ``M``, their column counts, and ``_run``, the stored
+    block of each label, or ``None`` when no two neighbouring blocks are
+    equal and the stack holds every block.  That is ``2 * d * M * 16 + 8``
+    bytes per stored block and 16 bytes per label (8 without runs): the
+    canonical scheme's map stores three blocks at any ``n``.  A zero
+    column changes no Gram matrix, singular value or image, so each
+    operation is a few calls over the stored blocks, the same few at any
+    number of blocks.  ``blocks`` is a read-only mapping, in the order
     the blocks were given, whose values are views into the stack; it is
     built when first read.
 
-    The stack is read-only, so what the map derives from it is kept
-    once first computed: the isometry defects, 8 bytes per block, and the
-    SVD factors of all blocks, zero-padded to the stack, ``(d * r + r * M)
-    * 16 + r * 8`` bytes per block with ``r = min(d, M)``; a stack of
-    several column counts also keeps the unpadded factors of each count,
-    at most as much again.  A map with runs also keeps the map of its
-    representatives, with their factors and defects, and the run of each
-    block, 8 bytes per block.  Every later call reads them and returns
-    the bits a fresh map would; besides ``blocks``, nothing else is kept.  A
-    call's temporaries are of the blocks it touches: ``apply`` and the
-    transfer check read the stack in place and write a few ``d``- or
-    ``M``-entry columns per block and input in their window; ``completed``
-    writes the ``2 * d * d`` entries of each completed block, in place
-    for a group of full-rank blocks of one width.
+    The stack is read-only, so what the map derives from its stored
+    blocks is kept once first computed: their isometry defects, 8 bytes
+    per block, and their SVD factors, zero-padded to the stack, ``(d * r
+    + r * M) * 16 + r * 8`` bytes per block with ``r = min(d, M)``; a
+    stack of several column counts also keeps the unpadded factors of
+    each count, at most as much again.  Every later call reads them and
+    returns the bits a fresh map would; besides ``blocks``, nothing else
+    is kept.  A call's temporaries are of the blocks it touches: ``apply``
+    and the transfer check gather the stored blocks and factors of their
+    window (or slice them, without runs) and write a few ``d``- or
+    ``M``-entry columns per block and input in it; ``completed`` writes
+    the ``2 * d * d`` entries of each completed stored block, in place for
+    a group of full-rank blocks of one width, and its map keeps the runs.
     """
 
-    __slots__ = ("d", "_labels", "_cols", "_pair", "_order", "_blocks", "_svd", "_defect", "_runs")
+    __slots__ = ("d", "_labels", "_cols", "_pair", "_run", "_order", "_blocks", "_svd", "_defect")
 
     def __init__(self, d, blocks):
         d = _integer(d, "sector dimension 'd'", 1)
@@ -692,22 +718,26 @@ class BlockMap:
         pair = np.zeros((2, len(labels), d, cols.max(initial=0)), dtype=np.complex128)
         for k, n in enumerate(labels.tolist()):
             pair[:, k, :, : cols[k]] = parsed[n]
-        self._set(d, labels, cols, pair, tuple(parsed))
+        self._set(d, labels, *_distinct(cols, pair), tuple(parsed))
 
     @classmethod
     def _from_stack(cls, d, labels, cols, pair, order=None):
         """Map over sorted ``labels``, block ``k`` the first ``cols[k]`` columns of ``pair[:, k]``."""
         m = object.__new__(cls)
-        m._set(d, labels, cols, pair, order)
+        m._set(d, labels, *_distinct(cols, pair), order)
         return m
 
-    def _set(self, d, labels, cols, pair, order):
-        """Keep the stack, read-only; ``blocks`` will list their labels in ``order`` (default ascending)."""
-        for a in labels, cols, pair:
-            a.setflags(write=False)
-        self.d, self._labels, self._cols, self._pair = d, labels, cols, pair
+    def _set(self, d, labels, cols, pair, run, order):
+        """Keep the stored blocks and runs, read-only; ``blocks`` lists labels in ``order``.
+
+        ``order`` is ``None`` for ascending labels.  Each run of ``run``
+        need only hold equal blocks, not be maximal.
+        """
+        for a in labels, cols, pair, run:
+            if a is not None:
+                a.setflags(write=False)
+        self.d, self._labels, self._cols, self._pair, self._run = d, labels, cols, pair, run
         self._order, self._blocks, self._svd, self._defect = order, None, None, None
-        self._runs = None
 
     @property
     def blocks(self):
@@ -717,6 +747,8 @@ class BlockMap:
             views = list(zip(*pair))
             for k in np.flatnonzero(cols < pair.shape[3]).tolist():
                 views[k] = pair[0, k, :, : cols[k]], pair[1, k, :, : cols[k]]
+            if self._run is not None:
+                views = [views[r] for r in self._run.tolist()]
             blocks = dict(zip(self._labels.tolist(), views))
             if self._order is not None:
                 blocks = {n: blocks[n] for n in self._order}
@@ -735,38 +767,8 @@ class BlockMap:
         out[rows] = pair[1, :, :, 0]
         return GradedVector._own(lo, out)
 
-    def _representatives(self):
-        """Map of the first block of each run and the run of every block, or ``None``: kept.
-
-        A run is a maximal stretch of consecutive blocks with the same
-        column count and the same domain and image bits, compared as
-        ``int64`` view of the stack, so blocks that differ only in the
-        sign of a zero or in a NaN payload are never merged.  A LAPACK or
-        ``einsum`` result on one block depends only on its bits and
-        column count, so what the representatives' map derives, gathered
-        back by run, has the bits the whole stack would give.  Runs are
-        looked for only on more than ``_SLICE`` blocks; a smaller stack,
-        or one without two equal neighbours, has none.
-        """
-        runs = self._runs
-        if runs is None:  # a race finds the same runs twice
-            k, runs = len(self._labels), False
-            if k > _SLICE:  # on fewer blocks the search costs more than the blocks it saves
-                new = np.empty(k, dtype=bool)
-                bits = self._pair.reshape(2, k, -1).view(np.int64)
-                new[0], new[1:] = True, self._cols[1:] != self._cols[:-1]
-                new[1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=(0, 2))
-                if not new.all():
-                    first = np.flatnonzero(new)
-                    pair = np.take(self._pair, first, axis=1)  # contiguous, unlike [:, first]
-                    rep = BlockMap._from_stack(self.d, self._labels[first], self._cols[first], pair)
-                    rep._runs = False  # neighbouring representatives differ
-                    runs = rep, np.cumsum(new) - 1
-            self._runs = runs
-        return runs or None
-
     def _factor(self):
-        """SVD of every block, each of its own columns, kept: ``(u, sv, vh, groups)``.
+        """SVD of every stored block, each of its own columns, kept: ``(u, sv, vh, groups)``.
 
         The blocks are factored unpadded (on a padded block the singular
         vectors can come out with other phases): in one ``svd`` call when
@@ -777,19 +779,11 @@ class BlockMap:
         the stack's width, else an index array) and their unpadded
         factors, which bounds the temporaries of ``completed``.  ``u, sv,
         vh`` hold every block's factors zero-padded to ``min(d, M)``
-        singular values and ``M`` columns.  A map of more than ``_SLICE``
-        blocks with runs of neighbours of equal bits (:meth:`_representatives`)
-        factors one block per run and gathers ``u, sv, vh`` back to every
-        block; its ``groups`` is ``None``, as ``completed`` then completes
-        the representatives.  A
-        domain holding NaN does not factor; it is refused by the label of
-        the first non-finite block, which starts its run.
+        singular values and ``M`` columns.  A domain holding NaN does not
+        factor; it is refused by the first label of the first non-finite
+        stored block.
         """
         factors = self._svd
-        runs = self._representatives() if factors is None else None
-        if runs is not None:
-            rep, run = runs
-            factors = self._svd = *(f[run] for f in rep._factor()[:3]), None
         if factors is None:  # a race factors the same blocks twice
             dom, cols = self._pair[0], self._cols
             k, d, m = dom.shape
@@ -814,7 +808,8 @@ class BlockMap:
                 finite = np.isfinite(dom).all(axis=(1, 2))
                 if finite.all():
                     raise
-                label = self._labels[finite.argmin()]
+                r = int(finite.argmin())
+                label = self._labels[r if self._run is None else np.searchsorted(self._run, r)]
                 raise ValueError(f"block {label}: domain is not finite") from None
             factors = self._svd = u, sv, vh, groups
         return factors
@@ -825,24 +820,25 @@ class BlockMap:
         The inputs are laid as the columns of one ``(span, d, k)`` window
         over sectors ``lo..lo+span-1``.  Two bisections of the sorted
         labels find the blocks inside the window, a contiguous run of the
-        stack, and only the window rows of those declared sectors are
-        solved: by least squares against each block's domain, with the
-        pseudo-inverse applied from views of the kept SVD factors as
+        labels, whose stored blocks and kept SVD factors are sliced from
+        the stack, or gathered by ``_run``; only the window rows of those
+        declared sectors are solved: by least squares against each block's
+        domain, with the pseudo-inverse applied from the factors as
         ``V diag(1/s) U^H`` (cut as ``lstsq(rcond=None)`` cuts each
         unpadded block, at ``_PINV_CUT``).  Each product is one
-        ``np.vecdot`` over the stack, a loop of ``d``- or ``M``-term sums
+        ``np.vecdot`` over the blocks, a loop of ``d``- or ``M``-term sums
         rather than one BLAS call per block, and one of them, with the
         blocks' domains over their images, gives both the fit and the
         images.  A window without a declared sector factors nothing.
 
         A row offends when it is nonzero in an undeclared sector, or when
         its projection residual is not within ``tol * (1 + |row|)``, so a
-        NaN residual offends.  Two counts of nonzero entries (window and
-        declared rows) and the largest squared residual, at most
-        ``tol**2``, clear the usual call; otherwise :func:`_refuse_first`
-        tests every row, with norms that do not overflow, and raises
-        ``ValueError`` for the first offending one, in vector-then-label
-        order.
+        NaN residual offends.  The largest squared residual, at most
+        ``tol**2``, and, when the window holds an undeclared row, two
+        counts of nonzero entries (window and declared rows) clear the
+        usual call; otherwise :func:`_refuse_first` tests every row, with
+        norms that do not overflow, and raises ``ValueError`` for the first
+        offending one, in vector-then-label order.
 
         Returns ``(lo, rows, span, pair)``: the window rows of the declared
         sectors (sectors ``lo + rows``) and the ``(2, len(rows), d, k)``
@@ -862,21 +858,27 @@ class BlockMap:
         # the misses of the fit, the inputs and their images
         out = np.empty((3, b - a, d, k), dtype=np.complex128)
         out[1] = amps = window[rows]
-        # a nonzero entry outside the declared rows
-        stray = np.count_nonzero(window) != np.count_nonzero(amps)
+        # a nonzero entry outside the declared rows, which can only be where a row is undeclared
+        stray = len(rows) < span and np.count_nonzero(window) != np.count_nonzero(amps)
         misses = np.zeros((0, k))  # the squared residuals of the declared rows
         if a < b:
             u, sv, vh, _ = self._factor()
-            u, sv, vh = u[a:b], sv[a:b], vh[a:b]
+            if self._run is None:
+                u, sv, vh, cols = (f[a:b] for f in (u, sv, vh, self._cols))
+                blocks = self._pair[:, a:b]
+            else:  # np.take, several times faster than indexing by an array here
+                at = self._run[a:b]
+                u, sv, vh, cols = (np.take(f, at, axis=0) for f in (u, sv, vh, self._cols))
+                blocks = np.take(self._pair, at, axis=1)
             # x = U^H a / s, a cut singular value reading as inf; vecdot conjugates its first
             # argument, so coeff is conj(V x), and the product with the blocks conjugates it back
-            cut = _PINV_CUT * np.maximum(d, self._cols[a:b])[:, None] * sv[:, :1]
+            cut = _PINV_CUT * np.maximum(d, cols)[:, None] * sv[:, :1]
             kept = np.where(sv > cut, sv, np.inf)
             x = np.vecdot(u[..., None], amps[:, :, None], axis=1)
             np.divide(x, kept[..., None], out=x)
             coeff = np.vecdot(x[:, :, None], vh[..., None], axis=1)
             # the blocks' domains over their images times V x: the fit and the images
-            np.vecdot(coeff[:, None], self._pair[:, a:b, :, :, None], axis=-2, out=out[::2])
+            np.vecdot(coeff[:, None], blocks[..., None], axis=-2, out=out[::2])
             np.subtract(out[0], amps, out=out[0])
             misses = np.vecdot(out[0], out[0], axis=1).real
         # a residual within tol is within its bound, tol * (1 + |row|); NaN never is
@@ -887,30 +889,22 @@ class BlockMap:
         return lo, rows, span, out[1:]
 
     def _defects(self):
-        """Isometry defect of each block, in label order: one read-only array, kept.
+        """Isometry defect of each stored block, in stack order: one read-only array, kept.
 
         The defect is the max-norm difference of the block's image and
         domain Gram matrices (0 without columns; padding columns add zero
         Gram entries), taken ``_SLICE`` blocks at a time, both Gram
         matrices of a slice in one ``einsum`` over its image and domain.
-        A map of more than ``_SLICE`` blocks with runs of neighbours of
-        equal bits (:meth:`_representatives`) takes them of one block per
-        run and gathers them back to every block.
         """
         defects = self._defect
         if defects is None:  # a race computes the same defects twice
-            runs = self._representatives()
-            if runs is not None:
-                rep, run = runs
-                defects = rep._defects()[run]
-            else:
-                defects = np.empty(len(self._labels))
-                for i in range(0, len(defects), _SLICE):
-                    pair = self._pair[::-1, i : i + _SLICE]  # images over domains
-                    gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
-                    np.abs(gram[0] - gram[1]).max(
-                        axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
-                    )
+            defects = np.empty(len(self._cols))
+            for i in range(0, len(defects), _SLICE):
+                pair = self._pair[::-1, i : i + _SLICE]  # images over domains
+                gram = np.einsum("tkdi,tkdj->tkij", pair.conj(), pair)
+                np.abs(gram[0] - gram[1]).max(
+                    axis=(1, 2), initial=0.0, out=defects[i : i + _SLICE]
+                )
             defects.setflags(write=False)
             self._defect = defects
         return defects
@@ -924,27 +918,15 @@ class BlockMap:
         rank, one stacked Householder QR extends both to the whole sector,
         a deterministic completion.  A group whose blocks all have full
         rank, as in most maps, takes one QR without a per-rank selection,
-        filled in place when the stack has one width.  A map of more than
-        ``_SLICE`` blocks with runs of neighbours of equal bits
-        (:meth:`_representatives`) completes one block per run and
-        gathers the unitaries back to every block; the completed map
-        keeps those runs, and that of a map without runs has none.
-        Requires the map to be an isometry on its declared domain.
+        filled in place when the stack has one width.  Only the stored
+        blocks are completed, and the completed map keeps the runs of this
+        one.  Requires the map to be an isometry on its declared domain.
         """
-        runs = self._representatives()
-        if runs is not None:
-            rep, run = runs
-            full = rep.completed(tol)
-            out = BlockMap._from_stack(
-                self.d, self._labels, full._cols[run], np.take(full._pair, run, axis=1), self._order
-            )
-            out._runs = full, run
-            return out
         worst = self._defects().max(initial=0.0)
         # written as "not <=" so a NaN defect is refused too
         if not worst <= tol:
             raise ValueError(f"cannot complete a non-isometric map (defect {worst:.3e})")
-        k, d = len(self._labels), self.d
+        k, d = len(self._cols), self.d
         full = np.empty((2, k, d, d), dtype=np.complex128)  # domains, then images
         for c, at, u, sv, vh in self._factor()[3]:
             if sv.min(initial=np.inf) > _RANK_TOL:  # every block of full rank
@@ -961,8 +943,8 @@ class BlockMap:
                 _extend_basis(q, r)
                 if not isinstance(pos, slice):
                     full[:, pos] = q
-        out = BlockMap._from_stack(d, self._labels, np.full(k, d), full, self._order)
-        out._runs = False  # the completions of blocks without runs are not searched for runs
+        out = object.__new__(BlockMap)
+        out._set(d, self._labels, np.full(k, d), full, self._run, self._order)
         return out
 
 
@@ -1010,7 +992,8 @@ def check_conserving(m):
     columns (0 without columns; padding columns add zero Gram entries).
     """
     residuals = np.empty(len(m._labels) + 1)  # the grading entry, then the blocks
-    residuals[0], residuals[1:] = 0.0, m._defects()
+    defects = m._defects()
+    residuals[0], residuals[1:] = 0.0, defects if m._run is None else defects[m._run]
     runs = ("grading", (("isometry",), m._labels))
     return ConstraintReport._from_runs(runs, residuals)
 

@@ -268,11 +268,13 @@ def fit_scaling(table):
     """Ordinary least squares of ``log(error_optimized)`` on ``log(n)``.
 
     Returns ``(slope, intercept, r2)``.  Requires at least three rows
-    with strictly positive optimized errors.
+    with strictly positive optimized errors, at two distinct sizes or more.
     """
     rows = table.rows
     if len(rows) < 3:
         raise ValueError(f"need >= 3 rows to fit a scaling law, got {len(rows)}")
+    if len({r.n for r in rows}) < 2:
+        raise ValueError(f"need >= 2 distinct sizes to fit a scaling law, got only n = {rows[0].n}")
     if any(r.error_optimized <= 0 for r in rows):
         raise ValueError("every optimized error must be positive for a log fit")
     x = np.log([r.n for r in rows])

@@ -332,6 +332,15 @@ class TestExchangeForm:
         assert (got0 - got1).allclose(norm_m.apparatus_part, atol=1e-10)
         assert got0.allclose(scale * chi0, atol=1e-12)
 
+    def test_refuses_a_zero_plus_object_part(self):
+        # the phase divides by |p|^2, which raised ZeroDivisionError
+        plus, minus, _, _ = exchange_branches()
+        verdict = classify(plus, minus)
+        assert verdict.kind == "Case2"
+        zero = BranchSpec(GradedVector(2), plus.apparatus_part)
+        with pytest.raises(ValueError, match="^plus branch has a zero object part"):
+            exchange_form(verdict, zero, minus)
+
     def test_requires_case2(self):
         obj = GradedVector(2, {0: [2**-0.5, 0], 1: [2**-0.5, 0]})
         obj_m = GradedVector(2, {0: [2**-0.5, 0], 1: [-(2**-0.5), 0]})

@@ -1081,12 +1081,18 @@ def _every_call(m, inputs):
     return got + [_call(full, ("conserving", 0), inputs), _call(full, ("apply", 0), inputs)]
 
 
+def _each_block_stored(m):
+    """The map ``m`` stored with every block on its own (``_run`` is None)."""
+    run = np.arange(len(m.sectors())) if m._run is None else m._run
+    ref = object.__new__(BlockMap)
+    ref._set(m.d, m._labels, m._cols[run], np.take(m._pair, run, axis=1), None, m._order)
+    assert _run_count(ref) == len(ref.sectors())
+    return ref
+
+
 def _per_block(make, inputs):
-    """:func:`_every_call` on a fresh map from ``make`` that looks for no runs of equal blocks."""
-    with mock.patch.object(graded, "_SLICE", 10**9):
-        m = make()
-        assert m._representatives() is None
-        return _every_call(m, inputs)
+    """:func:`_every_call` on the map from ``make`` stored with every block on its own."""
+    return _every_call(_each_block_stored(make()), inputs)
 
 
 def _float(bits):
@@ -1094,12 +1100,18 @@ def _float(bits):
 
 
 def _run_count(m):
-    runs = m._representatives()
-    return len(m.sectors()) if runs is None else len(runs[0].sectors())
+    """Number of blocks ``m`` stores: one per run, or one per label when ``_run`` is None."""
+    count = len(m.sectors()) if m._run is None else int(m._run[-1]) + 1
+    assert m._pair.shape[1] == len(m._cols) == count
+    return count
+
+
+def _block_bytes(m):
+    return [(n, dom.tobytes(), img.tobytes()) for n, (dom, img) in m.blocks.items()]
 
 
 class TestRuns:
-    """Each run of equal neighbouring blocks is worked once; every call keeps per-block bits."""
+    """Each run of equal neighbouring blocks is stored once; every call keeps per-block bits."""
 
     @pytest.mark.parametrize("n", [300, 1000, 3000])
     def test_canonical_map_is_three_runs(self, n):
@@ -1107,23 +1119,57 @@ class TestRuns:
         labels = interaction_blocks(s).sectors()
         one = GradedVector(2 * s.d, {n // 2: tensor(ObjectState(1, 0), s.xi).sector(n // 2)})
         inputs = [one] + [tensor(ObjectState(a, b), s.xi) for a, b in ((1, 0), (0.6, 0.8j))]
-        # the first one-sector apply on a fresh map factors the three representatives alone
+        # the first one-sector apply on a fresh map factors the three stored blocks alone
         m = interaction_blocks(s)
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             m.apply(one)
         assert sum(call.args[0].shape[0] for call in svd.call_args_list) == 3
-        assert m._representatives()[0].sectors() == (labels[0], labels[1], labels[-1])
+        assert _run_count(m) == 3
+        first = np.searchsorted(m._run, np.arange(3))
+        assert tuple(m._labels[first].tolist()) == (labels[0], labels[1], labels[-1])
         assert _run_count(m.completed()) == 3
         assert _every_call(interaction_blocks(s), inputs) == _per_block(
             lambda: interaction_blocks(s), inputs
         )
 
+    def test_canonical_map_and_its_completion_store_three_blocks(self):
+        s = build_canonical_scheme(10**4)
+        m = interaction_blocks(s)
+        full = m.completed()
+        assert m._pair.shape[1] == full._pair.shape[1] == 3
+        assert full._run is m._run and len(m._run) == len(m.sectors())
+        ref = _each_block_stored(m)
+        assert list(m.blocks) == list(ref.blocks) == list(m.sectors())
+        assert _block_bytes(m) == _block_bytes(ref)
+        assert _block_bytes(full) == _block_bytes(ref.completed())
+
     def test_optimized_map_has_no_runs(self):
         s = optimize_scheme(300)
         inputs = [tensor(ObjectState(1, 0), s.xi), tensor(ObjectState(0, 1), s.xi)]
-        assert interaction_blocks(s)._representatives() is None
+        m = interaction_blocks(s)
+        assert m._run is None and _run_count(m) == len(m.sectors())
         assert _every_call(interaction_blocks(s), inputs) == _per_block(
             lambda: interaction_blocks(s), inputs
+        )
+
+    @pytest.mark.parametrize(
+        "labels, same, stored",
+        [((), False, 0), ((4,), False, 1), ((4, 5), True, 1), ((4, 5), False, 2), ((4, 9), True, 1)],
+        ids=["none", "one", "two-equal", "two-different", "two-equal-apart"],
+    )
+    def test_maps_of_up_to_two_blocks(self, labels, same, stored):
+        # neighbouring blocks are equal by position in the sorted labels, not by label distance
+        rng = np.random.default_rng(5)
+        kept = _block(rng, 3, 2, "isometry")
+        blocks = {n: kept if same or i == 0 else _block(rng, 3, 2, "isometry")
+                  for i, n in enumerate(labels)}
+        m = BlockMap(3, blocks)
+        assert _run_count(m) == stored
+        assert (m._run is None) == (stored == len(labels))
+        assert _block_bytes(m) == [(n, dom.tobytes(), img.tobytes()) for n, (dom, img) in blocks.items()]
+        inputs = [_input(rng, blocks, 3, None) for _ in range(2)]
+        assert _every_call(BlockMap(3, blocks), inputs) == _per_block(
+            lambda: BlockMap(3, blocks), inputs
         )
 
     @pytest.mark.parametrize("seed", range(4))

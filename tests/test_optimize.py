@@ -178,6 +178,12 @@ class TestFitScaling:
         with pytest.raises(ValueError, match=">= 3 rows"):
             fit_scaling(SweepTable(rows=rows))
 
+    def test_needs_two_distinct_sizes(self):
+        # one size gives a singular design: polyfit returned a slope with r2 = 1.0
+        rows = tuple(SweepRow(4, 1.0, e, 0.0, 0) for e in (0.05, 0.06, 0.07))
+        with pytest.raises(ValueError, match=">= 2 distinct sizes .* only n = 4"):
+            fit_scaling(SweepTable(rows=rows))
+
     def test_rejects_nonpositive_errors(self):
         rows = tuple(SweepRow(n, 1.0, 0.0, 0.0, 0) for n in (2, 4, 8))
         with pytest.raises(ValueError, match="positive"):
