@@ -1070,10 +1070,10 @@ class TestUnfactoredAndNonFinite:
 
 
 def _every_call(m, inputs):
-    """Bytes of every block-map call on ``m``, its completion's report included, or their errors."""
+    """Bytes of ``m``'s blocks and of every call on it, its completion's report included, or errors."""
     calls = [("apply", j) for j in range(len(inputs))]
     calls += [("transfer", len(inputs)), ("conserving", 0), ("completed", 0)]
-    got = [_call(m, c, inputs) for c in calls]
+    got = [_block_bytes(m)] + [_call(m, c, inputs) for c in calls]
     try:
         full = m.completed()
     except ValueError as exc:
@@ -1081,18 +1081,17 @@ def _every_call(m, inputs):
     return got + [_call(full, ("conserving", 0), inputs), _call(full, ("apply", 0), inputs)]
 
 
-def _each_block_stored(m):
-    """The map ``m`` stored with every block on its own (``_run`` is None)."""
-    run = np.arange(len(m.sectors())) if m._run is None else m._run
-    ref = object.__new__(BlockMap)
-    ref._set(m.d, m._labels, m._cols[run], np.take(m._pair, run, axis=1), None, m._order)
-    assert _run_count(ref) == len(ref.sectors())
+def _stored_as_given(make):
+    """The map from ``make`` built without the run search: it stores every block as given."""
+    with mock.patch.object(graded, "_distinct", lambda cols, pair: (cols, pair, None)):
+        ref = make()
+    assert ref._run is None and _run_count(ref) == len(ref.sectors())
     return ref
 
 
 def _per_block(make, inputs):
-    """:func:`_every_call` on the map from ``make`` stored with every block on its own."""
-    return _every_call(_each_block_stored(make()), inputs)
+    """:func:`_every_call` on the map from ``make`` that stores and works every block on its own."""
+    return _every_call(_stored_as_given(make), inputs)
 
 
 def _float(bits):
@@ -1138,7 +1137,8 @@ class TestRuns:
         full = m.completed()
         assert m._pair.shape[1] == full._pair.shape[1] == 3
         assert full._run is m._run and len(m._run) == len(m.sectors())
-        ref = _each_block_stored(m)
+        ref = _stored_as_given(lambda: interaction_blocks(s))
+        assert ref._pair.shape[1] == len(m.sectors())
         assert list(m.blocks) == list(ref.blocks) == list(m.sectors())
         assert _block_bytes(m) == _block_bytes(ref)
         assert _block_bytes(full) == _block_bytes(ref.completed())
@@ -1197,13 +1197,23 @@ class TestRuns:
 
     @pytest.mark.parametrize("other", [-0.0, _float(0x7FF8000000000001)], ids=["zero", "nan"])
     def test_blocks_differing_in_a_zero_sign_or_nan_payload_do_not_merge(self, other):
+        self._check_pairs_apart(other, 0)
+
+    @pytest.mark.parametrize("other", [-0.0, _float(0x7FF8000000000001)], ids=["zero", "nan"])
+    def test_blocks_of_one_domain_differing_in_the_image_do_not_merge(self, other):
+        self._check_pairs_apart(other, 1)
+
+    @staticmethod
+    def _check_pairs_apart(other, part):
         eye = np.eye(2)
         same = eye.copy()
         same[0, 1] = np.nan if other != other else 0.0
         changed = eye.copy()
         changed[0, 1] = other
-        # pairs of equal blocks: 300 runs of two, whose neighbours differ in one entry's bits
-        blocks = {n: (same, eye) if n // 2 % 2 else (changed, eye) for n in range(600)}
+        # pairs of equal blocks: 300 runs of two, whose neighbours differ in one entry's bits,
+        # of the domain or of the image alone
+        pairs = [(same, eye), (changed, eye)] if part == 0 else [(eye, same), (eye, changed)]
+        blocks = {n: pairs[n // 2 % 2 == 0] for n in range(600)}
         m = BlockMap(2, blocks)
         assert _run_count(m) == 300
         inputs = [_vec({0: [1.0, 0.0], 3: [0.0, 2.0]})]
