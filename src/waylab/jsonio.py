@@ -205,7 +205,10 @@ def _numbers(texts, unit, width, indent):
     last spaces and newlines, over which a search crawls) becomes a comma
     and spaces, so one ``json.loads`` sees any fixed byte out of place and
     applies the JSON number grammar.  An indented text is read without its
-    spaces, each of which must follow a newline, a colon or a space.
+    spaces, each of which must follow a newline, a colon or a space, so
+    that deleting them joins no two parts of a number: a check against the
+    skeleton with its spaces kept would not see an indent's space moved
+    into a number, as in ``0 .0``.
     """
     lead, skeleton, trail, pair = unit
     text = b":".join(texts)

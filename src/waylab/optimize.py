@@ -267,16 +267,22 @@ def sweep(n_values, d=2, opts=None):
 def fit_scaling(table):
     """Ordinary least squares of ``log(error_optimized)`` on ``log(n)``.
 
-    Returns ``(slope, intercept, r2)``.  Requires at least three rows
-    with strictly positive optimized errors, at two distinct sizes or more.
+    Returns ``(slope, intercept, r2)``.  Requires at least three rows,
+    each with a positive size and a finite, strictly positive optimized
+    error, at two distinct sizes or more.
     """
     rows = table.rows
     if len(rows) < 3:
         raise ValueError(f"need >= 3 rows to fit a scaling law, got {len(rows)}")
     if len({r.n for r in rows}) < 2:
         raise ValueError(f"need >= 2 distinct sizes to fit a scaling law, got only n = {rows[0].n}")
-    if any(r.error_optimized <= 0 for r in rows):
-        raise ValueError("every optimized error must be positive for a log fit")
+    for j, r in enumerate(rows, 1):
+        # written as "not" so NaN fails too: a NaN or inf error would fit as r2 = 1, and
+        # log(n <= 0) fails inside LAPACK
+        if not r.n > 0:
+            raise ValueError(f"row {j}: n = {r.n} must be positive for a log fit")
+        if not 0 < r.error_optimized < math.inf:
+            raise ValueError(f"row {j}: optimized error {r.error_optimized} must be finite and positive")
     x = np.log([r.n for r in rows])
     y = np.log([r.error_optimized for r in rows])
     slope, intercept = np.polyfit(x, y, 1)

@@ -1275,6 +1275,46 @@ def test_completed_bytes_pinned(widths, digest):
     assert hashlib.sha256(_completed_pin(widths)).hexdigest() == digest
 
 
+def _pair_bytes(pair):
+    return tuple(np.ascontiguousarray(a).tobytes() for a in pair)
+
+
+def _seeded_isometry_blocks(seed):
+    """``(d, blocks)``: up to 11 isometric blocks of 0..d columns, some repeating a column or a block."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    labels = sorted(rng.choice(np.arange(-20, 21), int(rng.integers(1, 12)), replace=False).tolist())
+    blocks = {}
+    for n in labels:
+        width, kind = int(rng.integers(0, d + 1)), ["isometry", "repeated"][int(rng.integers(2))]
+        block = _block(rng, d, width, kind)
+        blocks[n] = blocks[labels[labels.index(n) - 1]] if blocks and rng.random() < 0.2 else block
+    return d, blocks
+
+
+@pytest.mark.parametrize("size", [1, 2, 256])
+def test_each_block_completes_as_it_does_alone(size):
+    # a block's completion and its apply must not depend on its neighbours: completing
+    # blocks grouped by rank alone, over the stack's widest width, moved a rank-one block
+    # of two columns in a stack four wide by 1.2e-16, which no pin saw
+    rng = np.random.default_rng(size)
+    with mock.patch.object(graded, "_SLICE", size):
+        for seed in range(100):
+            d, blocks = _seeded_isometry_blocks(seed)
+            m = BlockMap(d, blocks)
+            full = m.completed()
+            for n, (dom, _) in blocks.items():
+                alone = BlockMap(d, {n: blocks[n]})
+                where = f"seed {seed}, block {n}"
+                assert _pair_bytes(full.blocks[n]) == _pair_bytes(alone.completed().blocks[n]), where
+                c = dom.shape[1]
+                v = GradedVector(d, {n: dom @ (rng.standard_normal(c) + 1j * rng.standard_normal(c))})
+                u = GradedVector(d, {n: rng.standard_normal(d) + 1j * rng.standard_normal(d)})
+                assert _call(m, ("apply", 0), [v]) == _call(alone, ("apply", 0), [v]), where
+                full_image = _call(full, ("apply", 0), [u])
+                assert full_image == _call(alone.completed(), ("apply", 0), [u]), where
+
+
 def _conserving_pin():
     rng = np.random.default_rng(3)
 

@@ -1,5 +1,7 @@
 """Tests for the scheme optimizer and scaling fit."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -188,3 +190,26 @@ class TestFitScaling:
         rows = tuple(SweepRow(n, 1.0, 0.0, 0.0, 0) for n in (2, 4, 8))
         with pytest.raises(ValueError, match="positive"):
             fit_scaling(SweepTable(rows=rows))
+
+    @pytest.mark.parametrize(
+        "ns, errors, match",
+        [
+            # NaN and inf pass "<= 0": the fit read (nan, nan, 1.0), an r2 of 1
+            ((2, 3, 4), (math.nan, 0.1, 0.05), r"row 1: optimized error nan .* positive"),
+            ((2, 3, 4), (0.2, math.inf, 0.05), r"row 2: optimized error inf .* positive"),
+            ((2, 3, 4), (0.2, 0.1, -math.inf), r"row 3: optimized error -inf .* positive"),
+            # log(n <= 0) failed inside LAPACK with LinAlgError
+            ((2, 0, 4), (0.2, 0.1, 0.05), r"row 2: n = 0 must be positive"),
+            ((-3, 2, 4), (0.2, 0.1, 0.05), r"row 1: n = -3 must be positive"),
+        ],
+        ids=["nan", "inf", "-inf", "n=0", "n<0"],
+    )
+    def test_rejects_nonfinite_errors_and_nonpositive_sizes(self, ns, errors, match):
+        rows = tuple(SweepRow(n, 1.0, e, 0.0, 0) for n, e in zip(ns, errors))
+        with pytest.raises(ValueError, match=match):
+            fit_scaling(SweepTable(rows=rows))
+
+    def test_nan_read_from_csv_is_refused(self):
+        text = SweepTable.CSV_HEADER + "\n2,1.0,nan,0.0,0\n3,1.0,0.1,0.0,0\n4,1.0,0.05,0.0,0\n"
+        with pytest.raises(ValueError, match="row 1: optimized error nan must be finite and positive"):
+            fit_scaling(SweepTable.from_csv(text))

@@ -790,6 +790,48 @@ class TestJson:
         assert len(jsonio._numbers([amp], row, 4, indent)) == 4
         assert jsonio._numbers([amp[:1] + b"5" + amp[1:]], row, 4, indent) is None
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # an indent space moved into the second number of a row, into the first number
+            # of a row after the first, and into a label
+            ("            0.0\n          ]", "           0 .0\n          ]"),
+            ('"nu": 10,\n        "amp": [\n          [\n            0.2886',
+             '"nu": 10,\n        "amp": [\n          [\n           0.28 86'),
+            ('        "nu": 10,', '        "nu":1 0,'),
+        ],
+        ids=["second-number", "later-row", "label"],
+    )
+    def test_a_space_moved_into_a_number_is_not_read_strictly(self, old, new):
+        # with the number bytes deleted the text still repeats the written layout, spaces
+        # included; an indented text is read without its spaces, which would join the two
+        # parts into one number, so a space must follow a newline, a colon or a space
+        text = build_canonical_scheme(12).to_json(indent=2)
+        assert old in text
+        edited = text.replace(old, new, 1)
+        with pytest.raises(ValueError):
+            json.loads(edited)
+        assert scheme._strict_fields(edited) is None
+        _assert_same_reading(edited)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("            0.0\n          ]", "             0.0\n          ]"),  # one indent space more
+            ('        "nu": 10,', '        "nu":  10,'),  # two spaces after a colon
+            ("          ],\n          [", "          ],\n            ["),
+        ],
+        ids=["indent", "colon", "bracket"],
+    )
+    def test_spaces_after_newlines_and_colons_are_read_strictly(self, old, new):
+        # valid JSON off the written layout: each space follows a newline, a colon or a space,
+        # so the text reads strictly without its spaces, as json.loads reads it
+        text = build_canonical_scheme(12).to_json(indent=2)
+        assert old in text
+        edited = text.replace(old, new, 1)
+        assert scheme._strict_fields(edited) is not None
+        _assert_same_reading(edited)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 1000])
     @pytest.mark.parametrize("indent", [None, 0, 1, 2, 4])
     def test_written_layouts_are_read_strictly(self, n, indent):
